@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error (argparse's own convention), 3 an
 internal contradiction surfaced, 4 a verification or agreement failure.
 
 JSON documents share one envelope: schema_version, tool, command, then
-the command specific payload.  Key order is fixed and nothing in the
+the command specific payload.  Groups carry their torsion as
+[order, multiplicity] runs (schema 2).  Key order is fixed and nothing in the
 output depends on wall clock, environment or hash seeds, so repeated
 runs are byte identical.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .family import Family
@@ -37,7 +39,7 @@ from .structure_set import (
 )
 from .verification import run_verification
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _document(command: str, payload: dict) -> dict:
@@ -50,8 +52,36 @@ def _document(command: str, payload: dict) -> dict:
     return doc
 
 
+def _render(value, out: list[str], pad: str):
+    """Append value as json.dumps(indent=2) would write it, except that an
+    array holding no object stays on one line, so a torsion run or a
+    matrix costs one line.  pad is a newline plus the current indent."""
+    if type(value) is dict and value:
+        inner = pad + "  "
+        separator = "{"
+        for key, item in value.items():
+            out.append(separator + inner + encode_basestring_ascii(key) + ": ")
+            _render(item, out, inner)
+            separator = ","
+        out.append(pad + "}")
+    elif type(value) is list and any(type(item) is dict for item in value):
+        inner = pad + "  "
+        separator = "["
+        for item in value:
+            out.append(separator + inner)
+            _render(item, out, inner)
+            separator = ","
+        out.append(pad + "]")
+    elif type(value) is int:
+        out.append(str(value))  # most leaves; json.dumps costs more per call
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(doc: dict):
-    print(json.dumps(doc, indent=2))
+    out: list[str] = []
+    _render(doc, out, "\n")
+    print("".join(out))
 
 
 def _spec_json(spec: ActionSpec) -> dict:

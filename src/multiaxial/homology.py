@@ -13,6 +13,7 @@ matrices this package produces.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Sequence
 
 from .abelian import FGAbelianGroup
@@ -109,7 +110,10 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
         factors.append(abs(a[t][t]))
         t += 1
     for earlier, later in zip(factors, factors[1:]):
-        assert later % earlier == 0, "invariant factors out of order"
+        if later % earlier:
+            raise ArithmeticError(
+                f"invariant factors out of order: {earlier} does not divide {later}"
+            )
     return factors
 
 
@@ -279,8 +283,10 @@ def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
         if not cells:
             continue
         free = cells - len(snf[p]) - len(snf[p + 1])
-        torsion = [d for d in snf[p + 1] if d > 1]
-        group = FGAbelianGroup.from_orders([0] * free + torsion)
+        # the factors already form a divisibility chain, so equal ones are
+        # adjacent and the runs need no recombining
+        torsion = Counter(d for d in snf[p + 1] if d > 1)
+        group = FGAbelianGroup(free, tuple(torsion.items()))
         if not group.is_trivial:
             result[p] = group
     return result

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .abelian import FGAbelianGroup
 from .family import Family
-from .grassmannian import count_A_B, count_a_b
+from .grassmannian import count_A_B, count_a_b, require_valid
 from .homology import ChainComplex, integral_homology, mod2_homology
 from .orbit_cells import CellFiltration, build_chain_complex, orbit_space_dimension
 
@@ -37,28 +37,25 @@ def l_coefficient(q: int) -> FGAbelianGroup:
         return FGAbelianGroup.trivial()
     if q % 4 == 0:
         return FGAbelianGroup.free(1)
-    return FGAbelianGroup(0, (2,))
+    return FGAbelianGroup.with_two_torsion(0, 1)
 
 
 def assemble_l_homology(
     betti_z: Mapping[int, int],
     betti_z2: Mapping[int, int],
     d: int,
-    *,
-    reduced: bool,
 ) -> FGAbelianGroup:
     """Collapse the coefficient tower onto degree d.
 
     betti_z are integral ranks, betti_z2 mod 2 ranks, both of the same
-    space in the same normalization; the reduced flag only records which
-    normalization the caller supplied, the formula is identical.
+    space in the same normalization (absolute or reduced); the formula is
+    the same for either.
     """
-    del reduced
     if d < 0:
         raise ValueError("top degree must be nonnegative")
     free = sum(betti_z.get(d - q, 0) for q in range(0, d + 1, 4))
     two_torsion = sum(betti_z2.get(d - q, 0) for q in range(2, d + 1, 4))
-    return FGAbelianGroup(free, (2,) * two_torsion)
+    return FGAbelianGroup.with_two_torsion(free, two_torsion)
 
 
 def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -70,8 +67,8 @@ def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
     """
     if family is Family.COMPLEX:
         a, b = count_A_B(n, k)
-        return FGAbelianGroup(a, (2,) * b)
-    _require_valid(n, k)
+        return FGAbelianGroup.with_two_torsion(a, b)
+    require_valid(n, k)
     return FGAbelianGroup.free(comb(k, n))
 
 
@@ -80,7 +77,7 @@ def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup
     complex_ = build_chain_complex(family, n, k, CellFiltration.exact(n))
     d = orbit_space_dimension(family, n, k)
     betti = _torsion_free_ranks(integral_homology(complex_))
-    return assemble_l_homology(betti, mod2_homology(complex_), d, reduced=False)
+    return assemble_l_homology(betti, mod2_homology(complex_), d)
 
 
 def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -89,7 +86,7 @@ def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
     Closed form from the one-column-smaller box counts.
     """
     a, b = count_a_b(n, k, family)
-    return FGAbelianGroup(a, (2,) * b)
+    return FGAbelianGroup.with_two_torsion(a, b)
 
 
 def reduced_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -105,7 +102,7 @@ def reduced_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
         )
     del betti[0]
     del betti2[0]
-    return assemble_l_homology(betti, betti2, d, reduced=True)
+    return assemble_l_homology(betti, betti2, d)
 
 
 def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -114,7 +111,7 @@ def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
     Only meaningful when k - n is odd (the top degree is even then); the
     even-gap case never consumes it and is rejected.
     """
-    _require_valid(n, k)
+    require_valid(n, k)
     if (k - n) % 2 == 0:
         raise ValueError("basepoint correction applies only when k - n is odd")
     return l_coefficient(orbit_space_dimension(family, n, k))
@@ -149,9 +146,7 @@ def verify_collapse(family: Family, n: int, k: int) -> CollapseReport:
     degrees = []
     for p, group in sorted(homology.items()):
         if p == 0:
-            group = FGAbelianGroup.from_orders(
-                [0] * (group.free_rank - 1) + list(group.torsion)
-            )
+            group = FGAbelianGroup(group.free_rank - 1, group.torsion)
         if not group.is_trivial:
             degrees.append(p)
     if family is Family.COMPLEX:
@@ -185,8 +180,3 @@ def _torsion_free_ranks(homology: dict[int, FGAbelianGroup]) -> dict[int, int]:
                 "the degreewise assembly needs torsion free input"
             )
     return {p: group.free_rank for p, group in homology.items()}
-
-
-def _require_valid(n: int, k: int):
-    if n < 1 or k < n:
-        raise ValueError(f"need k >= n >= 1, got n={n}, k={k}")

@@ -16,7 +16,9 @@ from .abelian import FGAbelianGroup
 from .family import Family
 from .grassmannian import (
     count_A_B,
+    count_A_B_oracle,
     count_a_b,
+    count_a_b_oracle,
     enumerate_box_partitions,
     grassmannian_betti,
 )
@@ -123,6 +125,15 @@ def run_verification(
                 f"{a_count}+{b_count} vs C({k},{n})",
             )
         )
+        listed = count_A_B_oracle(n, k, partitions)
+        add(
+            CheckResult(
+                "parity-count-formula-vs-enumeration",
+                params,
+                (a_count, b_count) == listed,
+                f"A,B formula {(a_count, b_count)} vs listed {tuple(listed)}",
+            )
+        )
         if k > n:
             transpose = count_A_B(k - n, k)
             add(
@@ -151,6 +162,15 @@ def run_verification(
                     fparams,
                     reduced_counts.total == comb(k - 1, n),
                     f"total {reduced_counts.total} vs C({k - 1},{n})",
+                )
+            )
+            listed = count_a_b_oracle(n, k, family, partitions)
+            add(
+                CheckResult(
+                    "parity-count-formula-vs-enumeration",
+                    fparams,
+                    reduced_counts == listed,
+                    f"a,b formula {tuple(reduced_counts)} vs listed {tuple(listed)}",
                 )
             )
             if (k - n) % 2 == 1 and family is Family.COMPLEX:

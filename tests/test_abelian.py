@@ -3,12 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiaxial.abelian import FGAbelianGroup
+from multiaxial.homology import smith_normal_form
 
 
 def test_canonical_form_merges_coprime_orders():
-    assert FGAbelianGroup.from_orders([2, 3]) == FGAbelianGroup(0, (6,))
+    assert FGAbelianGroup.from_orders([2, 3]) == FGAbelianGroup(0, ((6, 1),))
     assert FGAbelianGroup.from_orders([6, 4]) == FGAbelianGroup.from_orders([12, 2])
-    assert FGAbelianGroup.from_orders([0, 4, 2]) == FGAbelianGroup(1, (2, 4))
+    assert FGAbelianGroup.from_orders([0, 4, 2]) == FGAbelianGroup(1, ((2, 1), (4, 1)))
 
 
 def test_zero_orders_become_free_rank():
@@ -18,47 +19,57 @@ def test_zero_orders_become_free_rank():
 
 def test_constructor_rejects_non_chain():
     with pytest.raises(ValueError):
-        FGAbelianGroup(0, (4, 2))
+        FGAbelianGroup(0, ((4, 1), (2, 1)))
     with pytest.raises(ValueError):
-        FGAbelianGroup(0, (1,))
+        FGAbelianGroup(0, ((1, 1),))
     with pytest.raises(ValueError):
         FGAbelianGroup(-1, ())
+    # runs are merged and nonempty, so the encoding stays canonical
+    with pytest.raises(ValueError):
+        FGAbelianGroup(0, ((2, 1), (2, 1)))
+    with pytest.raises(ValueError):
+        FGAbelianGroup(0, ((2, 0),))
+    # an expanded torsion tuple is a stale call site, not a group
+    with pytest.raises(TypeError):
+        FGAbelianGroup(0, (2, 2))
 
 
 def test_direct_sum_of_two_torsion():
-    z4_z2 = FGAbelianGroup(4, (2, 2))
-    assert FGAbelianGroup(4, (2,)).direct_sum(FGAbelianGroup(0, (2,))) == z4_z2
+    z4_z2 = FGAbelianGroup(4, ((2, 2),))
+    assert FGAbelianGroup(4, ((2, 1),)).direct_sum(FGAbelianGroup(0, ((2, 1),))) == z4_z2
     assert z4_z2.direct_sum(FGAbelianGroup.trivial()) == z4_z2
 
 
 def test_rendering():
     assert str(FGAbelianGroup.trivial()) == "0"
     assert str(FGAbelianGroup.free(1)) == "Z"
-    assert str(FGAbelianGroup(4, (2, 2))) == "Z^4 ⊕ Z_2^2"
-    assert str(FGAbelianGroup(0, (2, 4))) == "Z_2 ⊕ Z_4"
+    assert str(FGAbelianGroup(4, ((2, 2),))) == "Z^4 ⊕ Z_2^2"
+    assert str(FGAbelianGroup(0, ((2, 1), (4, 1)))) == "Z_2 ⊕ Z_4"
 
 
 def test_json_shape():
-    assert FGAbelianGroup(3, (2,)).to_json() == {"free_rank": 3, "torsion": [2]}
+    assert FGAbelianGroup(3, ((2, 1),)).to_json() == {
+        "free_rank": 3, "torsion": [[2, 1]],
+    }
 
 
 def test_embeds_in_free_and_torsion():
-    assert FGAbelianGroup(1, (2,)).embeds_in(FGAbelianGroup(2, (2, 2)))
-    assert not FGAbelianGroup(2, ()).embeds_in(FGAbelianGroup(1, (2, 2)))
-    assert not FGAbelianGroup(0, (2,)).embeds_in(FGAbelianGroup(5, ()))
+    assert FGAbelianGroup(1, ((2, 1),)).embeds_in(FGAbelianGroup(2, ((2, 2),)))
+    assert not FGAbelianGroup(2, ()).embeds_in(FGAbelianGroup(1, ((2, 2),)))
+    assert not FGAbelianGroup(0, ((2, 1),)).embeds_in(FGAbelianGroup(5, ()))
     # order considerations, not just counts
-    z4 = FGAbelianGroup(0, (4,))
-    z2z2 = FGAbelianGroup(0, (2, 2))
+    z4 = FGAbelianGroup(0, ((4, 1),))
+    z2z2 = FGAbelianGroup(0, ((2, 2),))
     assert not z4.embeds_in(z2z2)
     assert not z2z2.embeds_in(z4)
-    assert z4.embeds_in(FGAbelianGroup(0, (8,)))
+    assert z4.embeds_in(FGAbelianGroup(0, ((8, 1),)))
 
 
 def test_embeds_in_is_reflexive_on_spot_values():
     for group in [
         FGAbelianGroup.trivial(),
-        FGAbelianGroup(4, (2, 2)),
-        FGAbelianGroup(1, (2, 4, 8)),
+        FGAbelianGroup(4, ((2, 2),)),
+        FGAbelianGroup(1, ((2, 1), (4, 1), (8, 1))),
     ]:
         assert group.embeds_in(group)
 
@@ -86,3 +97,58 @@ def test_summands_embed_in_direct_sum(left, right):
     total = a.direct_sum(b)
     assert a.embeds_in(total)
     assert b.embeds_in(total)
+
+
+def expanded_torsion(orders):
+    """Reference invariant factors of a list of cyclic orders: the Smith
+    normal form of the diagonal matrix, units dropped."""
+    orders = [d for d in orders if d > 1]
+    diagonal = [
+        [orders[i] if i == j else 0 for j in range(len(orders))]
+        for i in range(len(orders))
+    ]
+    return [d for d in smith_normal_form(diagonal) if d > 1]
+
+
+def expanded_embeds(mine, theirs):
+    """Reference embedding test on expanded order lists: for every prime p
+    and exponent e, at least as many summands divisible by p^e."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 6):
+            needed = sum(1 for d in mine if d % p**e == 0)
+            if needed > sum(1 for d in theirs if d % p**e == 0):
+                return False
+    return True
+
+
+def torsion_of(group):
+    return [d for d in group.invariant_factors() if d]
+
+
+small_orders = st.lists(
+    st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 36]), max_size=8
+)
+
+
+@given(small_orders, small_orders)
+def test_run_algebra_matches_expanded_reference(left, right):
+    a = FGAbelianGroup.from_orders(left)
+    b = FGAbelianGroup.from_orders(right)
+    assert torsion_of(a) == expanded_torsion(left)
+    total = a.direct_sum(b)
+    assert total.free_rank == left.count(0) + right.count(0)
+    assert torsion_of(total) == expanded_torsion(left + right)
+    assert a.embeds_in(b) == (
+        a.free_rank <= b.free_rank
+        and expanded_embeds(torsion_of(a), torsion_of(b))
+    )
+    assert a.two_torsion_rank() == sum(1 for d in torsion_of(a) if d % 2 == 0)
+
+
+def test_large_multiplicities_stay_run_length():
+    big = FGAbelianGroup.with_two_torsion(10**12, 10**15)
+    total = big.direct_sum(FGAbelianGroup(0, ((2, 3), (4, 10**15))))
+    assert total == FGAbelianGroup(10**12, ((2, 10**15 + 3), (4, 10**15)))
+    assert big.embeds_in(total) and not total.embeds_in(big)
+    assert total.two_torsion_rank() == 2 * 10**15 + 3
+    assert str(total) == f"Z^{10**12} ⊕ Z_2^{10**15 + 3} ⊕ Z_4^{10**15}"

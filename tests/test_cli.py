@@ -28,11 +28,23 @@ def test_structure_set_json_document(capsys):
         "--j", "0",
     )
     assert code == 0
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "structure-set"
-    assert doc["total"] == {"free_rank": 4, "torsion": [2, 2]}
+    assert doc["total"] == {"free_rank": 4, "torsion": [[2, 2]]}
     assert doc["normalized"]["branch"] == "even-gap"
     assert [s["label"] for s in doc["summands"]] == ["stratum_pair(0)"]
+
+
+def test_structure_set_json_size_follows_the_answer(capsys):
+    code, out = run_cli(
+        capsys, "structure-set", "--family", "U", "--n", "12", "--k", "26",
+        "--format", "json",
+    )
+    assert code == 0
+    assert len(out.encode("utf-8")) < 2048
+    assert json.loads(out)["total"] == {
+        "free_rank": 8390655, "torsion": [[2, 8386560]],
+    }
 
 
 def test_structure_set_quaternionic_table(capsys):
@@ -64,7 +76,7 @@ def test_homology_relative_agrees(capsys):
         "--variant", "relative",
     )
     assert code == 0
-    assert doc["closed_form"] == {"free_rank": 4, "torsion": [2, 2]}
+    assert doc["closed_form"] == {"free_rank": 4, "torsion": [[2, 2]]}
     assert doc["oracle"] == doc["closed_form"]
     assert doc["agree"] is True
     assert doc["dimension"] == 11

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from multiaxial.family import Family
 from multiaxial.grassmannian import (
     count_A_B,
+    count_A_B_oracle,
     count_a_b,
+    count_a_b_oracle,
     enumerate_box_partitions,
     grassmannian_betti,
 )
@@ -110,3 +112,23 @@ def test_parity_split_matches_brute_force(n, gap):
     brute = brute_force_partitions(n, gap)
     assert a == sum(1 for t in brute if sum(t) % 2 == 0)
     assert b == sum(1 for t in brute if sum(t) % 2 == 1)
+
+
+@given(st.integers(1, 16), st.integers(0, 15), st.sampled_from(list(Family)))
+def test_formula_counts_match_enumeration(n, gap, family):
+    k = min(n + gap, 16)
+    partitions = enumerate_box_partitions(n, k - n)
+    assert count_A_B(n, k) == count_A_B_oracle(n, k, partitions)
+    assert count_a_b(n, k, family) == count_a_b_oracle(
+        n, k, family, partitions
+    )
+
+
+def test_formula_counts_at_large_sizes():
+    # C(450, 200) has over 130 digits; the counts must still split it exactly
+    a, b = count_A_B(200, 450)
+    assert a + b == comb(450, 200)
+    assert a - b == comb(225, 100)
+    ra, rb = count_a_b(200, 450, Family.COMPLEX)
+    assert ra + rb == comb(449, 200)
+    assert (ra, rb) == tuple(count_A_B(200, 449))

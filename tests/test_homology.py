@@ -187,7 +187,7 @@ def test_torsion_complex():
     )
     assert integral_homology(rp2) == {
         0: FGAbelianGroup.free(1),
-        1: FGAbelianGroup(0, (2,)),
+        1: FGAbelianGroup(0, ((2, 1),)),
     }
     assert mod2_homology(rp2) == {0: 1, 1: 1, 2: 1}
 

@@ -1,5 +1,6 @@
 import pytest
 
+from multiaxial import grassmannian, l_homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.l_homology import (
@@ -44,9 +45,9 @@ def test_normalize_is_idempotent():
 
 
 def test_spot_values():
-    assert total(C, 2, 4) == FGAbelianGroup(4, (2, 2))
-    assert total(C, 1, 3) == FGAbelianGroup(1, (2,))
-    assert total(C, 2, 3) == FGAbelianGroup(2, (2,))
+    assert total(C, 2, 4) == FGAbelianGroup(4, ((2, 2),))
+    assert total(C, 1, 3) == FGAbelianGroup(1, ((2, 1),))
+    assert total(C, 2, 3) == FGAbelianGroup(2, ((2, 1),))
     assert total(H, 1, 2) == FGAbelianGroup.free(1)
 
 
@@ -72,7 +73,7 @@ def test_basepoint_summand_appears_only_with_trivial_summands():
     with_j = compute_structure_set(ActionSpec(C, 1, 2, 1))
     assert "basepoint" not in without.labels()
     assert with_j.labels() == ("top", "basepoint")
-    assert with_j.total == FGAbelianGroup(1, (2,))
+    assert with_j.total == FGAbelianGroup(1, ((2, 1),))
     # even rank has a trivial correction, so no summand is emitted
     even_rank = compute_structure_set(ActionSpec(C, 2, 3, 2))
     assert "basepoint" not in even_rank.labels()
@@ -82,7 +83,7 @@ def test_quaternionic_basepoint_variants():
     n1 = compute_structure_set(ActionSpec(H, 1, 2, 1))
     assert n1.summand("basepoint").group == FGAbelianGroup.free(1)
     n3 = compute_structure_set(ActionSpec(H, 3, 4, 1))
-    assert n3.summand("basepoint").group == FGAbelianGroup(0, (2,))
+    assert n3.summand("basepoint").group == FGAbelianGroup(0, ((2, 1),))
     n2 = compute_structure_set(ActionSpec(H, 2, 3, 1))
     assert "basepoint" not in n2.labels()
 
@@ -94,7 +95,7 @@ def test_requires_normalized_spec():
 
 def test_free_exception_on_rank_zero_aborts():
     with pytest.raises(InternalContradictionError):
-        _one_z_less(FGAbelianGroup(0, (2,)), "test")
+        _one_z_less(FGAbelianGroup(0, ((2, 1),)), "test")
 
 
 def test_summands_match_homology_layer():
@@ -145,14 +146,14 @@ def test_exception_exclusivity_and_branch_dispatch():
 
 def test_suspension_listed_examples():
     report = suspension_report(ActionSpec(C, 1, 3, 0))
-    assert report.base.total == FGAbelianGroup(1, (2,))
-    assert report.twice.total == FGAbelianGroup(2, (2, 2))
+    assert report.base.total == FGAbelianGroup(1, ((2, 1),))
+    assert report.twice.total == FGAbelianGroup(2, ((2, 2),))
     assert report.consistent
     assert report.base.labels() == report.twice.labels() == ("free_stratum",)
 
     report = suspension_report(ActionSpec(C, 2, 2, 0))
     assert report.base.total == FGAbelianGroup.free(1)
-    assert report.twice.total == FGAbelianGroup(4, (2, 2))
+    assert report.twice.total == FGAbelianGroup(4, ((2, 2),))
     assert report.consistent
 
 
@@ -182,3 +183,24 @@ def test_trivial_spec_suspension():
     report = suspension_report(ActionSpec(C, 0, 0, 5))
     assert report.consistent
     assert report.base.total == FGAbelianGroup.trivial()
+
+
+def test_closed_form_never_builds_the_oracle_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form reached the oracle route")
+
+    for module, names in (
+        (grassmannian, ["enumerate_box_partitions"]),
+        (l_homology, ["build_chain_complex", "integral_homology", "mod2_homology"]),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    points = [(1, 1, 0), (2, 5, 1), (12, 26, 0), (11, 26, 1), (200, 450, 2)]
+    for family in (C, H):
+        for n, k, j in points:
+            compute_structure_set(ActionSpec(family, n, k, j))
+
+
+def test_large_closed_form_total():
+    report = compute_structure_set(ActionSpec(C, 12, 26, 0))
+    assert str(report.total) == "Z^8390655 ⊕ Z_2^8386560"
