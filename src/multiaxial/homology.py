@@ -1,9 +1,16 @@
 """Exact integer chain complexes and their homology.
 
-The Smith normal form here runs on Python ints, so there is no overflow
+A boundary is stored as sparse columns, one row -> coefficient map per
+generator holding only the nonzero entries, and homology never builds a
+dense boundary.  Integral homology first eliminates +-1 pivots wherever
+they sit, updating the remaining columns by the Schur complement; only the
+residual block, empty for the orbit-space complexes, reaches the dense
+Smith normal form.  Mod 2 ranks come from the same columns, with the odd
+entries packed into bitmasks.
+
+The Smith normal form runs on Python ints, so there is no overflow
 regardless of how the intermediate entries grow.  Pivots are chosen by
-smallest absolute value, which keeps that growth tame on the sparse
-matrices this package produces.
+smallest absolute value, which keeps that growth tame.
 
 >>> smith_normal_form([[2, 4], [6, 8]])
 [2, 4]
@@ -14,11 +21,16 @@ matrices this package produces.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .abelian import FGAbelianGroup
 
 Matrix = Sequence[Sequence[int]]
+Column = Mapping[int, int]
+
+# the one stored column of a complex with no entries, shared and read only
+_NO_ENTRIES: Column = MappingProxyType({})
 
 
 def _copy_matrix(matrix: Matrix) -> list[list[int]]:
@@ -117,56 +129,136 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
     return factors
 
 
-def rank_mod2(matrix: Matrix) -> int:
-    """Rank over the field with two elements, via bitmask elimination."""
-    pivot_rows: dict[int, int] = {}
-    rank = 0
-    for row in matrix:
-        bits = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                bits |= 1 << j
+def _bitmask_rank(masks: Iterable[int]) -> int:
+    """Rank over the field with two elements of vectors packed as bitmasks."""
+    pivots: dict[int, int] = {}
+    for bits in masks:
         while bits:
             low = bits & -bits
-            other = pivot_rows.get(low)
+            other = pivots.get(low)
             if other is None:
-                pivot_rows[low] = bits
-                rank += 1
+                pivots[low] = bits
                 break
             bits ^= other
-    return rank
+    return len(pivots)
 
 
-def _matrix_product(a: Matrix, b: Matrix) -> list[list[int]]:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            v = a[i][t]
-            if v:
-                row_b = b[t]
-                row_out = out[i]
-                for j in range(cols):
-                    if row_b[j]:
-                        row_out[j] += v * row_b[j]
-    return out
+def rank_mod2(matrix: Matrix) -> int:
+    """Rank over the field with two elements, via bitmask elimination."""
+    return _bitmask_rank(
+        sum(1 << j for j, v in enumerate(row) if v % 2) for row in matrix
+    )
+
+
+def sparse_rank_mod2(columns: Sequence[Column]) -> int:
+    """rank_mod2 of a matrix given as sparse columns, odd entries as bits.
+
+    >>> sparse_rank_mod2([{0: 1, 1: 3}, {0: 2}, {1: 1}])
+    2
+    """
+    return _bitmask_rank(
+        sum(1 << r for r, v in column.items() if v % 2)
+        for column in columns
+        if column
+    )
+
+
+def _eliminate_unit_pivots(
+    columns: Sequence[Column],
+) -> tuple[int, list[list[int]]]:
+    """Split off every +-1 pivot; return their count and the residual block.
+
+    Pivoting on a unit u at (r, c) is unimodular and leaves [u] plus the
+    Schur complement A - A[:, c] u^-1 A[r, :], which only changes the
+    columns that have an entry in row r, found through a row -> columns
+    index.  Any unit entry of any column may serve, and a column that an
+    update changed is searched again.  Among a column's unit entries the
+    one whose row is shared by the fewest columns is taken, which keeps
+    fill-in low.  The residual block has no unit entry left; it comes back
+    as dense rows with its zero rows and columns dropped.
+    """
+    work = {j: dict(column) for j, column in enumerate(columns) if column}
+    by_row: dict[int, set[int]] = {}
+    for j, column in work.items():
+        for r in column:
+            by_row.setdefault(r, set()).add(j)
+    units = 0
+    pending = list(work)
+    while pending:
+        j = pending.pop()
+        column = work.get(j)
+        if column is None:
+            continue
+        pivot_row = None
+        for r, v in column.items():
+            if (v == 1 or v == -1) and (
+                pivot_row is None or len(by_row[r]) < len(by_row[pivot_row])
+            ):
+                pivot_row = r
+        if pivot_row is None:
+            continue
+        units += 1
+        del work[j]
+        u = column.pop(pivot_row)
+        for r in column:
+            by_row[r].discard(j)
+        touched = by_row.pop(pivot_row)
+        touched.discard(j)
+        for t in touched:
+            other = work[t]
+            factor = other.pop(pivot_row) * u  # u is its own inverse
+            for r, v in column.items():
+                w = other.get(r, 0) - factor * v
+                if w:
+                    if r not in other:
+                        by_row[r].add(t)
+                    other[r] = w
+                elif r in other:
+                    del other[r]
+                    by_row[r].discard(t)
+            if other:
+                pending.append(t)
+            else:
+                del work[t]
+    rows = sorted({r for column in work.values() for r in column})
+    residual = [[column.get(r, 0) for column in work.values()] for r in rows]
+    return units, residual
+
+
+def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
+    """smith_normal_form of a matrix given as sparse columns.
+
+    Unit pivots are eliminated first; only the residual block goes to the
+    dense Smith normal form.
+
+    >>> sparse_invariant_factors([{0: 2, 1: 6}, {0: 4, 1: 8}])
+    [2, 4]
+    >>> sparse_invariant_factors([{0: 1, 1: 2}, {}, {1: 3}])
+    [1, 3]
+    """
+    units, residual = _eliminate_unit_pivots(columns)
+    factors = [1] * units
+    if residual:
+        factors += smith_normal_form(residual)
+    return factors
 
 
 class ChainComplex:
     """Finite free chain complex over Z with labeled generators.
 
-    generators maps a degree to its ordered generator labels, boundaries
-    maps degree p to the matrix of the map from degree p to degree p-1
-    (rows indexed by the lower degree).  Missing matrices are zero.  The
-    composite of consecutive boundaries is checked at construction.
+    generators maps a degree to its ordered generator labels.  boundaries
+    maps degree p to the boundary out of degree p as sparse columns: one
+    mapping per generator of degree p, from a row (the index of a
+    generator of degree p - 1) to its coefficient.  Zero coefficients may
+    be left out and missing degrees are zero.  Column counts, row ranges,
+    labels and the vanishing of every composite are checked here, at
+    construction, and nowhere else.
     """
 
     def __init__(
         self,
         generators: Mapping[int, Sequence[str]],
-        boundaries: Mapping[int, Matrix],
+        boundaries: Mapping[int, Sequence[Column]],
     ):
         gens: dict[int, tuple[str, ...]] = {}
         for p, labels in generators.items():
@@ -178,42 +270,74 @@ class ChainComplex:
                 if len(set(labels)) != len(labels):
                     raise ValueError(f"duplicate generator labels in degree {p}")
                 gens[p] = labels
-        mats: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for p, matrix in boundaries.items():
+        stored: dict[int, tuple[Column, ...]] = {}
+        for p, columns in boundaries.items():
             p = int(p)
-            rows = tuple(tuple(int(x) for x in row) for row in matrix)
-            expected_rows = len(gens.get(p - 1, ()))
-            expected_cols = len(gens.get(p, ()))
-            if len(rows) != expected_rows or any(
-                len(row) != expected_cols for row in rows
-            ):
+            rows = len(gens.get(p - 1, ()))
+            expected = len(gens.get(p, ()))
+            if len(columns) != expected:
+                raise ValueError(
+                    f"boundary in degree {p} has {len(columns)} columns, "
+                    f"expected {expected}"
+                )
+            kept: list[Column] = []
+            for column in columns:
+                entries = {}
+                for r, v in column.items():
+                    r = int(r)
+                    if not 0 <= r < rows:
+                        raise ValueError(
+                            f"boundary in degree {p} has row {r}, "
+                            f"expected 0 <= row < {rows}"
+                        )
+                    v = int(v)
+                    if v:
+                        entries[r] = v
+                kept.append(entries or _NO_ENTRIES)
+            if any(kept):
+                stored[p] = tuple(kept)
+        for p, columns in stored.items():
+            lower = stored.get(p - 1)
+            if lower is None:
+                continue
+            for column in columns:
+                composite: dict[int, int] = {}
+                for r, v in column.items():
+                    for s, w in lower[r].items():
+                        composite[s] = composite.get(s, 0) + v * w
+                if any(composite.values()):
+                    raise ValueError(f"boundary composite in degree {p} is nonzero")
+        self._generators = gens
+        self._columns = stored
+
+    @classmethod
+    def from_matrices(
+        cls,
+        generators: Mapping[int, Sequence[str]],
+        matrices: Mapping[int, Matrix],
+    ) -> "ChainComplex":
+        """Build from dense boundary matrices, rows indexed by the lower degree."""
+        boundaries = {}
+        for p, matrix in matrices.items():
+            rows = len(generators.get(p - 1, ()))
+            cols = len(generators.get(p, ()))
+            if len(matrix) != rows or any(len(row) != cols for row in matrix):
                 raise ValueError(
                     f"boundary in degree {p} has the wrong shape, expected "
-                    f"{expected_rows} x {expected_cols}"
+                    f"{rows} x {cols}"
                 )
-            if any(any(row) for row in rows):
-                mats[p] = rows
-        self._generators = gens
-        self._boundaries = mats
-        self._check_square_zero()
-
-    def _check_square_zero(self):
-        for p in sorted(self._boundaries):
-            if p - 1 in self._boundaries:
-                product = _matrix_product(
-                    self.boundary_matrix(p - 1), self.boundary_matrix(p)
-                )
-                if any(any(row) for row in product):
-                    raise ValueError(
-                        f"boundary composite in degree {p} is nonzero"
-                    )
-
-    @property
-    def top_degree(self) -> int:
-        return max(self._generators, default=-1)
+            boundaries[p] = [
+                {i: row[j] for i, row in enumerate(matrix) if row[j]}
+                for j in range(cols)
+            ]
+        return cls(generators, boundaries)
 
     def degrees(self) -> list[int]:
         return sorted(self._generators)
+
+    def boundary_degrees(self) -> list[int]:
+        """Degrees whose outgoing boundary has a nonzero entry."""
+        return sorted(self._columns)
 
     def generators(self, p: int) -> tuple[str, ...]:
         return self._generators.get(p, ())
@@ -224,14 +348,20 @@ class ChainComplex:
     def total_cells(self) -> int:
         return sum(len(v) for v in self._generators.values())
 
+    def columns(self, p: int) -> tuple[Column, ...]:
+        """Sparse columns of the boundary out of degree p; read only."""
+        stored = self._columns.get(p)
+        if stored is not None:
+            return stored
+        return (_NO_ENTRIES,) * self.cell_count(p)
+
     def boundary_matrix(self, p: int) -> list[list[int]]:
         """Dense matrix of the boundary out of degree p, zeros included."""
-        stored = self._boundaries.get(p)
-        if stored is not None:
-            return [list(row) for row in stored]
-        rows = self.cell_count(p - 1)
-        cols = self.cell_count(p)
-        return [[0] * cols for _ in range(rows)]
+        matrix = [[0] * self.cell_count(p) for _ in range(self.cell_count(p - 1))]
+        for j, column in enumerate(self._columns.get(p, ())):
+            for r, v in column.items():
+                matrix[r][j] = v
+        return matrix
 
     def euler_characteristic(self) -> int:
         return sum(
@@ -244,23 +374,32 @@ class ChainComplex:
         """Reorder generators per degree; permutations[p][i] is the old index
         that moves to slot i.  Used to check order independence of homology."""
         new_gens = {}
+        new_index = {}
         for p, labels in self._generators.items():
             perm = permutations.get(p)
             if perm is None:
                 new_gens[p] = labels
-            else:
-                if sorted(perm) != list(range(len(labels))):
-                    raise ValueError(f"not a permutation in degree {p}")
-                new_gens[p] = tuple(labels[i] for i in perm)
-        new_mats = {}
-        for p in self._boundaries:
-            old = self.boundary_matrix(p)
-            row_perm = permutations.get(p - 1, range(len(old)))
-            col_perm = permutations.get(p, range(len(old[0]) if old else 0))
-            new_mats[p] = [
-                [old[ri][cj] for cj in col_perm] for ri in row_perm
-            ]
-        return ChainComplex(new_gens, new_mats)
+                continue
+            perm = list(perm)
+            if sorted(perm) != list(range(len(labels))):
+                raise ValueError(f"not a permutation in degree {p}")
+            new_gens[p] = [labels[i] for i in perm]
+            slot = [0] * len(perm)
+            for new, old in enumerate(perm):
+                slot[old] = new
+            new_index[p] = slot
+        new_columns = {}
+        for p, columns in self._columns.items():
+            perm = permutations.get(p)
+            if perm is not None:
+                columns = [columns[i] for i in perm]
+            slot = new_index.get(p - 1)
+            if slot is not None:
+                columns = [
+                    {slot[r]: v for r, v in column.items()} for column in columns
+                ]
+            new_columns[p] = columns
+        return ChainComplex(new_gens, new_columns)
 
 
 def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
@@ -270,22 +409,17 @@ def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
     two adjacent boundaries, and the torsion is read off the invariant
     factors of the incoming boundary.
     """
-    top = complex_.top_degree
-    snf: dict[int, list[int]] = {}
-    for p in range(0, top + 2):
-        if complex_.cell_count(p) and complex_.cell_count(p - 1):
-            snf[p] = smith_normal_form(complex_.boundary_matrix(p))
-        else:
-            snf[p] = []
+    factors = {
+        p: sparse_invariant_factors(complex_.columns(p))
+        for p in complex_.boundary_degrees()
+    }
     result = {}
-    for p in range(0, top + 1):
-        cells = complex_.cell_count(p)
-        if not cells:
-            continue
-        free = cells - len(snf[p]) - len(snf[p + 1])
+    for p in complex_.degrees():
+        incoming = factors.get(p + 1, ())
+        free = complex_.cell_count(p) - len(factors.get(p, ())) - len(incoming)
         # the factors already form a divisibility chain, so equal ones are
         # adjacent and the runs need no recombining
-        torsion = Counter(d for d in snf[p + 1] if d > 1)
+        torsion = Counter(d for d in incoming if d > 1)
         group = FGAbelianGroup(free, tuple(torsion.items()))
         if not group.is_trivial:
             result[p] = group
@@ -294,17 +428,13 @@ def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
 
 def mod2_homology(complex_: ChainComplex) -> dict[int, int]:
     """Mod 2 Betti numbers, zero degrees omitted."""
-    top = complex_.top_degree
-    ranks = {}
-    for p in range(0, top + 2):
-        if complex_.cell_count(p) and complex_.cell_count(p - 1):
-            ranks[p] = rank_mod2(complex_.boundary_matrix(p))
-        else:
-            ranks[p] = 0
+    ranks = {
+        p: sparse_rank_mod2(complex_.columns(p))
+        for p in complex_.boundary_degrees()
+    }
     result = {}
-    for p in range(0, top + 1):
-        cells = complex_.cell_count(p)
-        betti = cells - ranks[p] - ranks[p + 1]
+    for p in complex_.degrees():
+        betti = complex_.cell_count(p) - ranks.get(p, 0) - ranks.get(p + 1, 0)
         if betti:
             result[p] = betti
     return result

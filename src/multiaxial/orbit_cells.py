@@ -10,7 +10,13 @@ cell over a shape has dimension
 
 The degree drops by exactly one when the last pivot equals 1, and removing
 that pivot gives the unique boundary cell; every other attaching map is
-degree zero on cells.  That single rule is the whole differential.
+degree zero on cells.  That single rule, pivot_boundary, is the whole
+differential.
+
+build_chain_complex works on plain pivot tuples: it groups them by
+dimension and emits each boundary as sparse columns, one row -> coefficient
+map per cell, with no dense matrix anywhere.  The validated Shape objects
+are for callers that inspect individual cells.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ import itertools
 from dataclasses import dataclass
 
 from .family import Family
+from .grassmannian import require_valid
 from .homology import ChainComplex
+
+Pivots = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Shape:
-    pivots: tuple[int, ...]
+    pivots: Pivots
     family: Family
 
     def __post_init__(self):
@@ -47,25 +56,39 @@ class Shape:
         return shape_dimension(self)
 
     def label(self) -> str:
-        return "(" + ",".join(str(m) for m in self.pivots) + ")"
+        return _label(self.pivots)
+
+
+def _label(pivots: Pivots) -> str:
+    return "(" + ",".join(map(str, pivots)) + ")"
+
+
+def _dimension_weights(family: Family) -> tuple[int, int]:
+    """(a, b) with dimension a*sum(pivots) - b*rank - 1."""
+    return (2, 1) if family is Family.COMPLEX else (4, 3)
 
 
 def shape_dimension(shape: Shape) -> int:
-    total = sum(shape.pivots)
-    r = shape.rank
-    if shape.family is Family.COMPLEX:
-        return 2 * total - r - 1
-    return 4 * total - 3 * r - 1
+    a, b = _dimension_weights(shape.family)
+    return a * sum(shape.pivots) - b * shape.rank - 1
+
+
+def pivot_boundary(pivots: Pivots) -> tuple[tuple[Pivots, int], ...]:
+    """Formal boundary of the cell over a pivot tuple, as (face, coefficient).
+
+    Nonzero only for rank >= 2 with last pivot 1.
+    """
+    if len(pivots) >= 2 and pivots[-1] == 1:
+        return ((pivots[:-1], 1),)
+    return ()
 
 
 def boundary(shape: Shape) -> dict[Shape, int]:
-    """Formal boundary of a cell, as shape -> coefficient.
-
-    Nonzero only for shapes of rank >= 2 whose last pivot is 1.
-    """
-    if shape.rank >= 2 and shape.pivots[-1] == 1:
-        return {Shape(shape.pivots[:-1], shape.family): 1}
-    return {}
+    """Formal boundary of a cell, as shape -> coefficient."""
+    return {
+        Shape(face, shape.family): coefficient
+        for face, coefficient in pivot_boundary(shape.pivots)
+    }
 
 
 @dataclass(frozen=True)
@@ -89,21 +112,31 @@ class CellFiltration:
             raise ValueError("min_rank must not exceed max_rank")
 
     @classmethod
-    def full(cls) -> "CellFiltration":
-        return cls()
-
-    @classmethod
     def exact(cls, rank: int) -> "CellFiltration":
         return cls(rank, rank)
-
-    @classmethod
-    def up_to_rank(cls, rank: int) -> "CellFiltration":
-        return cls(None, rank)
 
     def rank_range(self, n: int) -> range:
         lo = 1 if self.min_rank is None else max(1, self.min_rank)
         hi = n if self.max_rank is None else min(n, self.max_rank)
         return range(lo, hi + 1)
+
+
+def _cells_by_degree(
+    family: Family, n: int, k: int, filtration: CellFiltration | None
+) -> dict[int, list[Pivots]]:
+    """Pivot tuples of the filtered cell set by dimension, both ascending."""
+    require_valid(n, k)
+    if filtration is None:
+        filtration = CellFiltration()
+    a, b = _dimension_weights(family)
+    by_degree: dict[int, list[Pivots]] = {}
+    for r in filtration.rank_range(n):
+        offset = -b * r - 1
+        for pivots in itertools.combinations(range(k, 0, -1), r):
+            by_degree.setdefault(a * sum(pivots) + offset, []).append(pivots)
+    for cells in by_degree.values():
+        cells.sort()
+    return dict(sorted(by_degree.items()))
 
 
 def enumerate_shapes(
@@ -114,16 +147,11 @@ def enumerate_shapes(
     >>> [s.label() for s in enumerate_shapes(Family.COMPLEX, 2, 2)]
     ['(1)', '(2)', '(2,1)']
     """
-    if n < 1 or k < n:
-        raise ValueError(f"need k >= n >= 1, got n={n}, k={k}")
-    if filtration is None:
-        filtration = CellFiltration.full()
-    shapes = []
-    for r in filtration.rank_range(n):
-        for pivots in itertools.combinations(range(k, 0, -1), r):
-            shapes.append(Shape(pivots, family))
-    shapes.sort(key=lambda s: (s.dimension, s.pivots))
-    return shapes
+    return [
+        Shape(pivots, family)
+        for cells in _cells_by_degree(family, n, k, filtration).values()
+        for pivots in cells
+    ]
 
 
 def build_chain_complex(
@@ -133,29 +161,30 @@ def build_chain_complex(
 
     Boundary terms that leave the filtration are dropped, which is what
     makes the rank-restricted complexes compute relative homology.
+
+    >>> complex_ = build_chain_complex(Family.COMPLEX, 2, 2)
+    >>> complex_.generators(3), complex_.columns(3)
+    (('(2,1)',), ({0: 1},))
     """
-    shapes = enumerate_shapes(family, n, k, filtration)
-    by_degree: dict[int, list[Shape]] = {}
-    for shape in shapes:
-        by_degree.setdefault(shape.dimension, []).append(shape)
+    by_degree = _cells_by_degree(family, n, k, filtration)
     generators = {
-        p: [s.label() for s in cells] for p, cells in by_degree.items()
-    }
-    index: dict[int, dict[Shape, int]] = {
-        p: {s: i for i, s in enumerate(cells)} for p, cells in by_degree.items()
+        p: [_label(pivots) for pivots in cells] for p, cells in by_degree.items()
     }
     boundaries = {}
     for p, cells in by_degree.items():
-        targets = index.get(p - 1)
-        if not targets:
+        below = by_degree.get(p - 1)
+        if not below:
             continue
-        matrix = [[0] * len(cells) for _ in targets]
-        for col, shape in enumerate(cells):
-            for target, coefficient in boundary(shape).items():
-                row = targets.get(target)
+        row_of = {pivots: i for i, pivots in enumerate(below)}
+        columns = []
+        for pivots in cells:
+            column = {}
+            for face, coefficient in pivot_boundary(pivots):
+                row = row_of.get(face)
                 if row is not None:
-                    matrix[row][col] = coefficient
-        boundaries[p] = matrix
+                    column[row] = coefficient
+            columns.append(column)
+        boundaries[p] = columns
     return ChainComplex(generators, boundaries)
 
 
@@ -165,8 +194,7 @@ def orbit_space_dimension(family: Family, n: int, k: int) -> int:
     >>> orbit_space_dimension(Family.COMPLEX, 2, 4)
     11
     """
-    if n < 1 or k < n:
-        raise ValueError(f"need k >= n >= 1, got n={n}, k={k}")
+    require_valid(n, k)
     if family is Family.COMPLEX:
         return 2 * k * n - 1 - n * n
     return 4 * k * n - 1 - n * (2 * n + 1)

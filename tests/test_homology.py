@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -15,7 +20,10 @@ from multiaxial.homology import (
     mod2_homology,
     rank_mod2,
     smith_normal_form,
+    sparse_invariant_factors,
+    sparse_rank_mod2,
 )
+from multiaxial.l_homology import reduced_l_homology, reduced_l_homology_oracle
 from multiaxial.orbit_cells import CellFiltration, build_chain_complex
 
 
@@ -129,6 +137,47 @@ def test_snf_is_permutation_invariant(matrix, rng):
     assert smith_normal_form(shuffled) == smith_normal_form(matrix)
 
 
+def columns_of(matrix):
+    return [
+        {i: row[j] for i, row in enumerate(matrix) if row[j]}
+        for j in range(len(matrix[0]))
+    ]
+
+
+# units anywhere, non-unit entries, and whole zero columns
+unit_heavy_matrices = st.integers(1, 5).flatmap(
+    lambda rows: st.integers(1, 5).flatmap(
+        lambda cols: st.tuples(
+            st.lists(
+                st.lists(
+                    st.one_of(
+                        st.just(0), st.sampled_from([1, -1]), st.integers(-9, 9)
+                    ),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.sets(st.integers(0, cols - 1)),
+        )
+    )
+).map(
+    lambda drawn: [
+        [0 if j in drawn[1] else v for j, v in enumerate(row)] for row in drawn[0]
+    ]
+)
+
+
+@given(unit_heavy_matrices)
+def test_unit_elimination_matches_dense_snf_and_minor_gcd_oracle(matrix):
+    columns = columns_of(matrix)
+    factors = sparse_invariant_factors(columns)
+    assert factors == smith_normal_form(matrix)
+    assert factors == oracle_invariant_factors(matrix)
+    assert sparse_rank_mod2(columns) == rank_mod2(matrix)
+
+
 def test_rank_mod2_drops_even_entries():
     assert rank_mod2([[2, 4], [6, 8]]) == 0
     assert rank_mod2([[1, 1], [1, 1]]) == 1
@@ -137,7 +186,7 @@ def test_rank_mod2_drops_even_entries():
 
 def test_complex_rejects_nonzero_composite():
     with pytest.raises(ValueError):
-        ChainComplex(
+        ChainComplex.from_matrices(
             {0: ["v"], 1: ["e"], 2: ["f"]},
             {1: [[1]], 2: [[1]]},
         )
@@ -145,9 +194,50 @@ def test_complex_rejects_nonzero_composite():
 
 def test_complex_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        ChainComplex({0: ["v"], 1: ["e"]}, {1: [[1, 0]]})
+        ChainComplex.from_matrices({0: ["v"], 1: ["e"]}, {1: [[1, 0]]})
     with pytest.raises(ValueError):
         ChainComplex({0: ["v", "v"]}, {})
+
+
+def test_sparse_constructor_rejects_bad_input():
+    gens = {0: ["v"], 1: ["e"], 2: ["f"]}
+    with pytest.raises(ValueError, match="composite"):
+        ChainComplex(gens, {1: [{0: 1}], 2: [{0: 1}]})
+    with pytest.raises(ValueError, match="row"):
+        ChainComplex(gens, {1: [{1: 1}]})
+    with pytest.raises(ValueError, match="row"):
+        ChainComplex(gens, {1: [{-1: 1}]})
+    with pytest.raises(ValueError, match="columns"):
+        ChainComplex(gens, {1: [{0: 1}, {}]})
+    with pytest.raises(ValueError, match="duplicate"):
+        ChainComplex({0: ["v", "v"]}, {})
+
+
+def test_sparse_constructor_guards_survive_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from multiaxial.homology import ChainComplex
+        gens = {0: ["v"], 1: ["e"], 2: ["f"]}
+        for boundaries in ({1: [{0: 1}], 2: [{0: 1}]}, {1: [{3: 1}]}):
+            try:
+                ChainComplex(gens, boundaries)
+            except ValueError:
+                continue
+            raise SystemExit(f"accepted {boundaries}")
+        print("guards hold")
+        """
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "guards hold"
 
 
 def test_sphere_complex_homology():
@@ -181,7 +271,7 @@ def test_relative_rank_two_complex_homology():
 
 
 def test_torsion_complex():
-    rp2 = ChainComplex(
+    rp2 = ChainComplex.from_matrices(
         {0: ["v"], 1: ["e"], 2: ["f"]},
         {1: [[0]], 2: [[2]]},
     )
@@ -194,8 +284,12 @@ def test_torsion_complex():
 
 def test_universal_coefficients_relation():
     complexes = [
-        ChainComplex({0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[2]]}),
-        ChainComplex({0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[4]]}),
+        ChainComplex.from_matrices(
+            {0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[2]]}
+        ),
+        ChainComplex.from_matrices(
+            {0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[4]]}
+        ),
         build_chain_complex(Family.COMPLEX, 2, 4),
         build_chain_complex(Family.QUATERNIONIC, 2, 4),
     ]
@@ -227,6 +321,30 @@ def test_homology_is_generator_order_invariant():
         shuffled = complex_.permute_generators(permutations)
         assert integral_homology(shuffled) == reference
         assert mod2_homology(shuffled) == reference2
+
+
+def test_permute_generators_moves_rows_and_columns():
+    complex_ = build_chain_complex(Family.COMPLEX, 3, 5)
+    rng = random.Random(11)
+    permutations = {}
+    for p in complex_.degrees():
+        order = list(range(complex_.cell_count(p)))
+        rng.shuffle(order)
+        permutations[p] = order
+    shuffled = complex_.permute_generators(permutations)
+    for p in complex_.degrees():
+        old = complex_.boundary_matrix(p)
+        rows = permutations.get(p - 1, [])
+        assert shuffled.boundary_matrix(p) == [
+            [old[r][c] for c in permutations[p]] for r in rows
+        ]
+
+
+def test_reduced_oracle_beyond_dense_reach():
+    # 26,332 cells, where dense SNF over every degree takes tens of seconds
+    assert reduced_l_homology_oracle(Family.COMPLEX, 7, 16) == reduced_l_homology(
+        Family.COMPLEX, 7, 16
+    )
 
 
 def test_euler_characteristic_agrees_with_homology():
