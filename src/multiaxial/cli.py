@@ -345,8 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call and reused: parse_args keeps its results in
+# a fresh namespace, so the parser itself carries nothing from one call to
+# the next.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)

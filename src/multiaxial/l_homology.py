@@ -11,7 +11,10 @@ degree d is assembled degreewise from ordinary Betti numbers:
 Each closed form below has an oracle twin that takes the long way around
 through the cell complex and Smith normal form.  The two routes are kept
 separate on purpose; equality between them is asserted by the test suite
-and the verify command, never assumed inside either route.
+and the verify command, never assumed inside either route.  Each oracle
+(and verify_collapse) is a build followed by a read: the read_* functions
+take only the chain-level homology of the built complex, so verify can
+build each complex once and hand its homology to every check.
 """
 
 from __future__ import annotations
@@ -75,9 +78,22 @@ def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
 def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Same group, computed from the full-rank cell complex."""
     complex_ = build_chain_complex(family, n, k, CellFiltration.exact(n))
+    return read_relative_l_homology(
+        family, n, k, integral_homology(complex_), mod2_homology(complex_)
+    )
+
+
+def read_relative_l_homology(
+    family: Family,
+    n: int,
+    k: int,
+    homology: Mapping[int, FGAbelianGroup],
+    betti2: Mapping[int, int],
+) -> FGAbelianGroup:
+    """The oracle's answer read off the integral and mod 2 homology of the
+    full-rank complex of (family, n, k)."""
     d = orbit_space_dimension(family, n, k)
-    betti = _torsion_free_ranks(integral_homology(complex_))
-    return assemble_l_homology(betti, mod2_homology(complex_), d)
+    return assemble_l_homology(_torsion_free_ranks(homology), betti2, d)
 
 
 def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -92,9 +108,23 @@ def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
 def reduced_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Same group, computed from the full cell complex minus the basepoint."""
     complex_ = build_chain_complex(family, n, k)
+    return read_reduced_l_homology(
+        family, n, k, integral_homology(complex_), mod2_homology(complex_)
+    )
+
+
+def read_reduced_l_homology(
+    family: Family,
+    n: int,
+    k: int,
+    homology: Mapping[int, FGAbelianGroup],
+    betti2: Mapping[int, int],
+) -> FGAbelianGroup:
+    """The oracle's answer read off the integral and mod 2 homology of the
+    full complex of (family, n, k); the inputs are not modified."""
     d = orbit_space_dimension(family, n, k)
-    betti = _torsion_free_ranks(integral_homology(complex_))
-    betti2 = dict(mod2_homology(complex_))
+    betti = _torsion_free_ranks(homology)
+    betti2 = dict(betti2)
     if betti.get(0) != 1 or betti2.get(0) != 1:
         raise ValueError(
             "orbit space should be connected with one basepoint class, "
@@ -142,7 +172,14 @@ def verify_collapse(family: Family, n: int, k: int) -> CollapseReport:
     against the 4-periodic coefficients.
     """
     complex_ = build_chain_complex(family, n, k)
-    homology = integral_homology(complex_)
+    return read_collapse(family, n, k, integral_homology(complex_))
+
+
+def read_collapse(
+    family: Family, n: int, k: int, homology: Mapping[int, FGAbelianGroup]
+) -> CollapseReport:
+    """The collapse certificate read off the integral homology of the full
+    complex of (family, n, k)."""
     degrees = []
     for p, group in sorted(homology.items()):
         if p == 0:
@@ -172,7 +209,7 @@ def verify_collapse(family: Family, n: int, k: int) -> CollapseReport:
     )
 
 
-def _torsion_free_ranks(homology: dict[int, FGAbelianGroup]) -> dict[int, int]:
+def _torsion_free_ranks(homology: Mapping[int, FGAbelianGroup]) -> dict[int, int]:
     for p, group in homology.items():
         if group.torsion:
             raise ValueError(

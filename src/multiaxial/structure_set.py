@@ -265,9 +265,19 @@ def suspension_report(spec: ActionSpec) -> SuspensionReport:
     """Compare a spec against its single and double suspensions in k."""
     if not spec.is_normalized:
         raise ValueError("spec must be normalized")
-    base = compute_structure_set(spec)
-    once = compute_structure_set(replace(spec, k=spec.k + 1))
-    twice = compute_structure_set(replace(spec, k=spec.k + 2))
+    return compare_suspensions(
+        compute_structure_set(spec),
+        compute_structure_set(replace(spec, k=spec.k + 1)),
+        compute_structure_set(replace(spec, k=spec.k + 2)),
+    )
+
+
+def compare_suspensions(
+    base: DecompositionReport,
+    once: DecompositionReport,
+    twice: DecompositionReport,
+) -> SuspensionReport:
+    """Compare the reports of a spec and of its k+1 and k+2 suspensions."""
     far_labels = set(twice.labels())
     pairs = []
     complete = True

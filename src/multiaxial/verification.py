@@ -4,12 +4,20 @@ Every check compares two independent routes to the same number or group,
 or asserts a structural identity that the construction does not enforce
 by itself.  The CLI verify subcommand and the acceptance tests both run
 through here, so a single list of checks serves both.
+
+Within one run_verification call each object is computed once per grid
+point: for every (family, n, k) one full complex and one rank-n complex,
+the integral and mod 2 homology of each, and for every spec one
+structure-set report.  Every check that reads one of them reads that copy;
+the oracle side gets only chain-level homology, the closed-form side only
+reports.  Nothing is kept between calls, so a second call recomputes all
+of it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .abelian import FGAbelianGroup
@@ -32,11 +40,11 @@ from .homology import (
 )
 from .l_homology import (
     basepoint_correction,
+    read_collapse,
+    read_reduced_l_homology,
+    read_relative_l_homology,
     reduced_l_homology,
-    reduced_l_homology_oracle,
     relative_l_homology,
-    relative_l_homology_oracle,
-    verify_collapse,
 )
 from .orbit_cells import (
     CellFiltration,
@@ -46,8 +54,9 @@ from .orbit_cells import (
 )
 from .structure_set import (
     ActionSpec,
+    DecompositionReport,
+    compare_suspensions,
     compute_structure_set,
-    suspension_report,
 )
 
 _SHUFFLE_SEED = 20240917
@@ -270,7 +279,13 @@ def run_verification(
                 )
             )
             closed = relative_l_homology(family, n, k)
-            oracle = relative_l_homology_oracle(family, n, k)
+            oracle = read_relative_l_homology(
+                family,
+                n,
+                k,
+                integral_homology(relative),
+                mod2_homology(relative),
+            )
             add(
                 CheckResult(
                     "relative-closed-vs-oracle",
@@ -280,7 +295,9 @@ def run_verification(
                 )
             )
             closed_reduced = reduced_l_homology(family, n, k)
-            oracle_reduced = reduced_l_homology_oracle(family, n, k)
+            oracle_reduced = read_reduced_l_homology(
+                family, n, k, homology, betti2
+            )
             add(
                 CheckResult(
                     "reduced-closed-vs-oracle",
@@ -293,7 +310,7 @@ def run_verification(
                 CheckResult(
                     "collapse-certificate",
                     fparams,
-                    bool(verify_collapse(family, n, k)),
+                    bool(read_collapse(family, n, k, homology)),
                 )
             )
 
@@ -324,12 +341,19 @@ def run_verification(
                 )
             )
 
+    reports: dict[ActionSpec, DecompositionReport] = {}
+
+    def report_of(spec: ActionSpec) -> DecompositionReport:
+        if spec not in reports:
+            reports[spec] = compute_structure_set(spec)
+        return reports[spec]
+
     for family in families:
         for n, k in _grid(max_n, max_k):
             for j in range(0, max_j + 1):
                 spec = ActionSpec(family, n, k, j)
                 sparams = f"family={family} n={n} k={k} j={j}"
-                report = compute_structure_set(spec)
+                report = report_of(spec)
                 layer_ok = True
                 rebuilt = FGAbelianGroup.trivial()
                 for summand in report.summands:
@@ -368,7 +392,11 @@ def run_verification(
                         report.branch,
                     )
                 )
-                suspension = suspension_report(spec)
+                suspension = compare_suspensions(
+                    report,
+                    report_of(replace(spec, k=k + 1)),
+                    report_of(replace(spec, k=k + 2)),
+                )
                 add(
                     CheckResult(
                         "suspension-monotone",

@@ -216,3 +216,43 @@ def test_byte_identical_output(args):
     first = _run_subprocess(args, "0")
     second = _run_subprocess(args, "424242")
     assert first == second
+
+
+def test_parser_is_built_once_and_carries_no_state(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    code, out = run_cli(
+        capsys, "structure-set", "--family", "U", "--n", "2", "--k", "4",
+        "--j", "2",
+    )
+    assert code == 0 and "j=2" in out
+    code, out = run_cli(
+        capsys, "structure-set", "--family", "U", "--n", "2", "--k", "4",
+    )
+    assert code == 0 and "j=0" in out and "j=2" not in out
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["structure-set", "--family", "U", "--n", "1"])
+    assert excinfo.value.code == 2
+    assert len(built) == 1
+
+
+def test_patched_commands_take_effect_on_a_reused_parser(capsys, monkeypatch):
+    assert run_cli(capsys, "verify", "--max-n", "1", "--max-k", "1")[0] == 0
+    fake = VerificationSummary((CheckResult("fake-check", "n=1 k=1", False),))
+    monkeypatch.setattr(cli, "run_verification", lambda *a, **kw: fake)
+    code, out = run_cli(capsys, "verify", "--max-n", "1", "--max-k", "1")
+    assert code == 4 and "fake-check" in out
+
+    def boom(spec):
+        raise InternalContradictionError("planted after reuse")
+
+    monkeypatch.setattr(cli, "compute_structure_set", boom)
+    assert cli.main(["structure-set", "--family", "U", "--n", "1", "--k", "3"]) == 3
+    assert "planted after reuse" in capsys.readouterr().err
