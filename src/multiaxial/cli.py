@@ -37,7 +37,7 @@ from .structure_set import (
     compute_structure_set,
     normalize,
 )
-from .verification import run_verification
+from .verification import GridError, run_verification
 
 SCHEMA_VERSION = 2
 
@@ -225,16 +225,13 @@ def cmd_homology(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    if args.max_n < 1 or args.max_k < 1:
-        parser.error("--max-n and --max-k must be at least 1")
-    if args.max_j < 0:
-        parser.error("--max-j must be nonnegative")
-    families = []
-    for name in args.families.split(","):
-        families.append(_parse_family(parser, name))
-    summary = run_verification(
-        args.max_n, args.max_k, args.max_j, tuple(families)
+    families = tuple(
+        _parse_family(parser, name) for name in args.families.split(",")
     )
+    try:
+        summary = run_verification(args.max_n, args.max_k, args.max_j, families)
+    except GridError as exc:  # the grid is checked there, and only there
+        parser.error(str(exc))
     print(
         f"verification grid: n<={args.max_n} k<={args.max_k} "
         f"j<={args.max_j} families={args.families}"

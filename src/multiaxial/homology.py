@@ -8,6 +8,14 @@ residual block, empty for the orbit-space complexes, reaches the dense
 Smith normal form.  Mod 2 ranks come from the same columns, with the odd
 entries packed into bitmasks.
 
+Homology is computed in two halves.  boundary_invariant_factors and
+boundary_ranks_mod2 do the chain-level work: one elimination of each
+nonzero boundary.  read_integral_homology and read_mod2_homology turn those
+per-boundary invariants into groups and Betti numbers without touching a
+column.  integral_homology and mod2_homology are the two halves composed; a
+caller that also wants the invariants themselves, as verify does to compare
+them with the dense routines, keeps them and calls the reads.
+
 The Smith normal form runs on Python ints, so there is no overflow
 regardless of how the intermediate entries grow.  Pivots are chosen by
 smallest absolute value, which keeps that growth tame.
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .abelian import FGAbelianGroup
 
@@ -33,8 +41,17 @@ Column = Mapping[int, int]
 _NO_ENTRIES: Column = MappingProxyType({})
 
 
+def _reject_row(p: int, column: Column, rows: int) -> NoReturn:
+    """Raise for the out-of-range row of a boundary column."""
+    low = min(column)
+    row = low if low < 0 else max(column)
+    raise ValueError(
+        f"boundary in degree {p} has row {row}, expected 0 <= row < {rows}"
+    )
+
+
 def _copy_matrix(matrix: Matrix) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in matrix]
+    rows = [list(map(int, row)) for row in matrix]
     if rows:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
@@ -106,6 +123,8 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
                         break
             if disturbed:
                 continue
+            if p == 1 or p == -1:
+                break  # a unit divides everything
             # pivot must divide the rest of the submatrix before it is final
             offender = None
             for i in range(t + 1, m):
@@ -270,6 +289,7 @@ class ChainComplex:
                 if len(set(labels)) != len(labels):
                     raise ValueError(f"duplicate generator labels in degree {p}")
                 gens[p] = labels
+        gens = dict(sorted(gens.items()))
         stored: dict[int, tuple[Column, ...]] = {}
         for p, columns in boundaries.items():
             p = int(p)
@@ -280,27 +300,28 @@ class ChainComplex:
                     f"boundary in degree {p} has {len(columns)} columns, "
                     f"expected {expected}"
                 )
-            kept: list[Column] = []
-            for column in columns:
-                entries = {}
-                for r, v in column.items():
-                    r = int(r)
-                    if not 0 <= r < rows:
-                        raise ValueError(
-                            f"boundary in degree {p} has row {r}, "
-                            f"expected 0 <= row < {rows}"
-                        )
-                    v = int(v)
-                    if v:
-                        entries[r] = v
-                kept.append(entries or _NO_ENTRIES)
+            # one pass: each column is range checked by its smallest and
+            # largest row, then copied without its zero entries
+            kept = tuple(
+                [
+                    _NO_ENTRIES
+                    if not column
+                    else _reject_row(p, column, rows)
+                    if min(column) < 0 or max(column) >= rows
+                    else (
+                        {int(r): int(v) for r, v in column.items() if v}
+                        or _NO_ENTRIES
+                    )
+                    for column in columns
+                ]
+            )
             if any(kept):
-                stored[p] = tuple(kept)
+                stored[p] = kept
         for p, columns in stored.items():
             lower = stored.get(p - 1)
             if lower is None:
                 continue
-            for column in columns:
+            for column in filter(None, columns):
                 composite: dict[int, int] = {}
                 for r, v in column.items():
                     for s, w in lower[r].items():
@@ -309,6 +330,18 @@ class ChainComplex:
                     raise ValueError(f"boundary composite in degree {p} is nonzero")
         self._generators = gens
         self._columns = stored
+
+    @classmethod
+    def _checked(
+        cls,
+        generators: dict[int, tuple[str, ...]],
+        columns: dict[int, tuple[Column, ...]],
+    ) -> "ChainComplex":
+        """Wrap parts that already satisfy every check of __init__."""
+        complex_ = cls.__new__(cls)
+        complex_._generators = generators
+        complex_._columns = columns
+        return complex_
 
     @classmethod
     def from_matrices(
@@ -372,7 +405,11 @@ class ChainComplex:
         self, permutations: Mapping[int, Sequence[int]]
     ) -> "ChainComplex":
         """Reorder generators per degree; permutations[p][i] is the old index
-        that moves to slot i.  Used to check order independence of homology."""
+        that moves to slot i.  Used to check order independence of homology.
+
+        Relabeling keeps every property __init__ checks, so each column is
+        built once, here, and not checked again.
+        """
         new_gens = {}
         new_index = {}
         for p, labels in self._generators.items():
@@ -383,7 +420,7 @@ class ChainComplex:
             perm = list(perm)
             if sorted(perm) != list(range(len(labels))):
                 raise ValueError(f"not a permutation in degree {p}")
-            new_gens[p] = [labels[i] for i in perm]
+            new_gens[p] = tuple([labels[i] for i in perm])
             slot = [0] * len(perm)
             for new, old in enumerate(perm):
                 slot[old] = new
@@ -396,45 +433,68 @@ class ChainComplex:
             slot = new_index.get(p - 1)
             if slot is not None:
                 columns = [
-                    {slot[r]: v for r, v in column.items()} for column in columns
+                    {slot[r]: v for r, v in column.items()} if column else column
+                    for column in columns
                 ]
-            new_columns[p] = columns
-        return ChainComplex(new_gens, new_columns)
+            new_columns[p] = tuple(columns)
+        return ChainComplex._checked(new_gens, new_columns)
 
 
-def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
-    """Integral homology groups, trivial degrees omitted.
+def boundary_invariant_factors(complex_: ChainComplex) -> dict[int, list[int]]:
+    """sparse_invariant_factors of every nonzero boundary, by degree."""
+    return {
+        p: sparse_invariant_factors(columns)
+        for p, columns in complex_._columns.items()
+    }
+
+
+def boundary_ranks_mod2(complex_: ChainComplex) -> dict[int, int]:
+    """sparse_rank_mod2 of every nonzero boundary, by degree."""
+    return {p: sparse_rank_mod2(columns) for p, columns in complex_._columns.items()}
+
+
+def read_integral_homology(
+    complex_: ChainComplex, factors: Mapping[int, Sequence[int]]
+) -> dict[int, FGAbelianGroup]:
+    """Integral homology from the boundary_invariant_factors of complex_.
 
     In each degree the free rank is the cell count minus the ranks of the
     two adjacent boundaries, and the torsion is read off the invariant
     factors of the incoming boundary.
     """
-    factors = {
-        p: sparse_invariant_factors(complex_.columns(p))
-        for p in complex_.boundary_degrees()
-    }
     result = {}
-    for p in complex_.degrees():
+    for p, labels in complex_._generators.items():
         incoming = factors.get(p + 1, ())
-        free = complex_.cell_count(p) - len(factors.get(p, ())) - len(incoming)
-        # the factors already form a divisibility chain, so equal ones are
-        # adjacent and the runs need no recombining
-        torsion = Counter(d for d in incoming if d > 1)
-        group = FGAbelianGroup(free, tuple(torsion.items()))
-        if not group.is_trivial:
-            result[p] = group
+        free = len(labels) - len(factors.get(p, ())) - len(incoming)
+        if incoming and incoming[-1] > 1:
+            # the factors form a divisibility chain, so equal ones are
+            # adjacent and the runs need no recombining
+            torsion = tuple(Counter(d for d in incoming if d > 1).items())
+        elif free:
+            torsion = ()
+        else:
+            continue
+        result[p] = FGAbelianGroup(free, torsion)
     return result
+
+
+def read_mod2_homology(
+    complex_: ChainComplex, ranks: Mapping[int, int]
+) -> dict[int, int]:
+    """Mod 2 Betti numbers from the boundary_ranks_mod2 of complex_."""
+    result = {}
+    for p, labels in complex_._generators.items():
+        betti = len(labels) - ranks.get(p, 0) - ranks.get(p + 1, 0)
+        if betti:
+            result[p] = betti
+    return result
+
+
+def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
+    """Integral homology groups, trivial degrees omitted."""
+    return read_integral_homology(complex_, boundary_invariant_factors(complex_))
 
 
 def mod2_homology(complex_: ChainComplex) -> dict[int, int]:
     """Mod 2 Betti numbers, zero degrees omitted."""
-    ranks = {
-        p: sparse_rank_mod2(complex_.columns(p))
-        for p in complex_.boundary_degrees()
-    }
-    result = {}
-    for p in complex_.degrees():
-        betti = complex_.cell_count(p) - ranks.get(p, 0) - ranks.get(p + 1, 0)
-        if betti:
-            result[p] = betti
-    return result
+    return read_mod2_homology(complex_, boundary_ranks_mod2(complex_))

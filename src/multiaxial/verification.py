@@ -10,14 +10,17 @@ point: for every (family, n, k) one full complex and one rank-n complex,
 the integral and mod 2 homology of each, and for every spec one
 structure-set report.  Every check that reads one of them reads that copy;
 the oracle side gets only chain-level homology, the closed-form side only
-reports.  Nothing is kept between calls, so a second call recomputes all
-of it.
+reports.  Each nonzero boundary is eliminated once over Z and once mod 2,
+and sparse-vs-dense-snf compares the dense routines with the very factors
+and ranks that the full complex's homology was read from.  The shuffled
+copy is a complex of its own and gets its own elimination.
+Nothing is kept between calls, so a second call recomputes all of it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 from .abelian import FGAbelianGroup
@@ -31,12 +34,14 @@ from .grassmannian import (
     grassmannian_betti,
 )
 from .homology import (
+    boundary_invariant_factors,
+    boundary_ranks_mod2,
     integral_homology,
     mod2_homology,
     rank_mod2,
+    read_integral_homology,
+    read_mod2_homology,
     smith_normal_form,
-    sparse_invariant_factors,
-    sparse_rank_mod2,
 )
 from .l_homology import (
     basepoint_correction,
@@ -60,6 +65,10 @@ from .structure_set import (
 )
 
 _SHUFFLE_SEED = 20240917
+
+
+class GridError(ValueError):
+    """A verification grid that run_verification refuses to run."""
 
 
 @dataclass(frozen=True)
@@ -107,26 +116,27 @@ def _grid(max_n: int, max_k: int):
             yield n, k
 
 
-def _sparse_matches_dense(complex_, p: int) -> bool:
-    """Unit elimination plus residual SNF, and the column mod 2 rank, against
-    the dense routines on the same boundary."""
-    columns = complex_.columns(p)
-    matrix = complex_.boundary_matrix(p)
-    return sparse_invariant_factors(columns) == smith_normal_form(
-        matrix
-    ) and sparse_rank_mod2(columns) == rank_mod2(matrix)
-
-
 def run_verification(
     max_n: int,
     max_k: int,
     max_j: int,
     families: tuple[Family, ...] = (Family.COMPLEX, Family.QUATERNIONIC),
 ) -> VerificationSummary:
+    """Run every check over the grid; GridError on a bad grid.
+
+    The grid is n <= max_n, n <= k <= max_k, 0 <= j <= max_j, for each of
+    families, which must not repeat.
+    """
     if max_n < 1 or max_k < 1:
-        raise ValueError("grid bounds must be at least 1")
+        raise GridError(
+            f"max_n and max_k must be at least 1, got max_n={max_n}, max_k={max_k}"
+        )
     if max_j < 0:
-        raise ValueError("max_j must be nonnegative")
+        raise GridError(f"max_j must be nonnegative, got max_j={max_j}")
+    if len(set(families)) != len(families):
+        raise GridError(
+            f"families must not repeat, got {','.join(map(str, families))}"
+        )
     results: list[CheckResult] = []
     add = results.append
 
@@ -214,6 +224,10 @@ def run_verification(
         for n, k in _grid(max_n, max_k):
             fparams = f"family={family} n={n} k={k}"
             shapes = enumerate_shapes(family, n, k)
+            dimensions = [s.dimension for s in shapes]
+            full_rank_dimensions = [
+                dim for s, dim in zip(shapes, dimensions) if s.rank == n
+            ]
             expected_cells = sum(comb(k, r) for r in range(1, n + 1))
             full_rank_interior = [
                 s for s in shapes if s.rank == n and s.pivots[-1] > 1
@@ -227,11 +241,16 @@ def run_verification(
                     len(shapes) == expected_cells
                     and complex_.cell_count(0) == 1
                     and len(full_rank_interior) == comb(k - 1, n)
-                    and max(s.dimension for s in shapes) == d,
+                    and max(dimensions) == d,
                     f"{len(shapes)} cells, top degree {d}",
                 )
             )
-            homology = integral_homology(complex_)
+            # the one elimination of each boundary: every check below that
+            # reads the full complex's homology or invariants reads these
+            factors = boundary_invariant_factors(complex_)
+            ranks = boundary_ranks_mod2(complex_)
+            homology = read_integral_homology(complex_, factors)
+            betti2 = read_mod2_homology(complex_, ranks)
             euler_cells = complex_.euler_characteristic()
             euler_homology = sum(
                 (-1) ** p * g.free_rank for p, g in homology.items()
@@ -244,7 +263,6 @@ def run_verification(
                     f"{euler_cells} vs {euler_homology}",
                 )
             )
-            betti2 = mod2_homology(complex_)
             uct_ok = True
             degrees = set(homology) | set(betti2)
             for p in sorted(degrees):
@@ -260,10 +278,10 @@ def run_verification(
             add(CheckResult("mod2-consistency", fparams, uct_ok))
             if family is Family.COMPLEX:
                 parity_ok = all(
-                    s.dimension % 2 == (n + 1) % 2 for s in shapes if s.rank == n
+                    dim % 2 == (n + 1) % 2 for dim in full_rank_dimensions
                 )
             else:
-                residues = {s.dimension % 4 for s in shapes if s.rank == n}
+                residues = {dim % 4 for dim in full_rank_dimensions}
                 parity_ok = len(residues) <= 1
             add(CheckResult("full-rank-dimension-parity", fparams, parity_ok))
 
@@ -329,9 +347,16 @@ def run_verification(
                     and mod2_homology(shuffled) == betti2,
                 )
             )
-            mismatched = [
-                p for p in complex_.degrees() if not _sparse_matches_dense(complex_, p)
-            ]
+            # the dense third route against the factors and ranks that the
+            # homology above was read from, in every degree
+            mismatched = []
+            for p in complex_.degrees():
+                matrix = complex_.boundary_matrix(p)
+                if not (
+                    factors.get(p, []) == smith_normal_form(matrix)
+                    and ranks.get(p, 0) == rank_mod2(matrix)
+                ):
+                    mismatched.append(p)
             add(
                 CheckResult(
                     "sparse-vs-dense-snf",
@@ -394,8 +419,8 @@ def run_verification(
                 )
                 suspension = compare_suspensions(
                     report,
-                    report_of(replace(spec, k=k + 1)),
-                    report_of(replace(spec, k=k + 2)),
+                    report_of(ActionSpec(family, n, k + 1, j)),
+                    report_of(ActionSpec(family, n, k + 2, j)),
                 )
                 add(
                     CheckResult(

@@ -131,6 +131,29 @@ def test_verify_usage_error():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-n", "2", "--max-k", "3", "--families", "U,U"],
+         "families must not repeat, got U,U"),
+        (["--max-n", "2", "--max-k", "3", "--families", "U,Sp,u"],
+         "families must not repeat, got U,Sp,U"),
+        (["--max-n", "0"],
+         "max_n and max_k must be at least 1, got max_n=0, max_k=8"),
+        (["--max-k", "0"],
+         "max_n and max_k must be at least 1, got max_n=4, max_k=0"),
+        (["--max-j", "-1"], "max_j must be nonnegative, got max_j=-1"),
+    ],
+)
+def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", *argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_usage_error_on_bad_family():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["structure-set", "--family", "X", "--n", "1", "--k", "1"])

@@ -1,6 +1,9 @@
 import ast
 import doctest
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +26,19 @@ def test_package_guards_survive_optimized_mode():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not asserts, f"{path.name} has assert statements at {asserts}"
+
+
+def test_acceptance_passes_in_optimized_mode():
+    # python -O strips the package's assert statements; pytest rewrites the
+    # test file's own asserts, so every criterion is still checked
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "tests/test_acceptance.py", "-q"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

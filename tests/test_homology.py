@@ -2,6 +2,7 @@ import itertools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -211,6 +212,18 @@ def test_sparse_constructor_rejects_bad_input():
         ChainComplex(gens, {1: [{0: 1}, {}]})
     with pytest.raises(ValueError, match="duplicate"):
         ChainComplex({0: ["v", "v"]}, {})
+
+
+def test_sparse_constructor_names_the_row_and_drops_zeros():
+    gens = {0: ["v", "w"], 1: ["e", "f"]}
+    for column, row in (({1: 1, 2: 1}, 2), ({-1: 1, 0: 1}, -1), ({5: 0}, 5)):
+        message = f"boundary in degree 1 has row {row}, expected 0 <= row < 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChainComplex(gens, {1: [column, {}]})
+    complex_ = ChainComplex(gens, {1: [{0: 0, 1: 0}, {}]})
+    assert complex_.boundary_degrees() == []
+    complex_ = ChainComplex(gens, {1: [{0: 1, 1: 0}, {1: -1}]})
+    assert complex_.columns(1) == ({0: 1}, {1: -1})
 
 
 def test_sparse_constructor_guards_survive_optimized_mode():

@@ -1,14 +1,16 @@
 """run_verification computes each object once per grid point, and its
 cross-checks still catch a wrong answer on either side."""
 
+import sys
 from collections import Counter
 
 import pytest
 
-from multiaxial import l_homology, structure_set, verification
+from multiaxial import homology, orbit_cells, structure_set, verification
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.orbit_cells import CellFiltration
+from multiaxial.homology import ChainComplex
+from multiaxial.orbit_cells import CellFiltration, build_chain_complex
 from multiaxial.structure_set import ActionSpec
 
 FAMILIES = (Family.COMPLEX, Family.QUATERNIONIC)
@@ -16,40 +18,69 @@ MAX_N, MAX_K, MAX_J = 3, 6, 1
 GRID = [(n, k) for n in range(1, MAX_N + 1) for k in range(n, MAX_K + 1)]
 
 
-def _counting(monkeypatch, calls, name, key, modules):
-    """Patch one counting wrapper over name in every module that binds it,
-    so a build reached through an oracle function is counted too."""
-    original = getattr(modules[0], name)
+def _counting(monkeypatch, calls, module, name, key):
+    """Patch one counting wrapper over module.name wherever the package
+    binds it, so a call reached through any other module is counted too."""
+    original = getattr(module, name)
 
     def wrapper(*args):
         calls[key(*args)] += 1
         return original(*args)
 
-    for module in modules:
-        monkeypatch.setattr(module, name, wrapper)
+    bindings = [
+        (other, attr)
+        for other_name, other in list(sys.modules.items())
+        if other_name.startswith("multiaxial")
+        for attr, value in vars(other).items()
+        if value is original
+    ]
+    for other, attr in bindings:
+        monkeypatch.setattr(other, attr, wrapper)
+
+
+def _content(columns):
+    return tuple(tuple(sorted(column.items())) for column in columns)
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    builds, homologies, reports = Counter(), Counter(), Counter()
+    builds, eliminations, reports = Counter(), Counter(), Counter()
     _counting(
-        monkeypatch, builds, "build_chain_complex",
+        monkeypatch, builds, orbit_cells, "build_chain_complex",
         lambda family, n, k, filtration=None: (family, n, k, filtration),
-        (verification, l_homology),
     )
     _counting(
-        monkeypatch, homologies, "integral_homology", lambda complex_: None,
-        (verification, l_homology),
+        monkeypatch, eliminations, homology, "sparse_invariant_factors",
+        lambda columns: ("Z", _content(columns)),
     )
     _counting(
-        monkeypatch, reports, "compute_structure_set", lambda spec: spec,
-        (verification, structure_set),
+        monkeypatch, eliminations, homology, "sparse_rank_mod2",
+        lambda columns: ("Z/2", _content(columns)),
     )
-    return builds, homologies, reports
+    _counting(
+        monkeypatch, reports, structure_set, "compute_structure_set",
+        lambda spec: spec,
+    )
+    return builds, eliminations, reports
 
 
-def test_each_complex_and_report_is_computed_once(counted):
-    builds, homologies, reports = counted
+def _recording(monkeypatch, owner, name, made):
+    """Wrap owner.name so that every complex it returns lands in made."""
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        made.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
+    builds, eliminations, reports = counted
+    built, shuffled = [], []
+    _recording(monkeypatch, verification, "build_chain_complex", built)
+    _recording(monkeypatch, ChainComplex, "permute_generators", shuffled)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
@@ -59,8 +90,16 @@ def test_each_complex_and_report_is_computed_once(counted):
             expected_builds[family, n, k, None] += 1
             expected_builds[family, n, k, CellFiltration.exact(n)] += 1
     assert builds == expected_builds
-    # full, rank-n and the shuffled copy of the full complex
-    assert sum(homologies.values()) == 3 * len(FAMILIES) * len(GRID)
+    assert len(built) == 2 * len(shuffled) == 2 * len(FAMILIES) * len(GRID)
+    # every nonzero boundary of the full, rank-n and shuffled complexes is
+    # eliminated once over Z and once mod 2, and nothing else is
+    expected_eliminations = Counter()
+    for complex_ in built + shuffled:
+        for p in complex_.boundary_degrees():
+            content = _content(complex_.columns(p))
+            expected_eliminations["Z", content] += 1
+            expected_eliminations["Z/2", content] += 1
+    assert eliminations == expected_eliminations
 
     expected_specs = {
         ActionSpec(family, n, k + step, j)
@@ -74,12 +113,12 @@ def test_each_complex_and_report_is_computed_once(counted):
 
 
 def test_nothing_is_kept_between_calls(counted):
-    builds, homologies, reports = counted
+    builds, eliminations, reports = counted
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
-    first = (Counter(builds), sum(homologies.values()), Counter(reports))
+    first = (Counter(builds), sum(eliminations.values()), Counter(reports))
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert builds == first[0] + first[0]
-    assert sum(homologies.values()) == 2 * first[1]
+    assert sum(eliminations.values()) == 2 * first[1]
     assert reports == first[2] + first[2]
 
 
@@ -117,3 +156,68 @@ def test_a_wrong_group_on_either_side_fails_exactly_its_check(
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = [(r.check, r.params) for r in summary.results if not r.ok]
     assert failures == [(check, f"family={family} n={n} k={k}")]
+
+
+def _one_factor_less(factors):
+    return factors[:-1]
+
+
+def _one_more_rank(rank):
+    return rank + 1
+
+
+@pytest.mark.parametrize(
+    "name, plant",
+    [
+        ("boundary_invariant_factors", _one_factor_less),
+        ("boundary_ranks_mod2", _one_more_rank),
+    ],
+)
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
+    monkeypatch, name, plant, family
+):
+    n, k = 2, 4
+    target = build_chain_complex(family, n, k)
+    original = getattr(verification, name)
+    planted = []
+
+    def wrong(complex_):
+        invariants = original(complex_)
+        if all(
+            complex_.generators(p) == target.generators(p)
+            for p in set(complex_.degrees()) | set(target.degrees())
+        ):
+            p = min(invariants)
+            invariants[p] = plant(invariants[p])
+            planted.append(p)
+        return invariants
+
+    monkeypatch.setattr(verification, name, wrong)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    point = f"family={family} n={n} k={k}"
+    failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
+    assert len(planted) == 1
+    assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
+    # the homology was read from the planted invariants too
+    assert ("generator-order-invariance", point) in failures
+    assert {params for _, params in failures} == {point}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (0, 3, 0, FAMILIES),
+        (2, 0, 0, FAMILIES),
+        (2, 3, -1, FAMILIES),
+        (2, 3, 0, (Family.COMPLEX, Family.COMPLEX)),
+        (2, 3, 0, (Family.QUATERNIONIC, Family.COMPLEX, Family.QUATERNIONIC)),
+    ],
+)
+def test_a_bad_grid_is_refused_before_any_check(monkeypatch, grid):
+    def boom(*args):
+        raise AssertionError("a refused grid must build nothing")
+
+    monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
+    with pytest.raises(ValueError):
+        verification.run_verification(*grid)
