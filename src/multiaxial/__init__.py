@@ -37,12 +37,9 @@ from .l_homology import (
 )
 from .orbit_cells import (
     CellFiltration,
-    Shape,
-    boundary,
     build_chain_complex,
-    enumerate_shapes,
+    cells_by_degree,
     orbit_space_dimension,
-    shape_dimension,
 )
 from .structure_set import (
     ActionSpec,
@@ -69,19 +66,17 @@ __all__ = [
     "Family",
     "InternalContradictionError",
     "ParityCount",
-    "Shape",
     "Summand",
     "SuspensionReport",
     "VerificationSummary",
     "assemble_l_homology",
     "basepoint_correction",
-    "boundary",
     "build_chain_complex",
+    "cells_by_degree",
     "compute_structure_set",
     "count_A_B",
     "count_a_b",
     "enumerate_box_partitions",
-    "enumerate_shapes",
     "grassmannian_betti",
     "integral_homology",
     "l_coefficient",
@@ -94,7 +89,6 @@ __all__ = [
     "relative_l_homology",
     "relative_l_homology_oracle",
     "run_verification",
-    "shape_dimension",
     "smith_normal_form",
     "suspension_report",
     "verify_collapse",

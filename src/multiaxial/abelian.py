@@ -154,15 +154,6 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Torsion chain followed by one 0 per free summand, fully expanded.
-
-        Its length is the number of cyclic summands, so this is for small
-        groups and interchange; the group algebra never calls it.
-        """
-        expanded = tuple(d for d, count in self.torsion for _ in range(count))
-        return expanded + (0,) * self.free_rank
-
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         profile = _prime_profile(self.torsion + other.torsion)
         return FGAbelianGroup(

@@ -343,28 +343,6 @@ class ChainComplex:
         complex_._columns = columns
         return complex_
 
-    @classmethod
-    def from_matrices(
-        cls,
-        generators: Mapping[int, Sequence[str]],
-        matrices: Mapping[int, Matrix],
-    ) -> "ChainComplex":
-        """Build from dense boundary matrices, rows indexed by the lower degree."""
-        boundaries = {}
-        for p, matrix in matrices.items():
-            rows = len(generators.get(p - 1, ()))
-            cols = len(generators.get(p, ()))
-            if len(matrix) != rows or any(len(row) != cols for row in matrix):
-                raise ValueError(
-                    f"boundary in degree {p} has the wrong shape, expected "
-                    f"{rows} x {cols}"
-                )
-            boundaries[p] = [
-                {i: row[j] for i, row in enumerate(matrix) if row[j]}
-                for j in range(cols)
-            ]
-        return cls(generators, boundaries)
-
     def degrees(self) -> list[int]:
         return sorted(self._generators)
 

@@ -1,9 +1,10 @@
 """Cell model for the orbit space of the sphere of k defining representations.
 
-Orbits of unit k-tuples of vectors in n-space are indexed by shapes: a
-strictly decreasing tuple of pivot positions (m_1 > ... > m_r >= 1 with
-m_1 <= k and r <= n), the rank r being the dimension of the span.  The
-cell over a shape has dimension
+Orbits of unit k-tuples of vectors in n-space are indexed by pivot tuples:
+strictly decreasing pivot positions (m_1 > ... > m_r >= 1 with m_1 <= k
+and r <= n), the rank r being the dimension of the span.  A plain tuple is
+the package's only representation of a cell.  The cell over a tuple has
+dimension
 
     2*sum(m) - r - 1      over the complex numbers,
     4*sum(m) - 3*r - 1    over the quaternions.
@@ -13,16 +14,19 @@ that pivot gives the unique boundary cell; every other attaching map is
 degree zero on cells.  That single rule, pivot_boundary, is the whole
 differential.
 
-build_chain_complex works on plain pivot tuples: it groups them by
-dimension and emits each boundary as sparse columns, one row -> coefficient
-map per cell, with no dense matrix anywhere.  The validated Shape objects
-are for callers that inspect individual cells.
+cells_by_degree enumerates the tuples of a rank band grouped by dimension,
+and complex_from_cells turns any such map into a chain complex with each
+boundary as sparse columns, one row -> coefficient map per cell, with no
+dense matrix anywhere.  build_chain_complex is the two composed; a caller
+that needs several complexes of one (family, n, k) enumerates once and
+slices the map.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .family import Family
 from .grassmannian import require_valid
@@ -31,46 +35,8 @@ from .homology import ChainComplex
 Pivots = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Shape:
-    pivots: Pivots
-    family: Family
-
-    def __post_init__(self):
-        if not self.pivots:
-            raise ValueError("a shape needs at least one pivot")
-        previous = None
-        for m in self.pivots:
-            if m < 1:
-                raise ValueError("pivots must be positive")
-            if previous is not None and m >= previous:
-                raise ValueError("pivots must strictly decrease")
-            previous = m
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def dimension(self) -> int:
-        return shape_dimension(self)
-
-    def label(self) -> str:
-        return _label(self.pivots)
-
-
 def _label(pivots: Pivots) -> str:
     return "(" + ",".join(map(str, pivots)) + ")"
-
-
-def _dimension_weights(family: Family) -> tuple[int, int]:
-    """(a, b) with dimension a*sum(pivots) - b*rank - 1."""
-    return (2, 1) if family is Family.COMPLEX else (4, 3)
-
-
-def shape_dimension(shape: Shape) -> int:
-    a, b = _dimension_weights(shape.family)
-    return a * sum(shape.pivots) - b * shape.rank - 1
 
 
 def pivot_boundary(pivots: Pivots) -> tuple[tuple[Pivots, int], ...]:
@@ -81,14 +47,6 @@ def pivot_boundary(pivots: Pivots) -> tuple[tuple[Pivots, int], ...]:
     if len(pivots) >= 2 and pivots[-1] == 1:
         return ((pivots[:-1], 1),)
     return ()
-
-
-def boundary(shape: Shape) -> dict[Shape, int]:
-    """Formal boundary of a cell, as shape -> coefficient."""
-    return {
-        Shape(face, shape.family): coefficient
-        for face, coefficient in pivot_boundary(shape.pivots)
-    }
 
 
 @dataclass(frozen=True)
@@ -121,14 +79,19 @@ class CellFiltration:
         return range(lo, hi + 1)
 
 
-def _cells_by_degree(
-    family: Family, n: int, k: int, filtration: CellFiltration | None
+def cells_by_degree(
+    family: Family, n: int, k: int, filtration: CellFiltration | None = None
 ) -> dict[int, list[Pivots]]:
-    """Pivot tuples of the filtered cell set by dimension, both ascending."""
+    """Pivot tuples of the filtered cell set by dimension, both ascending.
+
+    >>> cells_by_degree(Family.COMPLEX, 2, 2)
+    {0: [(1,)], 2: [(2,)], 3: [(2, 1)]}
+    """
     require_valid(n, k)
     if filtration is None:
         filtration = CellFiltration()
-    a, b = _dimension_weights(family)
+    # dimension a*sum(pivots) - b*rank - 1
+    a, b = (2, 1) if family is Family.COMPLEX else (4, 3)
     by_degree: dict[int, list[Pivots]] = {}
     for r in filtration.rank_range(n):
         offset = -b * r - 1
@@ -139,34 +102,17 @@ def _cells_by_degree(
     return dict(sorted(by_degree.items()))
 
 
-def enumerate_shapes(
-    family: Family, n: int, k: int, filtration: CellFiltration | None = None
-) -> list[Shape]:
-    """All shapes for the given ambient bounds, sorted by (dimension, pivots).
+def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComplex:
+    """Cellular chain complex on exactly the given cells, degree -> pivots.
 
-    >>> [s.label() for s in enumerate_shapes(Family.COMPLEX, 2, 2)]
-    ['(1)', '(2)', '(2,1)']
+    Boundary terms whose face is not among the cells are dropped, which is
+    what makes a rank slice compute relative homology.
+
+    >>> complex_from_cells({2: [(2,)], 3: [(2, 1)]}).columns(3)
+    ({0: 1},)
+    >>> complex_from_cells({3: [(2, 1)]}).boundary_degrees()
+    []
     """
-    return [
-        Shape(pivots, family)
-        for cells in _cells_by_degree(family, n, k, filtration).values()
-        for pivots in cells
-    ]
-
-
-def build_chain_complex(
-    family: Family, n: int, k: int, filtration: CellFiltration | None = None
-) -> ChainComplex:
-    """Cellular chain complex of the filtered cell set.
-
-    Boundary terms that leave the filtration are dropped, which is what
-    makes the rank-restricted complexes compute relative homology.
-
-    >>> complex_ = build_chain_complex(Family.COMPLEX, 2, 2)
-    >>> complex_.generators(3), complex_.columns(3)
-    (('(2,1)',), ({0: 1},))
-    """
-    by_degree = _cells_by_degree(family, n, k, filtration)
     generators = {
         p: [_label(pivots) for pivots in cells] for p, cells in by_degree.items()
     }
@@ -186,6 +132,18 @@ def build_chain_complex(
             columns.append(column)
         boundaries[p] = columns
     return ChainComplex(generators, boundaries)
+
+
+def build_chain_complex(
+    family: Family, n: int, k: int, filtration: CellFiltration | None = None
+) -> ChainComplex:
+    """Cellular chain complex of the filtered cell set.
+
+    >>> complex_ = build_chain_complex(Family.COMPLEX, 2, 2)
+    >>> complex_.generators(3), complex_.columns(3)
+    (('(2,1)',), ({0: 1},))
+    """
+    return complex_from_cells(cells_by_degree(family, n, k, filtration))
 
 
 def orbit_space_dimension(family: Family, n: int, k: int) -> int:

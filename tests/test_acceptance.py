@@ -22,7 +22,7 @@ from multiaxial.l_homology import (
     relative_l_homology_oracle,
     verify_collapse,
 )
-from multiaxial.orbit_cells import CellFiltration, enumerate_shapes
+from multiaxial.orbit_cells import CellFiltration, cells_by_degree
 from multiaxial.structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -126,10 +126,12 @@ def test_criterion_5_counting_identities():
                 total = count_A_B(n, k).total
                 assert total == comb(k, n), (family, n, k)
                 assert count_a_b(n, k, family).total == comb(k - 1, n)
+                full_rank = cells_by_degree(family, n, k, CellFiltration.exact(n))
                 interior = [
-                    s
-                    for s in enumerate_shapes(family, n, k, CellFiltration.exact(n))
-                    if s.pivots[-1] > 1
+                    pivots
+                    for cells in full_rank.values()
+                    for pivots in cells
+                    if pivots[-1] > 1
                 ]
                 assert len(interior) == comb(k - 1, n), (family, n, k)
                 points += 1

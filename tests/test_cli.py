@@ -279,3 +279,39 @@ def test_patched_commands_take_effect_on_a_reused_parser(capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_structure_set", boom)
     assert cli.main(["structure-set", "--family", "U", "--n", "1", "--k", "3"]) == 3
     assert "planted after reuse" in capsys.readouterr().err
+
+
+# the whole verify report over a grid of 1,230 checks; a change to any
+# check's name, order or count shows here
+VERIFY_4_8_2 = """\
+verification grid: n<=4 k<=8 j<=2 families=U,Sp
+  partition-enumeration: 26 passed, 0 failed  [ok]
+  cell-count-identity: 26 passed, 0 failed  [ok]
+  parity-count-formula-vs-enumeration: 78 passed, 0 failed  [ok]
+  betti-total: 26 passed, 0 failed  [ok]
+  reduced-count-identity: 52 passed, 0 failed  [ok]
+  transpose-duality: 22 passed, 0 failed  [ok]
+  reduced-equals-shifted: 12 passed, 0 failed  [ok]
+  cell-census: 52 passed, 0 failed  [ok]
+  euler-characteristic: 52 passed, 0 failed  [ok]
+  mod2-consistency: 52 passed, 0 failed  [ok]
+  full-rank-dimension-parity: 52 passed, 0 failed  [ok]
+  relative-complex-zero-boundary: 52 passed, 0 failed  [ok]
+  relative-closed-vs-oracle: 52 passed, 0 failed  [ok]
+  reduced-closed-vs-oracle: 52 passed, 0 failed  [ok]
+  collapse-certificate: 52 passed, 0 failed  [ok]
+  generator-order-invariance: 52 passed, 0 failed  [ok]
+  sparse-vs-dense-snf: 52 passed, 0 failed  [ok]
+  summand-layer-consistency: 156 passed, 0 failed  [ok]
+  branch-dispatch: 156 passed, 0 failed  [ok]
+  suspension-monotone: 156 passed, 0 failed  [ok]
+total: 1230 passed, 0 failed
+"""
+
+
+def test_verify_stdout_is_pinned(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--max-n", "4", "--max-k", "8", "--max-j", "2",
+    )
+    assert code == 0
+    assert out == VERIFY_4_8_2

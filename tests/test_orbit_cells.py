@@ -5,84 +5,81 @@ import pytest
 from multiaxial.family import Family
 from multiaxial.orbit_cells import (
     CellFiltration,
-    Shape,
-    boundary,
     build_chain_complex,
-    enumerate_shapes,
+    cells_by_degree,
+    complex_from_cells,
     orbit_space_dimension,
-    shape_dimension,
+    pivot_boundary,
 )
 
 C = Family.COMPLEX
 H = Family.QUATERNIONIC
+SMALL = [(n, k) for n in range(1, 4) for k in range(n, 7)]
 
 
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        Shape((), C)
-    with pytest.raises(ValueError):
-        Shape((1, 2), C)
-    with pytest.raises(ValueError):
-        Shape((2, 2), C)
-    with pytest.raises(ValueError):
-        Shape((2, 0), C)
+def test_every_cell_is_a_strictly_decreasing_pivot_tuple():
+    for family in (C, H):
+        for n, k in SMALL:
+            for cells in cells_by_degree(family, n, k).values():
+                for pivots in cells:
+                    assert 1 <= len(pivots) <= n
+                    assert k >= pivots[0]
+                    assert pivots[-1] >= 1
+                    assert all(a > b for a, b in zip(pivots, pivots[1:]))
 
 
 def test_dimension_examples():
-    assert shape_dimension(Shape((2, 1), C)) == 3
-    assert shape_dimension(Shape((2, 1), H)) == 5
-    assert shape_dimension(Shape((3,), H)) == 8
-    assert shape_dimension(Shape((1,), C)) == 0
-    assert shape_dimension(Shape((1,), H)) == 0
+    assert cells_by_degree(C, 2, 2)[3] == [(2, 1)]
+    assert cells_by_degree(H, 2, 2)[5] == [(2, 1)]
+    assert cells_by_degree(H, 1, 3)[8] == [(3,)]
+    assert cells_by_degree(C, 1, 1) == {0: [(1,)]}
+    assert cells_by_degree(H, 1, 1) == {0: [(1,)]}
 
 
 def test_boundary_examples():
-    assert boundary(Shape((2, 1), C)) == {Shape((2,), C): 1}
-    assert boundary(Shape((3, 2), C)) == {}
-    assert boundary(Shape((1,), C)) == {}
-    assert boundary(Shape((4, 2, 1), H)) == {Shape((4, 2), H): 1}
+    assert pivot_boundary((2, 1)) == (((2,), 1),)
+    assert pivot_boundary((3, 2)) == ()
+    assert pivot_boundary((1,)) == ()
+    assert pivot_boundary((4, 2, 1)) == (((4, 2), 1),)
 
 
 def test_enumerate_sphere():
-    shapes = enumerate_shapes(C, 1, 2)
-    assert [(s.pivots, s.dimension) for s in shapes] == [((1,), 0), ((2,), 2)]
+    assert cells_by_degree(C, 1, 2) == {0: [(1,)], 2: [(2,)]}
 
 
 def test_enumerate_two_by_two():
-    shapes = enumerate_shapes(C, 2, 2)
-    assert [(s.pivots, s.dimension) for s in shapes] == [
-        ((1,), 0),
-        ((2,), 2),
-        ((2, 1), 3),
-    ]
+    assert cells_by_degree(C, 2, 2) == {0: [(1,)], 2: [(2,)], 3: [(2, 1)]}
 
 
 def test_enumerate_rank_two_slice():
-    shapes = enumerate_shapes(C, 2, 4, CellFiltration.exact(2))
-    assert [s.pivots for s in shapes] == [
-        (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
-    ]
-    assert [s.dimension for s in shapes] == [3, 5, 7, 7, 9, 11]
+    assert cells_by_degree(C, 2, 4, CellFiltration.exact(2)) == {
+        3: [(2, 1)],
+        5: [(3, 1)],
+        7: [(3, 2), (4, 1)],
+        9: [(4, 2)],
+        11: [(4, 3)],
+    }
 
 
 def test_enumeration_order_is_dimension_then_lex():
-    shapes = enumerate_shapes(C, 3, 5)
-    keys = [(s.dimension, s.pivots) for s in shapes]
+    cells = cells_by_degree(C, 3, 5)
+    keys = [(p, pivots) for p, cells_p in cells.items() for pivots in cells_p]
     assert keys == sorted(keys)
 
 
 def test_enumeration_count_and_domain():
     for family in (C, H):
-        for n in range(1, 4):
-            for k in range(n, 7):
-                shapes = enumerate_shapes(family, n, k)
-                assert len(shapes) == sum(comb(k, r) for r in range(1, n + 1))
+        for n, k in SMALL:
+            cells = cells_by_degree(family, n, k)
+            assert sum(map(len, cells.values())) == sum(
+                comb(k, r) for r in range(1, n + 1)
+            )
     with pytest.raises(ValueError):
-        enumerate_shapes(C, 3, 2)
+        cells_by_degree(C, 3, 2)
 
 
 def test_empty_filtration_band():
-    assert enumerate_shapes(C, 2, 4, CellFiltration(3, None)) == []
+    assert cells_by_degree(C, 2, 4, CellFiltration(3, None)) == {}
     with pytest.raises(ValueError):
         CellFiltration(3, 2)
 
@@ -101,6 +98,15 @@ def test_relative_complex_has_zero_boundaries():
         assert not any(any(row) for row in complex_.boundary_matrix(p))
 
 
+def test_complex_from_cells_drops_faces_outside_the_cells():
+    cells = {2: [(2,)], 3: [(2, 1)], 5: [(3, 1)]}
+    assert complex_from_cells(cells).columns(3) == ({0: 1},)
+    del cells[2]
+    complex_ = complex_from_cells(cells)
+    assert complex_.degrees() == [3, 5]
+    assert complex_.boundary_degrees() == []
+
+
 def test_quaternionic_point():
     complex_ = build_chain_complex(H, 1, 1)
     assert complex_.degrees() == [0]
@@ -109,39 +115,33 @@ def test_quaternionic_point():
 
 def test_exactly_one_zero_cell_and_top_dimension():
     for family in (C, H):
-        for n in range(1, 4):
-            for k in range(n, 7):
-                shapes = enumerate_shapes(family, n, k)
-                zero_cells = [s for s in shapes if s.dimension == 0]
-                assert zero_cells == [Shape((1,), family)]
-                top = max(s.dimension for s in shapes)
-                assert top == orbit_space_dimension(family, n, k)
+        for n, k in SMALL:
+            cells = cells_by_degree(family, n, k)
+            assert cells[0] == [(1,)]
+            assert max(cells) == orbit_space_dimension(family, n, k)
 
 
 def test_full_rank_interior_count():
     for family in (C, H):
-        for n in range(1, 4):
-            for k in range(n, 7):
-                interior = [
-                    s
-                    for s in enumerate_shapes(
-                        family, n, k, CellFiltration.exact(n)
-                    )
-                    if s.pivots[-1] > 1
-                ]
-                assert len(interior) == comb(k - 1, n)
+        for n, k in SMALL:
+            cells = cells_by_degree(family, n, k, CellFiltration.exact(n))
+            interior = [
+                pivots
+                for cells_p in cells.values()
+                for pivots in cells_p
+                if pivots[-1] > 1
+            ]
+            assert len(interior) == comb(k - 1, n)
 
 
 def test_full_rank_dimension_parities():
-    for n in range(1, 4):
-        for k in range(n, 7):
-            for s in enumerate_shapes(C, n, k, CellFiltration.exact(n)):
-                assert s.dimension % 2 == (n + 1) % 2
-            residues = {
-                s.dimension % 4
-                for s in enumerate_shapes(H, n, k, CellFiltration.exact(n))
-            }
-            assert len(residues) == 1
+    for n, k in SMALL:
+        for p in cells_by_degree(C, n, k, CellFiltration.exact(n)):
+            assert p % 2 == (n + 1) % 2
+        residues = {
+            p % 4 for p in cells_by_degree(H, n, k, CellFiltration.exact(n))
+        }
+        assert len(residues) == 1
 
 
 def test_orbit_space_dimension_examples():

@@ -44,9 +44,9 @@ def _content(columns):
 
 @pytest.fixture
 def counted(monkeypatch):
-    builds, eliminations, reports = Counter(), Counter(), Counter()
+    enumerations, eliminations, reports = Counter(), Counter(), Counter()
     _counting(
-        monkeypatch, builds, orbit_cells, "build_chain_complex",
+        monkeypatch, enumerations, orbit_cells, "cells_by_degree",
         lambda family, n, k, filtration=None: (family, n, k, filtration),
     )
     _counting(
@@ -61,7 +61,7 @@ def counted(monkeypatch):
         monkeypatch, reports, structure_set, "compute_structure_set",
         lambda spec: spec,
     )
-    return builds, eliminations, reports
+    return enumerations, eliminations, reports
 
 
 def _recording(monkeypatch, owner, name, made):
@@ -77,19 +77,17 @@ def _recording(monkeypatch, owner, name, made):
 
 
 def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
-    builds, eliminations, reports = counted
+    enumerations, eliminations, reports = counted
     built, shuffled = [], []
-    _recording(monkeypatch, verification, "build_chain_complex", built)
+    _recording(monkeypatch, verification, "complex_from_cells", built)
     _recording(monkeypatch, ChainComplex, "permute_generators", shuffled)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
-    expected_builds = Counter()
-    for family in FAMILIES:
-        for n, k in GRID:
-            expected_builds[family, n, k, None] += 1
-            expected_builds[family, n, k, CellFiltration.exact(n)] += 1
-    assert builds == expected_builds
+    # one enumeration of the cells per point, and two complexes built from it
+    assert enumerations == Counter(
+        (family, n, k, None) for family in FAMILIES for n, k in GRID
+    )
     assert len(built) == 2 * len(shuffled) == 2 * len(FAMILIES) * len(GRID)
     # every nonzero boundary of the full, rank-n and shuffled complexes is
     # eliminated once over Z and once mod 2, and nothing else is
@@ -113,13 +111,31 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
 
 
 def test_nothing_is_kept_between_calls(counted):
-    builds, eliminations, reports = counted
+    enumerations, eliminations, reports = counted
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
-    first = (Counter(builds), sum(eliminations.values()), Counter(reports))
+    first = (Counter(enumerations), sum(eliminations.values()), Counter(reports))
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
-    assert builds == first[0] + first[0]
+    assert enumerations == first[0] + first[0]
     assert sum(eliminations.values()) == 2 * first[1]
     assert reports == first[2] + first[2]
+
+
+def test_both_complexes_equal_the_filtered_builds(monkeypatch):
+    built = []
+    _recording(monkeypatch, verification, "complex_from_cells", built)
+    verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
+    points = [(family, n, k) for family in FAMILIES for n, k in GRID]
+    assert len(built) == 2 * len(points)
+    for (family, n, k), full, relative in zip(points, built[::2], built[1::2]):
+        for complex_, filtration in (
+            (full, None),
+            (relative, CellFiltration.exact(n)),
+        ):
+            reference = build_chain_complex(family, n, k, filtration)
+            assert complex_.degrees() == reference.degrees()
+            for p in reference.degrees():
+                assert complex_.generators(p) == reference.generators(p)
+                assert complex_.columns(p) == reference.columns(p)
 
 
 def _plant(monkeypatch, name, family, n, k):
@@ -166,19 +182,14 @@ def _one_more_rank(rank):
     return rank + 1
 
 
-@pytest.mark.parametrize(
-    "name, plant",
-    [
-        ("boundary_invariant_factors", _one_factor_less),
-        ("boundary_ranks_mod2", _one_more_rank),
-    ],
-)
-@pytest.mark.parametrize("family", FAMILIES, ids=str)
-def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
-    monkeypatch, name, plant, family
-):
-    n, k = 2, 4
-    target = build_chain_complex(family, n, k)
+def _last_factor_two(factors):
+    return factors[:-1] + [2]
+
+
+def _plant_invariant(monkeypatch, name, plant, target):
+    """Make verification's binding of name plant a wrong invariant in the
+    lowest boundary degree of target's complex; returns the planted
+    degrees."""
     original = getattr(verification, name)
     planted = []
 
@@ -194,6 +205,24 @@ def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
         return invariants
 
     monkeypatch.setattr(verification, name, wrong)
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, plant",
+    [
+        ("boundary_invariant_factors", _one_factor_less),
+        ("boundary_ranks_mod2", _one_more_rank),
+    ],
+)
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
+    monkeypatch, name, plant, family
+):
+    n, k = 2, 4
+    planted = _plant_invariant(
+        monkeypatch, name, plant, build_chain_complex(family, n, k)
+    )
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     point = f"family={family} n={n} k={k}"
     failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
@@ -201,6 +230,31 @@ def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
     assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
     # the homology was read from the planted invariants too
     assert ("generator-order-invariance", point) in failures
+    assert {params for _, params in failures} == {point}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
+    monkeypatch, family
+):
+    # a factor 2 where a unit was leaves a Z_2 in the full complex's
+    # homology, which read_reduced_l_homology refuses to assemble
+    n, k = 2, 4
+    planted = _plant_invariant(
+        monkeypatch,
+        "boundary_invariant_factors",
+        _last_factor_two,
+        build_chain_complex(family, n, k),
+    )
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    point = f"family={family} n={n} k={k}"
+    failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
+    assert len(planted) == 1
+    assert failures[("reduced-closed-vs-oracle", point)] == (
+        f"unexpected torsion ((2, 1),) in degree {planted[0] - 1}, "
+        "the degreewise assembly needs torsion free input"
+    )
+    assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
     assert {params for _, params in failures} == {point}
 
 
