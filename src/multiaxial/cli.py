@@ -1,7 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage error (argparse's own convention), 3 an
-internal contradiction surfaced, 4 a verification or agreement failure.
+Exit codes: 0 success, 2 usage error, 3 an internal contradiction
+surfaced, 4 a verification or agreement failure.  Exit 2 is argparse's
+own errors plus UsageError, which the library raises where it checks each
+input; nothing else maps to it, so an internal ValueError stays a
+traceback.
 
 JSON documents share one envelope: schema_version, tool, command, then
 the command specific payload.  Groups carry their torsion as
@@ -18,7 +21,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .family import Family
+from .family import Family, UsageError
 from .homology import integral_homology
 from .l_homology import (
     reduced_l_homology,
@@ -37,7 +40,7 @@ from .structure_set import (
     compute_structure_set,
     normalize,
 )
-from .verification import GridError, run_verification
+from .verification import run_verification
 
 SCHEMA_VERSION = 2
 
@@ -104,17 +107,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, with_j: bool):
     )
 
 
-def _parse_family(parser: argparse.ArgumentParser, text: str) -> Family:
-    try:
-        return Family.parse(text)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def cmd_structure_set(parser, args) -> int:
-    family = _parse_family(parser, args.family)
-    if args.n < 0 or args.k < 0 or args.j < 0:
-        parser.error("n, k, j must be nonnegative")
+def cmd_structure_set(args) -> int:
+    family = Family.parse(args.family)
     spec = normalize(ActionSpec(family, args.n, args.k, args.j))
     report = compute_structure_set(spec)
     if args.format == "json":
@@ -161,10 +155,8 @@ def cmd_structure_set(parser, args) -> int:
     return 0
 
 
-def cmd_homology(parser, args) -> int:
-    family = _parse_family(parser, args.family)
-    if args.n < 1 or args.k < args.n:
-        parser.error(f"need k >= n >= 1, got n={args.n}, k={args.k}")
+def cmd_homology(args) -> int:
+    family = Family.parse(args.family)
     n, k = args.n, args.k
     d = orbit_space_dimension(family, n, k)
     if args.variant == "integral-all":
@@ -224,14 +216,9 @@ def cmd_homology(parser, args) -> int:
     return 0 if agree else 4
 
 
-def cmd_verify(parser, args) -> int:
-    families = tuple(
-        _parse_family(parser, name) for name in args.families.split(",")
-    )
-    try:
-        summary = run_verification(args.max_n, args.max_k, args.max_j, families)
-    except GridError as exc:  # the grid is checked there, and only there
-        parser.error(str(exc))
+def cmd_verify(args) -> int:
+    families = tuple(Family.parse(name) for name in args.families.split(","))
+    summary = run_verification(args.max_n, args.max_k, args.max_j, families)
     print(
         f"verification grid: n<={args.max_n} k<={args.max_k} "
         f"j<={args.max_j} families={args.families}"
@@ -249,14 +236,9 @@ def cmd_verify(parser, args) -> int:
     return 0
 
 
-def cmd_export_complex(parser, args) -> int:
-    family = _parse_family(parser, args.family)
-    if args.n < 1 or args.k < args.n:
-        parser.error(f"need k >= n >= 1, got n={args.n}, k={args.k}")
-    try:
-        filtration = CellFiltration(args.min_rank, args.max_rank)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_export_complex(args) -> int:
+    family = Family.parse(args.family)
+    filtration = CellFiltration(args.min_rank, args.max_rank)
     complex_ = build_chain_complex(family, args.n, args.k, filtration)
     degrees = [
         {
@@ -352,10 +334,11 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
-    args = parser.parse_args(argv)
+    args = _parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args)
+    except UsageError as exc:  # the library checked the input and refused it
+        _parser.error(str(exc))
     except InternalContradictionError as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 3

@@ -3,11 +3,19 @@
 Everything downstream branches on whether the acting group is unitary
 (complex coordinates) or symplectic (quaternionic coordinates), so the
 choice travels as a small enum rather than a string.
+
+UsageError lives here because every module that checks an input already
+imports this one.
 """
 
 from __future__ import annotations
 
 import enum
+
+
+class UsageError(ValueError):
+    """An input that the package refuses: a bad family, rank, copy count,
+    rank band or grid.  The CLI reports it as a usage error, exit 2."""
 
 
 class Family(enum.Enum):
@@ -22,7 +30,7 @@ class Family(enum.Enum):
             return cls.COMPLEX
         if key in {"sp", "h", "q", "quaternionic", "symplectic"}:
             return cls.QUATERNIONIC
-        raise ValueError(f"unknown family {text!r}, expected 'U' or 'Sp'")
+        raise UsageError(f"unknown family {text!r}, expected 'U' or 'Sp'")
 
     def __str__(self) -> str:
         return self.value

@@ -27,7 +27,7 @@ import itertools
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .family import Family
+from .family import Family, UsageError
 
 BoxPartition = tuple[int, ...]
 
@@ -44,7 +44,7 @@ class ParityCount(NamedTuple):
 def require_valid(n: int, k: int):
     """Reject a rank and copy count outside k >= n >= 1."""
     if n < 1 or k < n:
-        raise ValueError(f"need k >= n >= 1, got n={n}, k={k}")
+        raise UsageError(f"need k >= n >= 1, got n={n}, k={k}")
 
 
 def enumerate_box_partitions(n: int, bound: int) -> list[BoxPartition]:

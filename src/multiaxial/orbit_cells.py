@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .family import Family
+from .family import Family, UsageError
 from .grassmannian import require_valid
 from .homology import ChainComplex
 
@@ -67,7 +67,7 @@ class CellFiltration:
             and self.max_rank is not None
             and self.min_rank > self.max_rank
         ):
-            raise ValueError("min_rank must not exceed max_rank")
+            raise UsageError("min_rank must not exceed max_rank")
 
     @classmethod
     def exact(cls, rank: int) -> "CellFiltration":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 from .abelian import FGAbelianGroup
-from .family import Family
+from .family import Family, UsageError
 from .l_homology import (
     basepoint_correction,
     reduced_l_homology,
@@ -46,7 +46,7 @@ class ActionSpec:
 
     def __post_init__(self):
         if self.n < 0 or self.k < 0 or self.j < 0:
-            raise ValueError("n, k, j must be nonnegative")
+            raise UsageError("n, k, j must be nonnegative")
 
     @property
     def is_trivial(self) -> bool:
@@ -262,9 +262,10 @@ class SuspensionReport:
 
 
 def suspension_report(spec: ActionSpec) -> SuspensionReport:
-    """Compare a spec against its single and double suspensions in k."""
-    if not spec.is_normalized:
-        raise ValueError("spec must be normalized")
+    """Compare a spec against its single and double suspensions in k.
+
+    Requires a normalized spec, as compute_structure_set does.
+    """
     return compare_suspensions(
         compute_structure_set(spec),
         compute_structure_set(replace(spec, k=spec.k + 1)),

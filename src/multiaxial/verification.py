@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .abelian import FGAbelianGroup
-from .family import Family
+from .family import Family, UsageError
 from .grassmannian import (
     count_A_B,
     count_A_B_oracle,
@@ -68,10 +68,6 @@ from .structure_set import (
 )
 
 _SHUFFLE_SEED = 20240917
-
-
-class GridError(ValueError):
-    """A verification grid that run_verification refuses to run."""
 
 
 @dataclass(frozen=True)
@@ -152,19 +148,19 @@ def run_verification(
     max_j: int,
     families: tuple[Family, ...] = (Family.COMPLEX, Family.QUATERNIONIC),
 ) -> VerificationSummary:
-    """Run every check over the grid; GridError on a bad grid.
+    """Run every check over the grid; UsageError on a bad grid.
 
     The grid is n <= max_n, n <= k <= max_k, 0 <= j <= max_j, for each of
     families, which must not repeat.
     """
     if max_n < 1 or max_k < 1:
-        raise GridError(
+        raise UsageError(
             f"max_n and max_k must be at least 1, got max_n={max_n}, max_k={max_k}"
         )
     if max_j < 0:
-        raise GridError(f"max_j must be nonnegative, got max_j={max_j}")
+        raise UsageError(f"max_j must be nonnegative, got max_j={max_j}")
     if len(set(families)) != len(families):
-        raise GridError(
+        raise UsageError(
             f"families must not repeat, got {','.join(map(str, families))}"
         )
     results: list[CheckResult] = []

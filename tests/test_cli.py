@@ -5,10 +5,16 @@ import sys
 
 import pytest
 
-from multiaxial import cli
+from multiaxial import cli, grassmannian
 from multiaxial.abelian import FGAbelianGroup
-from multiaxial.structure_set import InternalContradictionError
-from multiaxial.verification import CheckResult, VerificationSummary
+from multiaxial.family import Family, UsageError
+from multiaxial.orbit_cells import CellFiltration
+from multiaxial.structure_set import ActionSpec, InternalContradictionError
+from multiaxial.verification import (
+    CheckResult,
+    VerificationSummary,
+    run_verification,
+)
 
 
 def run_cli(capsys, *argv):
@@ -131,27 +137,87 @@ def test_verify_usage_error():
     assert excinfo.value.code == 2
 
 
+# Bad input of every subcommand is refused by the library call that checks
+# it, and the CLI prints that call's message.  With two bad inputs the first
+# check the command reaches names its input: export-complex builds the rank
+# band before it enumerates cells, so the band is named before n and k.
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--max-n", "2", "--max-k", "3", "--families", "U,U"],
+        (["verify", "--max-n", "2", "--max-k", "3", "--families", "U,U"],
          "families must not repeat, got U,U"),
-        (["--max-n", "2", "--max-k", "3", "--families", "U,Sp,u"],
+        (["verify", "--max-n", "2", "--max-k", "3", "--families", "U,Sp,u"],
          "families must not repeat, got U,Sp,U"),
-        (["--max-n", "0"],
+        (["verify", "--max-n", "0"],
          "max_n and max_k must be at least 1, got max_n=0, max_k=8"),
-        (["--max-k", "0"],
+        (["verify", "--max-k", "0"],
          "max_n and max_k must be at least 1, got max_n=4, max_k=0"),
-        (["--max-j", "-1"], "max_j must be nonnegative, got max_j=-1"),
+        (["verify", "--max-j", "-1"],
+         "max_j must be nonnegative, got max_j=-1"),
+        (["verify", "--families", "U,X"],
+         "unknown family 'X', expected 'U' or 'Sp'"),
+        (["verify", "--families", "U,u"], "families must not repeat, got U,U"),
+        (["structure-set", "--family", "U", "--n", "-1", "--k", "2"],
+         "n, k, j must be nonnegative"),
+        (["structure-set", "--family", "U", "--n", "1", "--k", "1",
+          "--j", "-1"],
+         "n, k, j must be nonnegative"),
+        (["structure-set", "--family", "X", "--n", "1", "--k", "1"],
+         "unknown family 'X', expected 'U' or 'Sp'"),
+        (["homology", "--family", "U", "--n", "0", "--k", "2"],
+         "need k >= n >= 1, got n=0, k=2"),
+        (["homology", "--family", "U", "--n", "3", "--k", "2"],
+         "need k >= n >= 1, got n=3, k=2"),
+        (["homology", "--family", "X", "--n", "1", "--k", "1"],
+         "unknown family 'X', expected 'U' or 'Sp'"),
+        (["export-complex", "--family", "U", "--n", "0", "--k", "2"],
+         "need k >= n >= 1, got n=0, k=2"),
+        (["export-complex", "--family", "U", "--n", "2", "--k", "4",
+          "--min-rank", "3", "--max-rank", "1"],
+         "min_rank must not exceed max_rank"),
+        (["export-complex", "--family", "U", "--n", "0", "--k", "2",
+          "--min-rank", "3", "--max-rank", "1"],
+         "min_rank must not exceed max_rank"),
     ],
 )
 def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["verify", *argv])
+        cli.main(argv)
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "validator",
+    [
+        lambda: Family.parse("X"),
+        lambda: grassmannian.require_valid(0, 2),
+        lambda: ActionSpec(Family.COMPLEX, -1, 2),
+        lambda: CellFiltration(3, 1),
+        lambda: run_verification(0, 8, 2),
+        lambda: run_verification(1, 1, -1),
+        lambda: run_verification(1, 1, 0, (Family.COMPLEX, Family.COMPLEX)),
+    ],
+    ids=[
+        "family", "require_valid", "action_spec", "cell_filtration",
+        "grid_bounds", "grid_max_j", "grid_families",
+    ],
+)
+def test_each_input_validator_raises_usage_error(validator):
+    with pytest.raises(UsageError):
+        validator()
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def internal(spec):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "compute_structure_set", internal)
+    with pytest.raises(ValueError, match="^internal$") as excinfo:
+        cli.main(["structure-set", "--family", "U", "--n", "1", "--k", "3"])
+    assert type(excinfo.value) is ValueError
 
 
 def test_usage_error_on_bad_family():

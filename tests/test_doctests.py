@@ -1,13 +1,18 @@
 import ast
 import doctest
+import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+import multiaxial
 from multiaxial import abelian, grassmannian, homology, l_homology, orbit_cells
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MODULES = [abelian, grassmannian, homology, l_homology, orbit_cells]
 
@@ -31,14 +36,49 @@ def test_package_guards_survive_optimized_mode():
 def test_acceptance_passes_in_optimized_mode():
     # python -O strips the package's assert statements; pytest rewrites the
     # test file's own asserts, so every criterion is still checked
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "tests/test_acceptance.py", "-q"],
-        cwd=root,
+        cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+
+
+def _top_level_names(source: str) -> set[str]:
+    """Names taken from the package itself: ``from multiaxial import x`` and
+    ``multiaxial.x``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "multiaxial":
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "multiaxial"
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_readme_and_bench_import_only_what_the_package_exports():
+    # the benchmark scripts and README's example are run by no other tier-1
+    # test, so a name dropped from the package surface would break them unseen
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = {
+        f"README.md block {i}": block
+        for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S))
+    }
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        sources[path.name] = path.read_text(encoding="utf-8")
+    used = {name: _top_level_names(source) for name, source in sources.items()}
+    assert used["README.md block 0"] and used["record_expected.py"]
+    for source, names in used.items():
+        for name in sorted(names):
+            resolves = hasattr(multiaxial, name) or (
+                importlib.util.find_spec(f"multiaxial.{name}") is not None
+            )
+            assert resolves, f"{source} takes {name!r} from multiaxial"

@@ -91,6 +91,8 @@ def test_quaternionic_basepoint_variants():
 def test_requires_normalized_spec():
     with pytest.raises(ValueError):
         compute_structure_set(ActionSpec(C, 4, 2, 0))
+    with pytest.raises(ValueError):
+        suspension_report(ActionSpec(C, 4, 2, 0))
 
 
 def test_free_exception_on_rank_zero_aborts():
