@@ -9,6 +9,7 @@ from multiaxial.homology import integral_homology, mod2_homology, smith_normal_f
 from multiaxial.orbit_cells import (
     CellFiltration,
     build_chain_complex,
+    cell_label,
     cells_by_degree,
     orbit_space_dimension,
 )
@@ -19,14 +20,14 @@ C = Family.COMPLEX
 # representation has one cell per strictly decreasing pivot tuple
 # (m_1 > ... > m_r >= 1) with m_1 <= k and r <= n. The tuple records the
 # pivot columns of a row-echelon representative, r being the matrix rank.
-# The tuple itself is the cell; cells_by_degree groups them by dimension.
+# The tuple itself is the cell, and the chain complex's generator;
+# cells_by_degree groups them by dimension and cell_label prints one.
 
 n, k = 2, 4
 print(f"cells of the n={n}, k={k} orbit space:")
 for dim, cells in cells_by_degree(C, n, k).items():
     for pivots in cells:
-        label = "(" + ",".join(map(str, pivots)) + ")"
-        print(f"  {label:>8}  rank {len(pivots)}  dim {dim}")
+        print(f"  {cell_label(pivots):>8}  rank {len(pivots)}  dim {dim}")
 print("top dimension:", orbit_space_dimension(C, n, k))
 
 # Almost every boundary map vanishes. The only surviving face relation

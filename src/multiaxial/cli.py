@@ -32,6 +32,7 @@ from .l_homology import (
 from .orbit_cells import (
     CellFiltration,
     build_chain_complex,
+    cell_label,
     orbit_space_dimension,
 )
 from .structure_set import (
@@ -221,7 +222,7 @@ def cmd_verify(args) -> int:
     summary = run_verification(args.max_n, args.max_k, args.max_j, families)
     print(
         f"verification grid: n<={args.max_n} k<={args.max_k} "
-        f"j<={args.max_j} families={args.families}"
+        f"j<={args.max_j} families={','.join(map(str, families))}"
     )
     for check, (passed, failed) in summary.by_check().items():
         status = "ok" if failed == 0 else "FAIL"
@@ -243,7 +244,7 @@ def cmd_export_complex(args) -> int:
     degrees = [
         {
             "degree": p,
-            "generators": list(complex_.generators(p)),
+            "generators": [cell_label(cell) for cell in complex_.generators(p)],
             "boundary": complex_.boundary_matrix(p),
         }
         for p in complex_.degrees()
@@ -263,10 +264,9 @@ def cmd_export_complex(args) -> int:
     if args.format == "json":
         _emit(_document("export-complex", payload))
     else:
-        print(
-            f"chain complex, family={family} n={args.n} k={args.k} "
-            f"ranks {args.min_rank or 1}..{args.max_rank or args.n}"
-        )
+        band = filtration.rank_range(args.n)
+        ranks = f"ranks {band[0]}..{band[-1]}" if band else "ranks none"
+        print(f"chain complex, family={family} n={args.n} k={args.k} {ranks}")
         for entry in degrees:
             gens = " ".join(entry["generators"])
             print(f"  degree {entry['degree']}: {gens}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
 
 from .abelian import FGAbelianGroup
 
@@ -263,32 +263,34 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
 
 
 class ChainComplex:
-    """Finite free chain complex over Z with labeled generators.
+    """Finite free chain complex over Z.
 
-    generators maps a degree to its ordered generator labels.  boundaries
-    maps degree p to the boundary out of degree p as sparse columns: one
-    mapping per generator of degree p, from a row (the index of a
-    generator of degree p - 1) to its coefficient.  Zero coefficients may
-    be left out and missing degrees are zero.  Column counts, row ranges,
-    labels and the vanishing of every composite are checked here, at
-    construction, and nowhere else.
+    generators maps a degree to its ordered generators, any distinct
+    hashable values; an orbit-space complex uses its cells' pivot tuples.
+    boundaries maps degree p to the boundary out of degree p as sparse
+    columns: one mapping per generator of degree p, from a row (the index
+    of a generator of degree p - 1) to its coefficient.  Zero coefficients
+    may be left out and missing degrees are zero.  Column counts, row
+    ranges, distinct generators and the vanishing of every composite are
+    checked here, at construction, and nowhere else; this constructor is
+    the only way to make a complex.
     """
 
     def __init__(
         self,
-        generators: Mapping[int, Sequence[str]],
+        generators: Mapping[int, Sequence[Hashable]],
         boundaries: Mapping[int, Sequence[Column]],
     ):
-        gens: dict[int, tuple[str, ...]] = {}
-        for p, labels in generators.items():
+        gens: dict[int, tuple[Hashable, ...]] = {}
+        for p, cells in generators.items():
             p = int(p)
             if p < 0:
                 raise ValueError("generator degrees must be nonnegative")
-            labels = tuple(labels)
-            if labels:
-                if len(set(labels)) != len(labels):
-                    raise ValueError(f"duplicate generator labels in degree {p}")
-                gens[p] = labels
+            cells = tuple(cells)
+            if cells:
+                if len(set(cells)) != len(cells):
+                    raise ValueError(f"duplicate generators in degree {p}")
+                gens[p] = cells
         gens = dict(sorted(gens.items()))
         stored: dict[int, tuple[Column, ...]] = {}
         for p, columns in boundaries.items():
@@ -331,18 +333,6 @@ class ChainComplex:
         self._generators = gens
         self._columns = stored
 
-    @classmethod
-    def _checked(
-        cls,
-        generators: dict[int, tuple[str, ...]],
-        columns: dict[int, tuple[Column, ...]],
-    ) -> "ChainComplex":
-        """Wrap parts that already satisfy every check of __init__."""
-        complex_ = cls.__new__(cls)
-        complex_._generators = generators
-        complex_._columns = columns
-        return complex_
-
     def degrees(self) -> list[int]:
         return sorted(self._generators)
 
@@ -350,7 +340,7 @@ class ChainComplex:
         """Degrees whose outgoing boundary has a nonzero entry."""
         return sorted(self._columns)
 
-    def generators(self, p: int) -> tuple[str, ...]:
+    def generators(self, p: int) -> tuple[Hashable, ...]:
         return self._generators.get(p, ())
 
     def cell_count(self, p: int) -> int:
@@ -376,46 +366,8 @@ class ChainComplex:
 
     def euler_characteristic(self) -> int:
         return sum(
-            (-1) ** p * len(labels) for p, labels in self._generators.items()
+            (-1) ** p * len(cells) for p, cells in self._generators.items()
         )
-
-    def permute_generators(
-        self, permutations: Mapping[int, Sequence[int]]
-    ) -> "ChainComplex":
-        """Reorder generators per degree; permutations[p][i] is the old index
-        that moves to slot i.  Used to check order independence of homology.
-
-        Relabeling keeps every property __init__ checks, so each column is
-        built once, here, and not checked again.
-        """
-        new_gens = {}
-        new_index = {}
-        for p, labels in self._generators.items():
-            perm = permutations.get(p)
-            if perm is None:
-                new_gens[p] = labels
-                continue
-            perm = list(perm)
-            if sorted(perm) != list(range(len(labels))):
-                raise ValueError(f"not a permutation in degree {p}")
-            new_gens[p] = tuple([labels[i] for i in perm])
-            slot = [0] * len(perm)
-            for new, old in enumerate(perm):
-                slot[old] = new
-            new_index[p] = slot
-        new_columns = {}
-        for p, columns in self._columns.items():
-            perm = permutations.get(p)
-            if perm is not None:
-                columns = [columns[i] for i in perm]
-            slot = new_index.get(p - 1)
-            if slot is not None:
-                columns = [
-                    {slot[r]: v for r, v in column.items()} if column else column
-                    for column in columns
-                ]
-            new_columns[p] = tuple(columns)
-        return ChainComplex._checked(new_gens, new_columns)
 
 
 def boundary_invariant_factors(complex_: ChainComplex) -> dict[int, list[int]]:
@@ -441,9 +393,9 @@ def read_integral_homology(
     factors of the incoming boundary.
     """
     result = {}
-    for p, labels in complex_._generators.items():
+    for p, cells in complex_._generators.items():
         incoming = factors.get(p + 1, ())
-        free = len(labels) - len(factors.get(p, ())) - len(incoming)
+        free = len(cells) - len(factors.get(p, ())) - len(incoming)
         if incoming and incoming[-1] > 1:
             # the factors form a divisibility chain, so equal ones are
             # adjacent and the runs need no recombining
@@ -461,8 +413,8 @@ def read_mod2_homology(
 ) -> dict[int, int]:
     """Mod 2 Betti numbers from the boundary_ranks_mod2 of complex_."""
     result = {}
-    for p, labels in complex_._generators.items():
-        betti = len(labels) - ranks.get(p, 0) - ranks.get(p + 1, 0)
+    for p, cells in complex_._generators.items():
+        betti = len(cells) - ranks.get(p, 0) - ranks.get(p + 1, 0)
         if betti:
             result[p] = betti
     return result

@@ -15,11 +15,13 @@ degree zero on cells.  That single rule, pivot_boundary, is the whole
 differential.
 
 cells_by_degree enumerates the tuples of a rank band grouped by dimension,
-and complex_from_cells turns any such map into a chain complex with each
-boundary as sparse columns, one row -> coefficient map per cell, with no
-dense matrix anywhere.  build_chain_complex is the two composed; a caller
-that needs several complexes of one (family, n, k) enumerates once and
-slices the map.
+and complex_from_cells turns any such map into a chain complex whose
+generators are the tuples themselves, with each boundary as sparse
+columns, one row -> coefficient map per cell, and no dense matrix or
+string anywhere.  build_chain_complex is the two composed; a caller that
+needs several complexes of one (family, n, k) enumerates once and slices
+the map.  cell_label is the one place a cell becomes text, "(m1,...,mr)",
+and only output that prints a cell calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ from .homology import ChainComplex
 Pivots = tuple[int, ...]
 
 
-def _label(pivots: Pivots) -> str:
+def cell_label(pivots: Pivots) -> str:
+    """The printed name of a cell.
+
+    >>> cell_label((3, 1))
+    '(3,1)'
+    """
     return "(" + ",".join(map(str, pivots)) + ")"
 
 
@@ -113,9 +120,6 @@ def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComple
     >>> complex_from_cells({3: [(2, 1)]}).boundary_degrees()
     []
     """
-    generators = {
-        p: [_label(pivots) for pivots in cells] for p, cells in by_degree.items()
-    }
     boundaries = {}
     for p, cells in by_degree.items():
         below = by_degree.get(p - 1)
@@ -131,7 +135,7 @@ def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComple
                     column[row] = coefficient
             columns.append(column)
         boundaries[p] = columns
-    return ChainComplex(generators, boundaries)
+    return ChainComplex(by_degree, boundaries)
 
 
 def build_chain_complex(
@@ -141,7 +145,7 @@ def build_chain_complex(
 
     >>> complex_ = build_chain_complex(Family.COMPLEX, 2, 2)
     >>> complex_.generators(3), complex_.columns(3)
-    (('(2,1)',), ({0: 1},))
+    (((2, 1),), ({0: 1},))
     """
     return complex_from_cells(cells_by_degree(family, n, k, filtration))
 

@@ -381,3 +381,113 @@ def test_verify_stdout_is_pinned(capsys):
     )
     assert code == 0
     assert out == VERIFY_4_8_2
+
+
+def test_verify_header_names_the_parsed_families(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--max-n", "1", "--max-k", "2", "--max-j", "0",
+        "--families", "u,symplectic",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "verification grid: n<=1 k<=2 j<=0 families=U,Sp"
+    )
+
+
+# the whole export of a six-cell complex; cells print as "(m1,...,mr)"
+EXPORT_U_2_3 = """\
+chain complex, family=U n=2 k=3 ranks 1..2
+  degree 0: (1)
+  degree 2: (2)
+  degree 3: (2,1)
+    [1]
+  degree 4: (3)
+    [0]
+  degree 5: (3,1)
+    [1]
+  degree 7: (3,2)
+"""
+
+EXPORT_U_2_3_JSON = """\
+{
+  "schema_version": 2,
+  "tool": {
+    "name": "multiaxial",
+    "version": "0.1.0"
+  },
+  "command": "export-complex",
+  "input": {
+    "family": "U",
+    "n": 2,
+    "k": 3,
+    "min_rank": null,
+    "max_rank": null
+  },
+  "total_cells": 6,
+  "euler_characteristic": 0,
+  "degrees": [
+    {
+      "degree": 0,
+      "generators": ["(1)"],
+      "boundary": []
+    },
+    {
+      "degree": 2,
+      "generators": ["(2)"],
+      "boundary": []
+    },
+    {
+      "degree": 3,
+      "generators": ["(2,1)"],
+      "boundary": [[1]]
+    },
+    {
+      "degree": 4,
+      "generators": ["(3)"],
+      "boundary": [[0]]
+    },
+    {
+      "degree": 5,
+      "generators": ["(3,1)"],
+      "boundary": [[1]]
+    },
+    {
+      "degree": 7,
+      "generators": ["(3,2)"],
+      "boundary": []
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("table", EXPORT_U_2_3), ("json", EXPORT_U_2_3_JSON)]
+)
+def test_export_complex_stdout_is_pinned(capsys, fmt, expected):
+    code, out = run_cli(
+        capsys, "export-complex", "--family", "U", "--n", "2", "--k", "3",
+        "--format", fmt,
+    )
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "band, header, input_band",
+    [
+        (["--max-rank", "0"], "ranks none", (None, 0)),
+        (["--max-rank", "9"], "ranks 1..2", (None, 9)),
+        (["--min-rank", "0", "--max-rank", "1"], "ranks 1..1", (0, 1)),
+    ],
+)
+def test_export_complex_header_names_the_selected_band(
+    capsys, band, header, input_band
+):
+    argv = ["export-complex", "--family", "U", "--n", "2", "--k", "3", *band]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == f"chain complex, family=U n=2 k=3 {header}"
+    # the JSON input echoes the flags as given
+    code, doc = run_json(capsys, *argv)
+    assert (doc["input"]["min_rank"], doc["input"]["max_rank"]) == input_band

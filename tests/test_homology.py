@@ -25,7 +25,13 @@ from multiaxial.homology import (
     sparse_rank_mod2,
 )
 from multiaxial.l_homology import reduced_l_homology, reduced_l_homology_oracle
-from multiaxial.orbit_cells import CellFiltration, build_chain_complex
+from multiaxial.orbit_cells import (
+    CellFiltration,
+    build_chain_complex,
+    cells_by_degree,
+    complex_from_cells,
+    pivot_boundary,
+)
 
 
 def determinant(matrix):
@@ -329,36 +335,26 @@ def test_universal_coefficients_relation():
 
 
 def test_homology_is_generator_order_invariant():
-    complex_ = build_chain_complex(Family.COMPLEX, 3, 5)
+    cells = cells_by_degree(Family.COMPLEX, 3, 5)
+    complex_ = complex_from_cells(cells)
     reference = integral_homology(complex_)
     reference2 = mod2_homology(complex_)
     rng = random.Random(7)
     for _ in range(3):
-        permutations = {}
-        for p in complex_.degrees():
-            order = list(range(complex_.cell_count(p)))
-            rng.shuffle(order)
-            permutations[p] = order
-        shuffled = complex_.permute_generators(permutations)
+        shuffled_cells = {}
+        for p, cells_p in cells.items():
+            shuffled_cells[p] = list(cells_p)
+            rng.shuffle(shuffled_cells[p])
+        shuffled = complex_from_cells(shuffled_cells)
+        assert any(shuffled.generators(p) != complex_.generators(p) for p in cells)
+        # rows and columns follow the generators they index
+        for p in cells:
+            faces = shuffled.generators(p - 1)
+            for cell, column in zip(shuffled.generators(p), shuffled.columns(p)):
+                boundary = {faces[r]: v for r, v in column.items()}
+                assert boundary == dict(pivot_boundary(cell))
         assert integral_homology(shuffled) == reference
         assert mod2_homology(shuffled) == reference2
-
-
-def test_permute_generators_moves_rows_and_columns():
-    complex_ = build_chain_complex(Family.COMPLEX, 3, 5)
-    rng = random.Random(11)
-    permutations = {}
-    for p in complex_.degrees():
-        order = list(range(complex_.cell_count(p)))
-        rng.shuffle(order)
-        permutations[p] = order
-    shuffled = complex_.permute_generators(permutations)
-    for p in complex_.degrees():
-        old = complex_.boundary_matrix(p)
-        rows = permutations.get(p - 1, [])
-        assert shuffled.boundary_matrix(p) == [
-            [old[r][c] for c in permutations[p]] for r in rows
-        ]
 
 
 def test_reduced_oracle_beyond_dense_reach():

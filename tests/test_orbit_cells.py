@@ -86,10 +86,19 @@ def test_empty_filtration_band():
 
 def test_build_two_by_two_complex():
     complex_ = build_chain_complex(C, 2, 2)
-    assert complex_.generators(0) == ("(1)",)
-    assert complex_.generators(2) == ("(2)",)
-    assert complex_.generators(3) == ("(2,1)",)
+    assert complex_.generators(0) == ((1,),)
+    assert complex_.generators(2) == ((2,),)
+    assert complex_.generators(3) == ((2, 1),)
     assert complex_.boundary_matrix(3) == [[1]]
+
+
+def test_generators_are_the_enumerated_cells():
+    for family in (C, H):
+        for n, k in SMALL:
+            cells = cells_by_degree(family, n, k)
+            complex_ = complex_from_cells(cells)
+            for p, cells_p in cells.items():
+                assert complex_.generators(p) == tuple(cells_p)
 
 
 def test_relative_complex_has_zero_boundaries():
@@ -110,7 +119,7 @@ def test_complex_from_cells_drops_faces_outside_the_cells():
 def test_quaternionic_point():
     complex_ = build_chain_complex(H, 1, 1)
     assert complex_.degrees() == [0]
-    assert complex_.generators(0) == ("(1)",)
+    assert complex_.generators(0) == ((1,),)
 
 
 def test_exactly_one_zero_cell_and_top_dimension():

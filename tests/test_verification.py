@@ -9,7 +9,6 @@ import pytest
 from multiaxial import homology, orbit_cells, structure_set, verification
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.homology import ChainComplex
 from multiaxial.orbit_cells import CellFiltration, build_chain_complex
 from multiaxial.structure_set import ActionSpec
 
@@ -78,21 +77,21 @@ def _recording(monkeypatch, owner, name, made):
 
 def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     enumerations, eliminations, reports = counted
-    built, shuffled = [], []
+    built = []
     _recording(monkeypatch, verification, "complex_from_cells", built)
-    _recording(monkeypatch, ChainComplex, "permute_generators", shuffled)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
-    # one enumeration of the cells per point, and two complexes built from it
+    # one enumeration of the cells per point, and the full, rank-n and
+    # shuffled complexes all built from it by complex_from_cells
     assert enumerations == Counter(
         (family, n, k, None) for family in FAMILIES for n, k in GRID
     )
-    assert len(built) == 2 * len(shuffled) == 2 * len(FAMILIES) * len(GRID)
-    # every nonzero boundary of the full, rank-n and shuffled complexes is
-    # eliminated once over Z and once mod 2, and nothing else is
+    assert len(built) == 3 * len(FAMILIES) * len(GRID)
+    # every nonzero boundary of each of them is eliminated once over Z and
+    # once mod 2, and nothing else is
     expected_eliminations = Counter()
-    for complex_ in built + shuffled:
+    for complex_ in built:
         for p in complex_.boundary_degrees():
             content = _content(complex_.columns(p))
             expected_eliminations["Z", content] += 1
@@ -125,8 +124,10 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
     _recording(monkeypatch, verification, "complex_from_cells", built)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
     points = [(family, n, k) for family in FAMILIES for n, k in GRID]
-    assert len(built) == 2 * len(points)
-    for (family, n, k), full, relative in zip(points, built[::2], built[1::2]):
+    assert len(built) == 3 * len(points)
+    for (family, n, k), full, relative, shuffled in zip(
+        points, built[::3], built[1::3], built[2::3]
+    ):
         for complex_, filtration in (
             (full, None),
             (relative, CellFiltration.exact(n)),
@@ -136,6 +137,10 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
             for p in reference.degrees():
                 assert complex_.generators(p) == reference.generators(p)
                 assert complex_.columns(p) == reference.columns(p)
+        # the third build holds the full complex's cells, reordered
+        assert shuffled.degrees() == full.degrees()
+        for p in full.degrees():
+            assert sorted(shuffled.generators(p)) == list(full.generators(p))
 
 
 def _plant(monkeypatch, name, family, n, k):
