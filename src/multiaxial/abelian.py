@@ -7,6 +7,12 @@ are isomorphic exactly when these data agree, so dataclass equality is
 isomorphism, and the size of a group follows the number of distinct
 orders, not the number of cyclic summands.
 
+Sums and embeddings use gcd and lcm alone, and no order is ever
+factored.  Read from the largest factor down, a chain holds, prime by
+prime, a partition of exponents; a sum merges partitions, and an embedding
+is partition containment (Macdonald, Symmetric Functions and Hall
+Polynomials, ch. II).  Either costs a few steps per run, whatever its length.
+
 >>> FGAbelianGroup.from_orders([0, 4, 2])
 FGAbelianGroup(free_rank=1, torsion=((2, 1), (4, 1)))
 >>> FGAbelianGroup.from_orders([2, 3])
@@ -17,69 +23,60 @@ Z^4 ⊕ Z_2^2
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable
 
 Run = tuple[int, int]
 
 
-def _prime_power_parts(order: int) -> list[tuple[int, int]]:
-    """Split a cyclic order into (prime, exponent) pairs by trial division."""
-    parts = []
-    n = order
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            parts.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        parts.append((n, 1))
-    return parts
+def _descending(chain: tuple[Run, ...]) -> tuple[list[int], list[int]]:
+    """Each run's last position, the largest factor at 1, and its order."""
+    ends = list(accumulate(count for _, count in reversed(chain)))
+    return ends, [order for order, _ in reversed(chain)]
 
 
-def _prime_profile(runs: Iterable[Run]) -> dict[int, dict[int, int]]:
-    """prime -> exponent -> number of cyclic summands with that p-part.
+def _factor_at(ends: list[int], orders: list[int], i: int) -> int:
+    """The i-th largest factor: 0 above the top, 1 past the bottom."""
+    if i < 1:
+        return 0
+    run = bisect_left(ends, i)
+    return orders[run] if run < len(orders) else 1
 
-    Each run is factored once, whatever its multiplicity.
+
+def _insert(chain: tuple[Run, ...], order: int, count: int) -> tuple[Run, ...]:
+    """The invariant factor chain of chain plus count copies of Z_order.
+
+    Prime by prime, the copies' exponent f slots in below every exponent
+    at least f, so the i-th largest becomes max(e_i, min(f, e_(i - count)))
+    and the i-th largest factor lcm(d_i, gcd(order, d_(i - count))).  That
+    changes only where i or i - count crosses the end of a run, so it is
+    evaluated once per stretch between such positions.
     """
-    profile: dict[int, dict[int, int]] = {}
-    for order, count in runs:
-        for p, e in _prime_power_parts(order):
-            by_exponent = profile.setdefault(p, {})
-            by_exponent[e] = by_exponent.get(e, 0) + count
-    return profile
-
-
-def _invariant_runs(profile: dict[int, dict[int, int]]) -> tuple[Run, ...]:
-    """Recombine per-prime exponent counts into invariant factor runs.
-
-    The largest factor takes the largest exponent of every prime, the next
-    one the next largest, and so on.  A whole block of equal factors is
-    emitted at once, so the loop runs once per change of some prime's
-    exponent, not once per summand.
-    """
-    # per prime, exponents ascending, so the largest is popped first
-    pending = {p: sorted(by_exponent.items()) for p, by_exponent in profile.items()}
-    runs = []
-    while pending:
-        step = min(stack[-1][1] for stack in pending.values())
-        factor = 1
-        for p, stack in list(pending.items()):
-            e, count = stack[-1]
-            factor *= p**e
-            if count > step:
-                stack[-1] = (e, count - step)
-            else:
-                stack.pop()
-                if not stack:
-                    del pending[p]
-        runs.append((factor, step))
-    runs.reverse()
-    return tuple(runs)
+    bottom, at_bottom = chain[0] if chain else (0, 0)
+    if bottom % order == 0:
+        # order divides every factor, so the copies go below all of them
+        if bottom == order:
+            return ((order, at_bottom + count),) + chain[1:]
+        return ((order, count),) + chain
+    ends, orders = _descending(chain)
+    cuts = sorted({end + shift for end in (0, *ends) for shift in (0, count)} - {0})
+    runs: list[list[int]] = []
+    start = 0
+    for cut in cuts:
+        above = _factor_at(ends, orders, cut - count)
+        d = lcm(_factor_at(ends, orders, cut), gcd(order, above))
+        if d == 1:
+            break  # a chain read downwards ends in its units
+        if runs and runs[-1][0] == d:
+            runs[-1][1] += cut - start
+        else:
+            runs.append([d, cut - start])
+        start = cut
+    return tuple((d, run_count) for d, run_count in reversed(runs))
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,8 @@ class FGAbelianGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        if not isinstance(self.torsion, tuple):
+            raise TypeError(f"torsion is a tuple of runs, got {self.torsion!r}")
         previous = None
         for run in self.torsion:
             if not isinstance(run, tuple) or len(run) != 2:
@@ -140,25 +139,22 @@ class FGAbelianGroup:
         >>> FGAbelianGroup.from_orders([6, 4]) == FGAbelianGroup.from_orders([12, 2])
         True
         """
-        free = 0
-        counts: dict[int, int] = {}
-        for m in orders:
-            m = abs(int(m))
-            if m == 0:
-                free += 1
-            elif m > 1:
-                counts[m] = counts.get(m, 0) + 1
-        return cls(free, _invariant_runs(_prime_profile(counts.items())))
+        counts = Counter(abs(int(m)) for m in orders)
+        torsion: tuple[Run, ...] = ()
+        for order, count in counts.items():
+            if order > 1:
+                torsion = _insert(torsion, order, count)
+        return cls(counts[0], torsion)
 
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        profile = _prime_profile(self.torsion + other.torsion)
-        return FGAbelianGroup(
-            self.free_rank + other.free_rank, _invariant_runs(profile)
-        )
+        torsion = self.torsion
+        for order, count in other.torsion:
+            torsion = _insert(torsion, order, count)
+        return FGAbelianGroup(self.free_rank + other.free_rank, torsion)
 
     def two_torsion_rank(self) -> int:
         """Number of cyclic summands of even order."""
@@ -167,10 +163,11 @@ class FGAbelianGroup:
     def embeds_in(self, other: "FGAbelianGroup") -> bool:
         """Whether an injective homomorphism self -> other exists.
 
-        Injectivity forces the free rank to grow and, prime by prime,
-        the count of summands of order at least p^e to grow for every e.
-        Those counts only change at exponents self has, so checking them
-        there suffices.
+        Exactly when the free rank does not drop and, both chains read
+        from the largest factor down, each factor of self divides the one
+        of other in its position: prime by prime, self's exponent partition
+        fits inside other's.  As other's factors only shrink downwards, the
+        last position of each run of self suffices.
 
         >>> Z4 = FGAbelianGroup(0, ((4, 1),))
         >>> Z2xZ2 = FGAbelianGroup(0, ((2, 2),))
@@ -179,17 +176,11 @@ class FGAbelianGroup:
         >>> FGAbelianGroup(1, ((2, 1),)).embeds_in(FGAbelianGroup(2, ((2, 1), (4, 1))))
         True
         """
-        if self.free_rank > other.free_rank:
-            return False
-        theirs = _prime_profile(other.torsion)
-        for p, mine in _prime_profile(self.torsion).items():
-            other_counts = theirs.get(p, {})
-            for e in mine:
-                needed = sum(c for f, c in mine.items() if f >= e)
-                available = sum(c for f, c in other_counts.items() if f >= e)
-                if needed > available:
-                    return False
-        return True
+        theirs = _descending(other.torsion)
+        return self.free_rank <= other.free_rank and all(
+            _factor_at(*theirs, end) % d == 0
+            for end, d in zip(*_descending(self.torsion))
+        )
 
     def to_json(self) -> dict:
         return {

@@ -29,6 +29,7 @@ smallest absolute value, which keeps that growth tame.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
 
@@ -50,13 +51,18 @@ def _reject_row(p: int, column: Column, rows: int) -> NoReturn:
     )
 
 
-def _copy_matrix(matrix: Matrix) -> list[list[int]]:
-    rows = [list(map(int, row)) for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("matrix rows must all have the same length")
-    return rows
+def _require_rectangular(matrix: Matrix) -> None:
+    if len(set(map(len, matrix))) > 1:
+        raise ValueError("matrix rows must all have the same length")
+
+
+def _pruned_copy(matrix: Matrix) -> list[list[int]]:
+    """Mutable int rows of matrix without its all-zero rows and columns,
+    which leaves the invariant factors unchanged."""
+    _require_rectangular(matrix)
+    rows = [row for row in matrix if any(row)]
+    keep = [any(column) for column in zip(*rows)]
+    return [list(map(int, compress(row, keep))) for row in rows]
 
 
 def _smallest_nonzero(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -80,7 +86,7 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
     The length of the result is the rank.  Row and column operations are
     unimodular throughout, so the factors are exact.
     """
-    a = _copy_matrix(matrix)
+    a = _pruned_copy(matrix)
     m = len(a)
     n = len(a[0]) if m else 0
     factors: list[int] = []
@@ -163,7 +169,9 @@ def _bitmask_rank(masks: Iterable[int]) -> int:
 
 
 def rank_mod2(matrix: Matrix) -> int:
-    """Rank over the field with two elements, via bitmask elimination."""
+    """Rank over the field with two elements, via bitmask elimination;
+    zero rows and columns set no bit, so they need no pruning."""
+    _require_rectangular(matrix)
     return _bitmask_rank(
         sum(1 << j for j, v in enumerate(row) if v % 2) for row in matrix
     )

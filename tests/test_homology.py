@@ -113,6 +113,14 @@ def test_snf_rejects_ragged_input():
         smith_normal_form([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("routine", [smith_normal_form, rank_mod2])
+# the second is all zero, so it must be refused before any pruning
+@pytest.mark.parametrize("matrix", [[[1], [1, 1]], [[0], [0, 0]]])
+def test_dense_routines_refuse_ragged_input(routine, matrix):
+    with pytest.raises(ValueError, match="same length"):
+        routine(matrix)
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
         lambda cols: st.lists(
@@ -159,7 +167,7 @@ def from_matrices(generators, matrices):
     )
 
 
-# units anywhere, non-unit entries, and whole zero columns
+# units anywhere, non-unit entries, and whole zero rows and columns
 unit_heavy_matrices = st.integers(1, 5).flatmap(
     lambda rows: st.integers(1, 5).flatmap(
         lambda cols: st.tuples(
@@ -174,12 +182,14 @@ unit_heavy_matrices = st.integers(1, 5).flatmap(
                 min_size=rows,
                 max_size=rows,
             ),
+            st.sets(st.integers(0, rows - 1)),
             st.sets(st.integers(0, cols - 1)),
         )
     )
 ).map(
     lambda drawn: [
-        [0 if j in drawn[1] else v for j, v in enumerate(row)] for row in drawn[0]
+        [0 if i in drawn[1] or j in drawn[2] else v for j, v in enumerate(row)]
+        for i, row in enumerate(drawn[0])
     ]
 )
 

@@ -191,10 +191,10 @@ def _last_factor_two(factors):
     return factors[:-1] + [2]
 
 
-def _plant_invariant(monkeypatch, name, plant, target):
+def _plant_invariant(monkeypatch, name, plant, target, degree=None):
     """Make verification's binding of name plant a wrong invariant in the
-    lowest boundary degree of target's complex; returns the planted
-    degrees."""
+    given degree of target's complex, by default its lowest boundary
+    degree; returns the planted degrees."""
     original = getattr(verification, name)
     planted = []
 
@@ -204,8 +204,8 @@ def _plant_invariant(monkeypatch, name, plant, target):
             complex_.generators(p) == target.generators(p)
             for p in set(complex_.degrees()) | set(target.degrees())
         ):
-            p = min(invariants)
-            invariants[p] = plant(invariants[p])
+            p = min(invariants) if degree is None else degree
+            invariants[p] = plant(invariants.get(p))
             planted.append(p)
         return invariants
 
@@ -235,6 +235,32 @@ def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
     assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
     # the homology was read from the planted invariants too
     assert ("generator-order-invariance", point) in failures
+    assert {params for _, params in failures} == {point}
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [("boundary_invariant_factors", [2]), ("boundary_ranks_mod2", 1)],
+)
+@pytest.mark.parametrize("above_top", [False, True])
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_an_invariant_where_no_boundary_is_stored_fails_sparse_vs_dense(
+    monkeypatch, name, extra, above_top, family
+):
+    # sparse-vs-dense-snf skips the degrees without a stored boundary, but
+    # not a degree the invariants name: the lowest one, or one past the top
+    n, k = 2, 4
+    target = build_chain_complex(family, n, k)
+    degree = max(target.degrees()) + 1 if above_top else min(target.degrees())
+    assert degree not in target.boundary_degrees()
+    planted = _plant_invariant(
+        monkeypatch, name, lambda _: extra, target, degree
+    )
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    point = f"family={family} n={n} k={k}"
+    failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
+    assert planted == [degree]
+    assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
     assert {params for _, params in failures} == {point}
 
 
