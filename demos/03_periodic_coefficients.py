@@ -32,7 +32,7 @@ for q in range(0, 9):
 betti = grassmannian_betti(1, 3)
 print()
 print("Betti numbers of the projective plane:", betti)
-print("degree-4 L-homology:", assemble_l_homology(betti, betti, 4))
+print("degree-4 L-homology:", assemble_l_homology(betti, 4))
 
 # The same assembly runs over the orbit-space cell complexes. Closed forms
 # count box partitions; the oracle builds the complex and pushes it through

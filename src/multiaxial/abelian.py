@@ -87,6 +87,8 @@ class FGAbelianGroup:
     torsion: tuple[Run, ...] = ()
 
     def __post_init__(self):
+        if type(self.free_rank) is not int:
+            raise TypeError(f"free rank is an int, got {self.free_rank!r}")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         if not isinstance(self.torsion, tuple):
@@ -98,6 +100,8 @@ class FGAbelianGroup:
                     f"torsion entries are (order, multiplicity) runs, got {run!r}"
                 )
             d, count = run
+            if type(d) is not int or type(count) is not int:
+                raise TypeError(f"torsion runs are pairs of ints, got {run!r}")
             if d < 2:
                 raise ValueError(f"torsion order {d} is not >= 2")
             if count < 1:

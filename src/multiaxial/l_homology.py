@@ -8,12 +8,18 @@ degree d is assembled degreewise from ordinary Betti numbers:
     free part     from integral ranks in degrees d, d-4, d-8, ...
     2-torsion     from mod 2 ranks in degrees d-2, d-6, ...
 
+The assembly needs torsion-free integral homology, and for that the
+universal coefficient theorem makes the mod 2 Betti numbers equal to the
+integral ranks (Hatcher, Algebraic Topology, Thm. 3A.3), so one rank map
+serves both parts.
+
 Each closed form below has an oracle twin that takes the long way around
 through the cell complex and Smith normal form.  The two routes are kept
 separate on purpose; equality between them is asserted by the test suite
 and the verify command, never assumed inside either route.  Each oracle
 (and verify_collapse) is a build followed by a read: the read_* functions
-take only the chain-level homology of the built complex, so verify can
+take only the integral homology of the built complex, which they refuse
+if it has torsion, so the oracles eliminate over Z alone and verify can
 build each complex once and hand its homology to every check.
 """
 
@@ -26,7 +32,7 @@ from typing import Mapping
 from .abelian import FGAbelianGroup
 from .family import Family
 from .grassmannian import count_A_B, count_a_b, require_valid
-from .homology import ChainComplex, integral_homology, mod2_homology
+from .homology import integral_homology
 from .orbit_cells import CellFiltration, build_chain_complex, orbit_space_dimension
 
 
@@ -43,21 +49,16 @@ def l_coefficient(q: int) -> FGAbelianGroup:
     return FGAbelianGroup.with_two_torsion(0, 1)
 
 
-def assemble_l_homology(
-    betti_z: Mapping[int, int],
-    betti_z2: Mapping[int, int],
-    d: int,
-) -> FGAbelianGroup:
+def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
     """Collapse the coefficient tower onto degree d.
 
-    betti_z are integral ranks, betti_z2 mod 2 ranks, both of the same
-    space in the same normalization (absolute or reduced); the formula is
-    the same for either.
+    betti are the ranks of a space with torsion-free integral homology,
+    absolute or reduced; the formula is the same for either.
     """
     if d < 0:
         raise ValueError("top degree must be nonnegative")
-    free = sum(betti_z.get(d - q, 0) for q in range(0, d + 1, 4))
-    two_torsion = sum(betti_z2.get(d - q, 0) for q in range(2, d + 1, 4))
+    free = sum(betti.get(d - q, 0) for q in range(0, d + 1, 4))
+    two_torsion = sum(betti.get(d - q, 0) for q in range(2, d + 1, 4))
     return FGAbelianGroup.with_two_torsion(free, two_torsion)
 
 
@@ -78,22 +79,16 @@ def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
 def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Same group, computed from the full-rank cell complex."""
     complex_ = build_chain_complex(family, n, k, CellFiltration.exact(n))
-    return read_relative_l_homology(
-        family, n, k, integral_homology(complex_), mod2_homology(complex_)
-    )
+    return read_relative_l_homology(family, n, k, integral_homology(complex_))
 
 
 def read_relative_l_homology(
-    family: Family,
-    n: int,
-    k: int,
-    homology: Mapping[int, FGAbelianGroup],
-    betti2: Mapping[int, int],
+    family: Family, n: int, k: int, homology: Mapping[int, FGAbelianGroup]
 ) -> FGAbelianGroup:
-    """The oracle's answer read off the integral and mod 2 homology of the
-    full-rank complex of (family, n, k)."""
+    """The oracle's answer read off the integral homology of the full-rank
+    complex of (family, n, k)."""
     d = orbit_space_dimension(family, n, k)
-    return assemble_l_homology(_torsion_free_ranks(homology), betti2, d)
+    return assemble_l_homology(_torsion_free_ranks(homology), d)
 
 
 def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -108,31 +103,23 @@ def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
 def reduced_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Same group, computed from the full cell complex minus the basepoint."""
     complex_ = build_chain_complex(family, n, k)
-    return read_reduced_l_homology(
-        family, n, k, integral_homology(complex_), mod2_homology(complex_)
-    )
+    return read_reduced_l_homology(family, n, k, integral_homology(complex_))
 
 
 def read_reduced_l_homology(
-    family: Family,
-    n: int,
-    k: int,
-    homology: Mapping[int, FGAbelianGroup],
-    betti2: Mapping[int, int],
+    family: Family, n: int, k: int, homology: Mapping[int, FGAbelianGroup]
 ) -> FGAbelianGroup:
-    """The oracle's answer read off the integral and mod 2 homology of the
-    full complex of (family, n, k); the inputs are not modified."""
+    """The oracle's answer read off the integral homology of the full
+    complex of (family, n, k); the input is not modified."""
     d = orbit_space_dimension(family, n, k)
     betti = _torsion_free_ranks(homology)
-    betti2 = dict(betti2)
-    if betti.get(0) != 1 or betti2.get(0) != 1:
+    rank0 = betti.pop(0, None)
+    if rank0 != 1:
         raise ValueError(
             "orbit space should be connected with one basepoint class, "
-            f"got ranks {betti.get(0)} and {betti2.get(0)} in degree 0"
+            f"got rank {rank0} in degree 0"
         )
-    del betti[0]
-    del betti2[0]
-    return assemble_l_homology(betti, betti2, d)
+    return assemble_l_homology(betti, d)
 
 
 def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
@@ -152,9 +139,6 @@ class CollapseReport:
     """Certificate that homology is sparse enough for degreewise assembly."""
 
     ok: bool
-    family: Family
-    n: int
-    k: int
     homology_degrees: tuple[int, ...]
     offending_degrees: tuple[int, ...]
     rule: str
@@ -200,9 +184,6 @@ def read_collapse(
             rule = "no reduced homology at all"
     return CollapseReport(
         ok=not offending,
-        family=family,
-        n=n,
-        k=k,
         homology_degrees=tuple(degrees),
         offending_degrees=offending,
         rule=rule,

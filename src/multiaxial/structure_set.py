@@ -133,9 +133,7 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
     family, n, k, j = spec.family, spec.n, spec.k, spec.j
     summands: list[Summand] = []
     notes: list[str] = []
-    even_gap = (k - n) % 2 == 0
-    free_exception_fires = j == 0 and (n % 2 == 1 if even_gap else n % 2 == 0)
-    if even_gap:
+    if (k - n) % 2 == 0:
         branch = "even-gap"
         depths = range(0, n, 2)
     else:
@@ -173,7 +171,7 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
     for depth in depths:
         m = n - depth
         group = relative_l_homology(family, m, k)
-        if m == 1 and free_exception_fires:
+        if m == 1 and j == 0:
             group = _one_z_less(group, "free stratum summand")
             summands.append(
                 Summand(
@@ -205,7 +203,7 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
     labels = [s.label for s in summands]
     if len(set(labels)) != len(labels):
         raise InternalContradictionError(f"duplicate summand labels {labels}")
-    if free_exception_fires and any(s.label == "basepoint" for s in summands):
+    if "free_stratum" in labels and "basepoint" in labels:
         raise InternalContradictionError(
             "free stratum and basepoint corrections fired together"
         )

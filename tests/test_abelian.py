@@ -37,6 +37,15 @@ def test_constructor_rejects_non_chain():
     # a list of runs would compare unequal to the same tuple and not hash
     with pytest.raises(TypeError):
         FGAbelianGroup(0, [(2, 1)])
+    # ranks, orders and multiplicities are ints, and a bool is not one
+    with pytest.raises(TypeError):
+        FGAbelianGroup(0, ((2.5, 1),))
+    with pytest.raises(TypeError):
+        FGAbelianGroup(2.0)
+    with pytest.raises(TypeError):
+        FGAbelianGroup(0, ((2.0, 1),))
+    with pytest.raises(TypeError):
+        FGAbelianGroup(True)
 
 
 def test_direct_sum_of_two_torsion():

@@ -143,7 +143,7 @@ def test_criterion_4_structure_set_spot_values():
         # free quotient is the degree-4 L-homology of the projective plane,
         # and the answer drops the one Z that survives to a point.
         betti = grassmannian_betti(1, 3)
-        ambient = assemble_l_homology(betti, betti, 4)
+        ambient = assemble_l_homology(betti, 4)
         assert ambient == FGAbelianGroup(2, ((2, 1),))
         kernel = FGAbelianGroup(ambient.free_rank - 1, ambient.torsion)
         assert kernel == compute_structure_set(ActionSpec(Family.COMPLEX, 1, 3)).total

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from multiaxial import homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.l_homology import (
@@ -35,31 +36,48 @@ def test_coefficient_table():
 
 
 def test_assemble_sphere():
-    assert assemble_l_homology({2: 1}, {2: 1}, 2) == Z
+    assert assemble_l_homology({2: 1}, 2) == Z
 
 
 def test_assemble_duality_degrees_of_grassmannian():
     betti = {0: 1, 2: 1, 4: 2, 6: 1, 8: 1}
     d = 11
     relative_input = {d - q: r for q, r in betti.items()}
-    assembled = assemble_l_homology(
-        relative_input, relative_input, d
-    )
+    assembled = assemble_l_homology(relative_input, d)
     assert assembled == FGAbelianGroup(4, ((2, 2),))
 
 
 def test_assemble_zero_input():
-    assert assemble_l_homology({}, {}, 9) == ZERO
+    assert assemble_l_homology({}, 9) == ZERO
 
 
 def test_assemble_rejects_negative_degree():
     with pytest.raises(ValueError):
-        assemble_l_homology({}, {}, -1)
+        assemble_l_homology({}, -1)
 
 
 def test_torsion_input_is_contract_violation():
     with pytest.raises(ValueError):
         _torsion_free_ranks({3: FGAbelianGroup(1, ((2, 1),))})
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_oracles_eliminate_over_z_alone(monkeypatch, family):
+    # torsion-free integral homology fixes the mod 2 ranks, so no oracle
+    # needs a mod 2 elimination
+    def refuse(*args):
+        raise AssertionError("an oracle ran a mod 2 elimination")
+
+    for name in ("boundary_ranks_mod2", "sparse_rank_mod2"):
+        monkeypatch.setattr(homology, name, refuse)
+    n, k = 2, 5
+    assert relative_l_homology_oracle(family, n, k) == relative_l_homology(
+        family, n, k
+    )
+    assert reduced_l_homology_oracle(family, n, k) == reduced_l_homology(
+        family, n, k
+    )
+    assert verify_collapse(family, n, k)
 
 
 def test_relative_examples():

@@ -193,7 +193,7 @@ def test_closed_form_never_builds_the_oracle_route(monkeypatch):
 
     for module, names in (
         (grassmannian, ["enumerate_box_partitions"]),
-        (l_homology, ["build_chain_complex", "integral_homology", "mod2_homology"]),
+        (l_homology, ["build_chain_complex", "integral_homology"]),
     ):
         for name in names:
             monkeypatch.setattr(module, name, refuse)

@@ -235,6 +235,10 @@ def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
     assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
     # the homology was read from the planted invariants too
     assert ("generator-order-invariance", point) in failures
+    if name == "boundary_ranks_mod2":
+        # no oracle reads mod 2 homology; the universal coefficient
+        # cross-check is where a wrong mod 2 rank shows
+        assert ("mod2-consistency", point) in failures
     assert {params for _, params in failures} == {point}
 
 
