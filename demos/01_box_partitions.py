@@ -50,7 +50,7 @@ print("  quaternionic", count_a_b(2, 5, Family.QUATERNIONIC))
 
 # Betti numbers come from the same enumeration, graded by 2 * weight.
 print()
-betti = grassmannian_betti(2, 4)
+betti = grassmannian_betti(enumerate_box_partitions(2, 2))
 print("Betti numbers of G(2,4):", betti)
 print("Poincare polynomial:",
       " + ".join(f"{r}t^{d}" if r > 1 else f"t^{d}" for d, r in betti.items()))

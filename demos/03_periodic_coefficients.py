@@ -5,7 +5,7 @@ Assembling homology with 4-periodic coefficients
 """
 
 from multiaxial.family import Family
-from multiaxial.grassmannian import grassmannian_betti
+from multiaxial.grassmannian import enumerate_box_partitions, grassmannian_betti
 from multiaxial.l_homology import (
     assemble_l_homology,
     l_coefficient,
@@ -29,7 +29,7 @@ for q in range(0, 9):
 # parity, the spectral sequence collapses and the top L-homology group is
 # a sum of shifted coefficient groups weighted by Betti numbers. The
 # projective plane is the smallest interesting case.
-betti = grassmannian_betti(1, 3)
+betti = grassmannian_betti(enumerate_box_partitions(1, 2))
 print()
 print("Betti numbers of the projective plane:", betti)
 print("degree-4 L-homology:", assemble_l_homology(betti, 4))

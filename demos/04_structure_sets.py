@@ -9,7 +9,7 @@ from multiaxial.structure_set import ActionSpec, compute_structure_set, normaliz
 
 
 def show(spec):
-    report = compute_structure_set(normalize(spec))
+    report = compute_structure_set(spec)
     print(f"{spec.describe()}  [{report.branch}]")
     for summand in report.summands:
         print(f"  {summand.label:>16}: {str(summand.group):<12} {summand.source}")

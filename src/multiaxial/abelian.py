@@ -143,7 +143,7 @@ class FGAbelianGroup:
         >>> FGAbelianGroup.from_orders([6, 4]) == FGAbelianGroup.from_orders([12, 2])
         True
         """
-        counts = Counter(abs(int(m)) for m in orders)
+        counts = Counter(map(abs, orders))
         torsion: tuple[Run, ...] = ()
         for order, count in counts.items():
             if order > 1:

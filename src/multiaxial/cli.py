@@ -39,7 +39,6 @@ from .structure_set import (
     ActionSpec,
     InternalContradictionError,
     compute_structure_set,
-    normalize,
 )
 from .verification import run_verification
 
@@ -110,8 +109,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, with_j: bool):
 
 def cmd_structure_set(args) -> int:
     family = Family.parse(args.family)
-    spec = normalize(ActionSpec(family, args.n, args.k, args.j))
-    report = compute_structure_set(spec)
+    report = compute_structure_set(ActionSpec(family, args.n, args.k, args.j))
+    spec = report.spec
     if args.format == "json":
         _emit(
             _document(
@@ -335,6 +334,13 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    # An exact answer may run past CPython's int-to-str digit limit (3.11+,
+    # 3.10.7+).  It is lifted for the command only, after parsing, so that
+    # --n and --k are still read under it.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:  # the library checked the input and refused it
@@ -342,6 +348,9 @@ def main(argv=None) -> int:
     except InternalContradictionError as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

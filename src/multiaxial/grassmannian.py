@@ -24,6 +24,7 @@ ParityCount(even_count=4829708, odd_count=4827992)
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -107,14 +108,11 @@ def _parity_split(partitions: Sequence[BoxPartition], offset: int) -> ParityCoun
     return ParityCount(len(partitions) - odd, odd)
 
 
-def count_A_B_oracle(
-    n: int, k: int, partitions: Sequence[BoxPartition]
-) -> ParityCount:
-    """count_A_B by splitting listed partitions by parity.
+def count_A_B_oracle(partitions: Sequence[BoxPartition]) -> ParityCount:
+    """count_A_B(n, k) by splitting listed partitions by parity.
 
     partitions is the n by (k - n) box, enumerate_box_partitions(n, k - n).
     """
-    require_valid(n, k)
     return _parity_split(partitions, 0)
 
 
@@ -134,18 +132,14 @@ def count_a_b_oracle(
     return _parity_split(inner, k * n)
 
 
-def grassmannian_betti(n: int, k: int) -> dict[int, int]:
+def grassmannian_betti(partitions: Sequence[BoxPartition]) -> dict[int, int]:
     """Betti numbers of the complex Grassmannian of n-planes in k-space.
 
-    Keys are real degrees (all even), values the number of Schubert cells
-    of that weight.
+    partitions is the n by (k - n) box, enumerate_box_partitions(n, k - n),
+    one Schubert cell each.  Keys are real degrees (all even), values the
+    number of cells of that weight.
 
-    >>> grassmannian_betti(1, 3)
+    >>> grassmannian_betti(enumerate_box_partitions(1, 2))
     {0: 1, 2: 1, 4: 1}
     """
-    require_valid(n, k)
-    betti: dict[int, int] = {}
-    for mu in enumerate_box_partitions(n, k - n):
-        degree = 2 * sum(mu)
-        betti[degree] = betti.get(degree, 0) + 1
-    return dict(sorted(betti.items()))
+    return dict(sorted(Counter(2 * sum(mu) for mu in partitions).items()))

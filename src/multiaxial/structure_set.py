@@ -53,10 +53,6 @@ class ActionSpec:
         """No defining summands act, so the sphere carries a trivial action."""
         return self.n == 0
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.is_trivial or self.k >= self.n
-
     def describe(self) -> str:
         return (
             f"S_{self.family}({self.n})"
@@ -71,11 +67,7 @@ def normalize(spec: ActionSpec) -> ActionSpec:
     the first k axes, so n is replaced by k; n = 0 marks a trivial action.
     Idempotent.
     """
-    if spec.n == 0:
-        return spec
-    if spec.k < spec.n:
-        return replace(spec, n=spec.k)
-    return spec
+    return replace(spec, n=spec.k) if spec.k < spec.n else spec
 
 
 @dataclass(frozen=True)
@@ -114,14 +106,10 @@ def _one_z_less(group: FGAbelianGroup, context: str) -> FGAbelianGroup:
 def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
     """Decompose the structure set into labeled summands.
 
-    Requires a normalized spec (apply normalize first); a trivial action
-    yields the zero report.
+    The spec is normalized first, and the report carries the normalized
+    spec; a trivial action yields the zero report.
     """
-    if not spec.is_normalized:
-        raise ValueError(
-            f"spec is not normalized (n={spec.n} > k={spec.k}), "
-            "apply normalize first"
-        )
+    spec = normalize(spec)
     if spec.is_trivial:
         return DecompositionReport(
             spec=spec,
@@ -262,8 +250,10 @@ class SuspensionReport:
 def suspension_report(spec: ActionSpec) -> SuspensionReport:
     """Compare a spec against its single and double suspensions in k.
 
-    Requires a normalized spec, as compute_structure_set does.
+    The spec is normalized before k steps, so all three reports share its
+    rank.
     """
+    spec = normalize(spec)
     return compare_suspensions(
         compute_structure_set(spec),
         compute_structure_set(replace(spec, k=spec.k + 1)),

@@ -6,21 +6,22 @@ by itself.  The CLI verify subcommand and the acceptance tests both run
 through here, so a single list of checks serves both.
 
 Within one run_verification call each object is computed once per grid
-point.  For every (family, n, k) its cells are enumerated once, and both
-the full complex and the rank-n complex (the full-rank slice, faces
-outside it dropped) are built from that enumeration; the cell census and
-the full-rank parities are read off it too.  The full complex gets its
-integral and mod 2 homology once, the rank-n complex its integral
-homology, each spec one structure-set report, and each summand label of a
-(family, n, k) one closed-form group.  Every check that reads one of them
-reads that copy; the oracle side gets only integral homology, the
-closed-form side only reports.  Mod 2 homology is a cross-check here and
-an input to no oracle.  Each nonzero boundary of the full complex is
-eliminated once over Z and once mod 2, and sparse-vs-dense-snf compares
-the dense routines with the very factors and ranks that its homology was
-read from.  The shuffled copy is built by complex_from_cells from the
-point's cells, each degree's list shuffled, so it passes the same
-constructor checks as every other complex; it gets its own elimination.
+point.  Each (n, k) box is listed once, and the parity counts and the Betti
+numbers are both read off that listing.  For every (family, n, k) its cells
+are enumerated once, and both the full complex and the rank-n complex (the
+full-rank slice, faces outside it dropped) are built from that enumeration;
+the cell census and the full-rank parities are read off it too.  The full
+complex gets its integral and mod 2 homology once, the rank-n complex its
+integral homology, each spec one structure-set report, and each summand
+label of a (family, n, k) one closed-form group.  Every check that reads
+one of them reads that copy; the oracle side gets only integral homology,
+the closed-form side only reports.  Mod 2 homology is a cross-check here
+and an input to no oracle.  Each nonzero boundary of the full complex is
+eliminated once over Z and once mod 2, and sparse-vs-dense-snf compares the
+dense routines with the very factors and ranks that its homology was read
+from.  The shuffled copy is built by complex_from_cells from the point's
+cells, each degree's list shuffled, so it passes the same constructor
+checks as every other complex; it gets its own elimination.
 
 Oracle homology that a read_* function refuses (torsion where the
 assembly needs none) fails its closed-vs-oracle check, with the reason as
@@ -190,7 +191,7 @@ def run_verification(
                 f"{a_count}+{b_count} vs C({k},{n})",
             )
         )
-        listed = count_A_B_oracle(n, k, partitions)
+        listed = count_A_B_oracle(partitions)
         add(
             CheckResult(
                 "parity-count-formula-vs-enumeration",
@@ -209,7 +210,7 @@ def run_verification(
                     f"{(a_count, b_count)} vs {tuple(transpose)}",
                 )
             )
-        betti = grassmannian_betti(n, k)
+        betti = grassmannian_betti(partitions)
         add(
             CheckResult(
                 "betti-total",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -9,7 +10,11 @@ from multiaxial import cli, grassmannian
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family, UsageError
 from multiaxial.orbit_cells import CellFiltration
-from multiaxial.structure_set import ActionSpec, InternalContradictionError
+from multiaxial.structure_set import (
+    ActionSpec,
+    InternalContradictionError,
+    compute_structure_set,
+)
 from multiaxial.verification import (
     CheckResult,
     VerificationSummary,
@@ -74,6 +79,60 @@ def test_structure_set_normalizes(capsys):
         "--j", "2",
     )[1]
     assert doc["total"] == reference["total"]
+
+
+@contextmanager
+def unlimited_int_digits():
+    """CPython's int-to-str digit limit lifted, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+HUGE_K = 10**2200  # 2,201 digits in, an answer of over 4,400 digits out
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_structure_set_prints_answers_past_the_int_to_str_limit(capsys, fmt):
+    limit = int_digit_limit()
+    code, out = run_cli(
+        capsys, "structure-set", "--family", "Sp", "--n", "2", "--k",
+        str(HUGE_K), "--format", fmt,
+    )
+    assert code == 0
+    assert int_digit_limit() == limit  # restored when main returns
+    total = compute_structure_set(
+        ActionSpec(Family.QUATERNIONIC, 2, HUGE_K)
+    ).total
+    with unlimited_int_digits():
+        assert len(str(total.free_rank)) > 4300
+        if fmt == "json":
+            assert json.loads(out)["total"] == total.to_json()
+        else:
+            assert out.endswith(f"  total: {total}\n")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int-to-str digit limit",
+)
+def test_spec_arguments_are_parsed_under_the_int_to_str_limit(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(
+            ["structure-set", "--family", "U", "--n", "1", "--k", "9" * 5000]
+        )
+    assert exit_info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_homology_relative_agrees(capsys):

@@ -71,7 +71,7 @@ def test_closed_form_enumeration_and_chain_level_agree(family, point):
     )
 
     partitions = enumerate_box_partitions(n, k - n)
-    assert count_A_B(n, k) == count_A_B_oracle(n, k, partitions)
+    assert count_A_B(n, k) == count_A_B_oracle(partitions)
     assert count_a_b(n, k, family) == count_a_b_oracle(n, k, family, partitions)
 
     complex_ = build_chain_complex(family, n, k)

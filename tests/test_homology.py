@@ -253,7 +253,7 @@ def test_sparse_constructor_names_the_row_and_drops_zeros():
 def test_sparse_constructor_guards_survive_optimized_mode():
     script = textwrap.dedent(
         """
-        from multiaxial.homology import ChainComplex
+        from multiaxial.homology import ChainComplex, rank_mod2, smith_normal_form
         gens = {0: ["v"], 1: ["e"], 2: ["f"]}
         for boundaries in ({1: [{0: 1}], 2: [{0: 1}]}, {1: [{3: 1}]}):
             try:
@@ -261,6 +261,25 @@ def test_sparse_constructor_guards_survive_optimized_mode():
             except ValueError:
                 continue
             raise SystemExit(f"accepted {boundaries}")
+        # entries that are not ints are refused, never truncated
+        for generators, boundaries in (
+            (gens, {1: [{0: 2.5}]}),
+            (gens, {1: [{0.0: 1}]}),
+            (gens, {1.0: [{0: 1}]}),
+            ({0.0: ["v"]}, {}),
+        ):
+            try:
+                ChainComplex(generators, boundaries)
+            except TypeError:
+                continue
+            raise SystemExit(f"accepted {generators} {boundaries}")
+        for routine in (smith_normal_form, rank_mod2):
+            for matrix in ([[2.5, 0], [0, 3.7]], [[1, 0], [0, 2.0]]):
+                try:
+                    routine(matrix)
+                except TypeError:
+                    continue
+                raise SystemExit(f"{routine.__name__} accepted {matrix}")
         print("guards hold")
         """
     )
