@@ -109,9 +109,9 @@ def _parity_split(partitions: Sequence[BoxPartition], offset: int) -> ParityCoun
 
 
 def count_A_B_oracle(partitions: Sequence[BoxPartition]) -> ParityCount:
-    """count_A_B(n, k) by splitting listed partitions by parity.
+    """Split a given listing by the parity of |mu|, validating nothing.
 
-    partitions is the n by (k - n) box, enumerate_box_partitions(n, k - n).
+    For enumerate_box_partitions(n, k - n) this is count_A_B(n, k).
     """
     return _parity_split(partitions, 0)
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiaxial.abelian import FGAbelianGroup
-from multiaxial.homology import smith_normal_form
 
 
 def test_canonical_form_merges_coprime_orders():
@@ -120,14 +119,24 @@ def test_summands_embed_in_direct_sum(left, right):
 
 
 def expanded_torsion(orders):
-    """Reference invariant factors of a list of cyclic orders: the Smith
-    normal form of the diagonal matrix, units dropped."""
-    orders = [d for d in orders if d > 1]
-    diagonal = [
-        [orders[i] if i == j else 0 for j in range(len(orders))]
-        for i in range(len(orders))
-    ]
-    return [d for d in smith_normal_form(diagonal) if d > 1]
+    """Reference invariant factors of a list of cyclic orders, built from
+    their primary parts without the group algebra: per prime the exponents
+    sorted from the top, the i-th largest factor the product of every
+    prime's i-th largest power.  small_orders uses only 2, 3, 5 and 7."""
+    exponents = {}
+    for d in orders:
+        for p in (2, 3, 5, 7):
+            e = 0
+            while d > 1 and d % p == 0:
+                d, e = d // p, e + 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+        assert d in (0, 1), "order with a prime above 7"
+    factors = [1] * max(map(len, exponents.values()), default=0)
+    for p, powers in exponents.items():
+        for i, e in enumerate(sorted(powers, reverse=True)):
+            factors[i] *= p**e
+    return factors[::-1]
 
 
 def expanded_embeds(mine, theirs):
