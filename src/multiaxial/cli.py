@@ -1,10 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage error, 3 an internal contradiction
-surfaced, 4 a verification or agreement failure.  Exit 2 is argparse's
-own errors plus UsageError, which the library raises where it checks each
-input; nothing else maps to it, so an internal ValueError stays a
-traceback.
+Exit codes: 0 success, 2 usage error, 4 a verification or agreement
+failure.  Exit 2 is argparse's own errors plus UsageError, which the
+library raises where it checks each input; nothing else maps to it, so an
+internal ValueError stays a traceback.
 
 JSON documents share one envelope: schema_version, tool, command, then
 the command specific payload.  Groups carry their torsion as
@@ -35,11 +34,7 @@ from .orbit_cells import (
     cell_label,
     orbit_space_dimension,
 )
-from .structure_set import (
-    ActionSpec,
-    InternalContradictionError,
-    compute_structure_set,
-)
+from .structure_set import ActionSpec, compute_structure_set
 from .verification import run_verification
 
 SCHEMA_VERSION = 2
@@ -108,20 +103,15 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, with_j: bool):
 
 
 def cmd_structure_set(args) -> int:
-    family = Family.parse(args.family)
-    report = compute_structure_set(ActionSpec(family, args.n, args.k, args.j))
+    given = ActionSpec(Family.parse(args.family), args.n, args.k, args.j)
+    report = compute_structure_set(given)
     spec = report.spec
     if args.format == "json":
         _emit(
             _document(
                 "structure-set",
                 {
-                    "input": {
-                        "family": str(family),
-                        "n": args.n,
-                        "k": args.k,
-                        "j": args.j,
-                    },
+                    "input": _spec_json(given),
                     "normalized": dict(
                         _spec_json(spec),
                         trivial_action=spec.is_trivial,
@@ -345,9 +335,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:  # the library checked the input and refused it
         _parser.error(str(exc))
-    except InternalContradictionError as exc:
-        print(f"internal contradiction: {exc}", file=sys.stderr)
-        return 3
     finally:
         if lift:
             sys.set_int_max_str_digits(previous)

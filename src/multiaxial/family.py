@@ -32,5 +32,11 @@ class Family(enum.Enum):
             return cls.QUATERNIONIC
         raise UsageError(f"unknown family {text!r}, expected 'U' or 'Sp'")
 
+    @classmethod
+    def require(cls, value: object) -> None:
+        """TypeError unless value is a Family; the string "U" is not one."""
+        if not isinstance(value, cls):
+            raise TypeError(f"family {value!r} is not a Family")
+
     def __str__(self) -> str:
         return self.value

@@ -10,11 +10,12 @@ decided by the parity of the gap k - n:
     odd gap:   the reduced group of the whole orbit space, then stratum
                pairs at depths 1, 3, 5, ...
 
-Two corrections can fire, never both at once.  With no trivial summand
-(j = 0) the deepest stratum of the even/odd branch for n odd/even is a
-free sphere quotient, and its summand is the structure set of that
-quotient, one Z below the homology count.  With j > 0 on the odd branch
-the basepoint contributes its coefficient group as an extra summand.
+Two corrections can fire, exclusive by construction (j = 0 against j > 0).
+With no trivial summand (j = 0) the deepest stratum of the even/odd branch
+for n odd/even is a free sphere quotient, and its summand is the structure
+set of that quotient, one Z below the homology count of lines in k-space,
+whose free rank is ceil(k/2) for U and k for Sp.  With j > 0 on the odd
+branch the basepoint contributes its coefficient group as an extra summand.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from .l_homology import (
 )
 
 
-class InternalContradictionError(RuntimeError):
-    """A structural rule fired on data that cannot support it."""
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """k copies of the defining representation plus j trivial ones."""
@@ -45,6 +42,11 @@ class ActionSpec:
     j: int = 0
 
     def __post_init__(self):
+        # a spec that is built is valid: True, 2.0 and "U" are refused
+        Family.require(self.family)
+        for value in (self.n, self.k, self.j):
+            if type(value) is not int:
+                raise TypeError(f"n, k, j must be ints, got {value!r}")
         if self.n < 0 or self.k < 0 or self.j < 0:
             raise UsageError("n, k, j must be nonnegative")
 
@@ -93,14 +95,6 @@ class DecompositionReport:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.summands)
-
-
-def _one_z_less(group: FGAbelianGroup, context: str) -> FGAbelianGroup:
-    if group.free_rank < 1:
-        raise InternalContradictionError(
-            f"{context}: cannot remove a Z from {group}, free rank is zero"
-        )
-    return FGAbelianGroup(group.free_rank - 1, group.torsion)
 
 
 def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
@@ -160,7 +154,7 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
         m = n - depth
         group = relative_l_homology(family, m, k)
         if m == 1 and j == 0:
-            group = _one_z_less(group, "free stratum summand")
+            group = FGAbelianGroup(group.free_rank - 1, group.torsion)
             summands.append(
                 Summand(
                     label="free_stratum",
@@ -188,13 +182,6 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
                     ),
                 )
             )
-    labels = [s.label for s in summands]
-    if len(set(labels)) != len(labels):
-        raise InternalContradictionError(f"duplicate summand labels {labels}")
-    if "free_stratum" in labels and "basepoint" in labels:
-        raise InternalContradictionError(
-            "free stratum and basepoint corrections fired together"
-        )
     total = reduce(
         FGAbelianGroup.direct_sum,
         (s.group for s in summands),

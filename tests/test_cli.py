@@ -10,11 +10,7 @@ from multiaxial import cli, grassmannian
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family, UsageError
 from multiaxial.orbit_cells import CellFiltration
-from multiaxial.structure_set import (
-    ActionSpec,
-    InternalContradictionError,
-    compute_structure_set,
-)
+from multiaxial.structure_set import ActionSpec, compute_structure_set
 from multiaxial.verification import (
     CheckResult,
     VerificationSummary,
@@ -301,19 +297,6 @@ def test_verify_failure_exits_four(capsys, monkeypatch):
     assert "first failure: fake-check at n=1 k=1" in out
 
 
-def test_internal_contradiction_exits_three(capsys, monkeypatch):
-    def boom(spec):
-        raise InternalContradictionError("planted contradiction")
-
-    monkeypatch.setattr(cli, "compute_structure_set", boom)
-    code = cli.main(
-        ["structure-set", "--family", "U", "--n", "1", "--k", "3"]
-    )
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "planted contradiction" in captured.err
-
-
 def test_export_complex_round_trip(capsys):
     code, doc = run_json(
         capsys, "export-complex", "--family", "U", "--n", "2", "--k", "2",
@@ -397,13 +380,6 @@ def test_patched_commands_take_effect_on_a_reused_parser(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_verification", lambda *a, **kw: fake)
     code, out = run_cli(capsys, "verify", "--max-n", "1", "--max-k", "1")
     assert code == 4 and "fake-check" in out
-
-    def boom(spec):
-        raise InternalContradictionError("planted after reuse")
-
-    monkeypatch.setattr(cli, "compute_structure_set", boom)
-    assert cli.main(["structure-set", "--family", "U", "--n", "1", "--k", "3"]) == 3
-    assert "planted after reuse" in capsys.readouterr().err
 
 
 # the whole verify report over a grid of 1,230 checks; a change to any

@@ -10,8 +10,6 @@ from multiaxial.l_homology import (
 )
 from multiaxial.structure_set import (
     ActionSpec,
-    InternalContradictionError,
-    _one_z_less,
     compute_structure_set,
     normalize,
     suspension_report,
@@ -98,9 +96,19 @@ def test_unnormalized_spec_is_normalized_first():
     assert suspension.twice.spec == ActionSpec(C, 2, 4, 0)
 
 
-def test_free_exception_on_rank_zero_aborts():
-    with pytest.raises(InternalContradictionError):
-        _one_z_less(FGAbelianGroup(0, ((2, 1),)), "test")
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ActionSpec("U", 2, 5, 1),
+        lambda: ActionSpec(C, 2, 4, 1.5),
+        lambda: ActionSpec(C, True, 3),
+        lambda: ActionSpec(C, 2.0, 4),
+    ],
+    ids=["str-family", "float-j", "bool-n", "integral-float-n"],
+)
+def test_action_spec_refuses_wrong_types(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_summands_match_homology_layer():
@@ -136,17 +144,36 @@ def test_summands_match_homology_layer():
 
 
 def test_exception_exclusivity_and_branch_dispatch():
+    # the facts that make the corrections safe without a run-time guard
     for family in (C, H):
-        for n in range(1, 5):
-            for k in range(n, 8):
+        for n in range(1, 9):
+            for k in range(n, 17):
+                line = relative_l_homology(family, 1, k)
                 for j in range(0, 3):
                     report = compute_structure_set(ActionSpec(family, n, k, j))
                     labels = report.labels()
+                    point = (family, n, k, j)
+                    assert len(set(labels)) == len(labels), point
                     assert not (
                         "free_stratum" in labels and "basepoint" in labels
+                    ), point
+                    odd_gap = (k - n) % 2 == 1
+                    assert report.branch == ("odd-gap" if odd_gap else "even-gap")
+                    # the branch's depths have the gap's parity; rank 1 is
+                    # depth n - 1
+                    reaches_rank_one = (n - 1) % 2 == (k - n) % 2
+                    free = j == 0 and reaches_rank_one
+                    assert ("free_stratum" in labels) == free, point
+                    if free:
+                        assert report.summand("free_stratum").group == (
+                            FGAbelianGroup(line.free_rank - 1, line.torsion)
+                        ), point
+                    basepoint = (
+                        j > 0
+                        and odd_gap
+                        and not basepoint_correction(family, n, k).is_trivial
                     )
-                    expected = "even-gap" if (k - n) % 2 == 0 else "odd-gap"
-                    assert report.branch == expected
+                    assert ("basepoint" in labels) == basepoint, point
 
 
 def test_suspension_listed_examples():

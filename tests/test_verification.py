@@ -310,3 +310,13 @@ def test_a_bad_grid_is_refused_before_any_check(monkeypatch, grid):
     monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
     with pytest.raises(ValueError):
         verification.run_verification(*grid)
+
+
+def test_a_family_that_is_not_a_family_is_refused_before_any_check(monkeypatch):
+    # a str would otherwise run as U in some checks and as Sp in others
+    def boom(*args):
+        raise AssertionError("a refused grid must build nothing")
+
+    monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
+    with pytest.raises(TypeError, match="'U' is not a Family"):
+        verification.run_verification(2, 4, 0, families=("U",))
