@@ -154,11 +154,20 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
+    def direct_sum(self, *others: "FGAbelianGroup") -> "FGAbelianGroup":
+        """self plus every group of others, with one group built at the end.
+
+        >>> Z2 = FGAbelianGroup(0, ((2, 1),))
+        >>> print(Z2.direct_sum(FGAbelianGroup(1, ((4, 1),)), Z2))
+        Z ⊕ Z_2^2 ⊕ Z_4
+        """
+        free_rank = self.free_rank
         torsion = self.torsion
-        for order, count in other.torsion:
-            torsion = _insert(torsion, order, count)
-        return FGAbelianGroup(self.free_rank + other.free_rank, torsion)
+        for other in others:
+            free_rank += other.free_rank
+            for order, count in other.torsion:
+                torsion = _insert(torsion, order, count)
+        return FGAbelianGroup(free_rank, torsion)
 
     def two_torsion_rank(self) -> int:
         """Number of cyclic summands of even order."""

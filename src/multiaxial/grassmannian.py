@@ -97,10 +97,12 @@ def count_a_b(n: int, k: int, family: Family) -> ParityCount:
     """
     require_valid(n, k)
     total = comb(k - 1, n)
-    if family is Family.QUATERNIONIC:
-        return ParityCount(total, 0)
-    signed = _signed_count(k - 1, n)
-    return _split(total, -signed if (k * n) % 2 else signed)
+    if family is Family.COMPLEX:
+        signed = _signed_count(k - 1, n)
+        return _split(total, -signed if (k * n) % 2 else signed)
+    if family is not Family.QUATERNIONIC:
+        Family.require(family)
+    return ParityCount(total, 0)
 
 
 def _parity_split(partitions: Sequence[BoxPartition], offset: int) -> ParityCount:
@@ -127,9 +129,11 @@ def count_a_b_oracle(
     """
     require_valid(n, k)
     inner = [mu for mu in partitions if mu[-1] < k - n]
-    if family is Family.QUATERNIONIC:
-        return ParityCount(len(inner), 0)
-    return _parity_split(inner, k * n)
+    if family is Family.COMPLEX:
+        return _parity_split(inner, k * n)
+    if family is not Family.QUATERNIONIC:
+        Family.require(family)
+    return ParityCount(len(inner), 0)
 
 
 def grassmannian_betti(partitions: Sequence[BoxPartition]) -> dict[int, int]:

@@ -2,11 +2,16 @@
 
 A boundary is stored as sparse columns, one row -> coefficient map per
 generator holding only the nonzero entries, and homology never builds a
-dense boundary.  Integral homology first eliminates +-1 pivots wherever
-they sit, updating the remaining columns by the Schur complement; only the
-residual block, empty for the orbit-space complexes, reaches the dense
-Smith normal form.  Mod 2 ranks come from the same columns, with the odd
-entries packed into bitmasks.
+dense boundary.  Integral homology first eliminates +-1 pivots.  A unit
+alone in its row goes first, with no update at all: the Schur complement
+of a pivot only changes the columns with an entry in the pivot row.  In an
+orbit-space complex every pivot is such a unit, a free face with exactly
+one coface, the elementary collapse that coreduction removes first
+(Mrozek and Batko, Discrete Comput. Geom. 41, 2009).  Units elsewhere are
+then eliminated wherever they sit, updating the remaining columns by the
+Schur complement; only the residual block, empty for the orbit-space
+complexes, reaches the dense Smith normal form.  Mod 2 ranks come from the
+same columns, with the odd entries packed into bitmasks.
 
 Homology is computed in two halves.  boundary_invariant_factors and
 boundary_ranks_mod2 do the chain-level work: one elimination of each
@@ -30,7 +35,7 @@ Bounding it is an open ROADMAP item.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
+from itertools import chain, compress
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
 
@@ -194,19 +199,38 @@ def _eliminate_unit_pivots(
 
     Pivoting on a unit u at (r, c) is unimodular and leaves [u] plus the
     Schur complement A - A[:, c] u^-1 A[r, :], which only changes the
-    columns that have an entry in row r, found through a row -> columns
-    index.  Any unit entry of any column may serve, and a column that an
-    update changed is searched again.  Among a column's unit entries the
-    one whose row is shared by the fewest columns is taken, which keeps
-    fill-in low.  The residual block has no unit entry left; it comes back
-    as dense rows with its zero rows and columns dropped.
+    columns that have an entry in row r.  So the rows are counted first,
+    over all entries, and a unit that is the only entry of its row pivots
+    with no update: its column is counted and dropped.  The other isolated
+    units stay isolated, since dropping a column adds no entry to any row.
+
+    Only the columns left over are copied, with a row -> columns index, for
+    the general loop.  There any unit entry of any column may serve, and a
+    column that an update changed is searched again.  Among a column's unit
+    entries the one whose row is shared by the fewest columns is taken,
+    which keeps fill-in low.  The residual block has no unit entry left; it
+    comes back as dense rows with its zero rows and columns dropped.
     """
-    work = {j: dict(column) for j, column in enumerate(columns) if column}
+    # a plain dict: on boundaries of a few columns a Counter's set-up costs
+    # more than the counting
+    uses: dict[int, int] = {}
+    for r in chain.from_iterable(columns):
+        uses[r] = uses.get(r, 0) + 1
+    units = 0
+    work: dict[int, dict[int, int]] = {}
+    for j, column in compress(enumerate(columns), columns):
+        for r, v in column.items():
+            if (v == 1 or v == -1) and uses[r] == 1:
+                units += 1
+                break
+        else:
+            work[j] = dict(column)
+    if not work:
+        return units, []
     by_row: dict[int, set[int]] = {}
     for j, column in work.items():
         for r in column:
             by_row.setdefault(r, set()).add(j)
-    units = 0
     pending = list(work)
     while pending:
         j = pending.pop()
@@ -309,29 +333,26 @@ class ChainComplex:
                     f"boundary in degree {p} has {len(columns)} columns, "
                     f"expected {expected}"
                 )
-            # one pass: each column is range checked by its smallest and
-            # largest row, then copied without its zero entries
-            kept = tuple(
-                [
-                    _NO_ENTRIES
-                    if not column
-                    else _reject_row(p, column, rows)
-                    if min(column) < 0 or max(column) >= rows
-                    else (
-                        {
-                            r: v
-                            for r, v in column.items()
-                            if v
-                            and (type(r) is int or _not_an_int(r, "row"))
-                            and (type(v) is int or _not_an_int(v, "coefficient"))
-                        }
-                        or _NO_ENTRIES
-                    )
-                    for column in columns
-                ]
-            )
-            if any(kept):
-                stored[p] = kept
+            # one pass over the nonzero columns: each is range checked by its
+            # smallest and largest row, then copied without its zero entries
+            kept: list[Column] | None = None
+            for j, column in compress(enumerate(columns), columns):
+                if min(column) < 0 or max(column) >= rows:
+                    _reject_row(p, column, rows)
+                copy = {}
+                for r, v in column.items():
+                    if v:
+                        if type(r) is not int:
+                            _not_an_int(r, "row")
+                        if type(v) is not int:
+                            _not_an_int(v, "coefficient")
+                        copy[r] = v
+                if copy:
+                    if kept is None:
+                        kept = [_NO_ENTRIES] * expected
+                    kept[j] = copy
+            if kept is not None:
+                stored[p] = tuple(kept)
         for p, columns in stored.items():
             lower = stored.get(p - 1)
             if lower is None:

@@ -72,6 +72,8 @@ def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
     if family is Family.COMPLEX:
         a, b = count_A_B(n, k)
         return FGAbelianGroup.with_two_torsion(a, b)
+    if family is not Family.QUATERNIONIC:
+        Family.require(family)
     require_valid(n, k)
     return FGAbelianGroup.free(comb(k, n))
 
@@ -175,6 +177,8 @@ def read_collapse(
         offending = tuple(p for p in degrees if p % 2 != wanted)
         rule = f"all reduced homology degrees congruent to {wanted} mod 2"
     else:
+        if family is not Family.QUATERNIONIC:
+            Family.require(family)
         if degrees:
             wanted = degrees[0] % 4
             offending = tuple(p for p in degrees if p % 4 != wanted)

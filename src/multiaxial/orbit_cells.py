@@ -98,7 +98,12 @@ def cells_by_degree(
     if filtration is None:
         filtration = CellFiltration()
     # dimension a*sum(pivots) - b*rank - 1
-    a, b = (2, 1) if family is Family.COMPLEX else (4, 3)
+    if family is Family.COMPLEX:
+        a, b = 2, 1
+    elif family is Family.QUATERNIONIC:
+        a, b = 4, 3
+    else:
+        Family.require(family)
     by_degree: dict[int, list[Pivots]] = {}
     for r in filtration.rank_range(n):
         offset = -b * r - 1
@@ -121,17 +126,20 @@ def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComple
     []
     """
     boundaries = {}
+    no_terms: dict[int, int] = {}  # shared by every cell without a boundary
     for p, cells in by_degree.items():
         below = by_degree.get(p - 1)
         if not below:
             continue
-        row_of = {pivots: i for i, pivots in enumerate(below)}
+        row_of = dict(zip(below, range(len(below))))
         columns = []
         for pivots in cells:
-            column = {}
+            column = no_terms
             for face, coefficient in pivot_boundary(pivots):
                 row = row_of.get(face)
                 if row is not None:
+                    if column is no_terms:
+                        column = {}
                     column[row] = coefficient
             columns.append(column)
         boundaries[p] = columns
@@ -159,4 +167,6 @@ def orbit_space_dimension(family: Family, n: int, k: int) -> int:
     require_valid(n, k)
     if family is Family.COMPLEX:
         return 2 * k * n - 1 - n * n
+    if family is not Family.QUATERNIONIC:
+        Family.require(family)
     return 4 * k * n - 1 - n * (2 * n + 1)

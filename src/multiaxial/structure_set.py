@@ -21,7 +21,6 @@ branch the basepoint contributes its coefficient group as an extra summand.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError
@@ -182,11 +181,8 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
                     ),
                 )
             )
-    total = reduce(
-        FGAbelianGroup.direct_sum,
-        (s.group for s in summands),
-        FGAbelianGroup.trivial(),
-    )
+    # every branch above yields at least one summand
+    total = FGAbelianGroup.direct_sum(*(s.group for s in summands))
     return DecompositionReport(
         spec=spec,
         branch=branch,

@@ -171,11 +171,14 @@ def run_verification(
     families: tuple[Family, ...] = (Family.COMPLEX, Family.QUATERNIONIC),
 ) -> VerificationSummary:
     """Run every check over the grid; UsageError on a bad grid, TypeError
-    on a family that is not a Family.
+    on a bound that is not an int or a family that is not a Family.
 
     The grid is n <= max_n, n <= k <= max_k, 0 <= j <= max_j, for each of
     families, which must not repeat.
     """
+    for bound in (max_n, max_k, max_j):
+        if type(bound) is not int:
+            raise TypeError(f"max_n, max_k, max_j must be ints, got {bound!r}")
     if max_n < 1 or max_k < 1:
         raise UsageError(
             f"max_n and max_k must be at least 1, got max_n={max_n}, max_k={max_k}"

@@ -103,6 +103,18 @@ def test_direct_sum_commutes(left, right):
     assert a.direct_sum(b) == b.direct_sum(a)
 
 
+@given(st.lists(orders, min_size=1, max_size=5))
+def test_direct_sum_of_many_is_the_pairwise_fold_and_from_orders(parts):
+    groups = [FGAbelianGroup.from_orders(part) for part in parts]
+    folded = groups[0]
+    for group in groups[1:]:
+        folded = folded.direct_sum(group)
+    assert FGAbelianGroup.direct_sum(*groups) == folded
+    assert folded == FGAbelianGroup.from_orders(
+        [order for part in parts for order in part]
+    )
+
+
 @given(orders)
 def test_canonicalization_is_idempotent(raw):
     group = FGAbelianGroup.from_orders(raw)

@@ -203,6 +203,65 @@ def test_unit_elimination_matches_dense_snf_and_minor_gcd_oracle(matrix):
     assert sparse_rank_mod2(columns) == rank_mod2(matrix)
 
 
+@st.composite
+def mixed_sparse_columns(draw):
+    """(rows, columns) of a sparse matrix up to 14 by 14.
+
+    Some rows hold a single +-1, an isolated unit; the others draw their
+    entries from +-1, [-9, 9] and explicit zeros, so units also sit in
+    rows that other columns share.
+    """
+    rows = draw(st.integers(0, 14))
+    cols = draw(st.integers(0, 14))
+    columns = [{} for _ in range(cols)]
+    if rows and cols:
+        isolated = draw(st.sets(st.integers(0, rows - 1)))
+        for r in isolated:
+            c = draw(st.integers(0, cols - 1))
+            columns[c][r] = draw(st.sampled_from([1, -1]))
+        shared = [r for r in range(rows) if r not in isolated]
+        if shared:
+            entries = draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(shared),
+                        st.integers(0, cols - 1),
+                        st.one_of(
+                            st.sampled_from([1, -1]),
+                            st.integers(-9, 9),
+                            st.just(0),
+                        ),
+                    ),
+                    max_size=40,
+                )
+            )
+            for r, c, v in entries:
+                columns[c][r] = v
+    return rows, columns
+
+
+@given(mixed_sparse_columns(), st.randoms(use_true_random=False))
+def test_sparse_routines_match_dense_on_mixed_units(drawn, rng):
+    rows, columns = drawn
+    matrix = [[column.get(r, 0) for column in columns] for r in range(rows)]
+    factors = smith_normal_form(matrix)
+    assert sparse_invariant_factors(columns) == factors
+    shuffled = columns[:]
+    rng.shuffle(shuffled)
+    assert sparse_invariant_factors(shuffled) == factors
+    assert sparse_rank_mod2(columns) == rank_mod2(matrix)
+
+
+def test_constructor_keeps_its_own_copy_of_the_columns():
+    gens = {0: ["v", "w"], 1: ["e", "f"]}
+    first, second = {0: 1, 1: -1}, {}
+    complex_ = ChainComplex(gens, {1: [first, second]})
+    first[0] = 5
+    del first[1]
+    second[1] = 1
+    assert complex_.columns(1) == ({0: 1, 1: -1}, {})
+
+
 def test_rank_mod2_drops_even_entries():
     assert rank_mod2([[2, 4], [6, 8]]) == 0
     assert rank_mod2([[1, 1], [1, 1]]) == 1

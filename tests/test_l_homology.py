@@ -5,17 +5,20 @@ import pytest
 from multiaxial import homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
+from multiaxial.grassmannian import count_a_b, count_a_b_oracle
 from multiaxial.l_homology import (
     _torsion_free_ranks,
     assemble_l_homology,
     basepoint_correction,
     l_coefficient,
+    read_collapse,
     reduced_l_homology,
     reduced_l_homology_oracle,
     relative_l_homology,
     relative_l_homology_oracle,
     verify_collapse,
 )
+from multiaxial.orbit_cells import cells_by_degree, orbit_space_dimension
 
 C = Family.COMPLEX
 H = Family.QUATERNIONIC
@@ -148,3 +151,22 @@ def test_collapse_grid():
         for n in range(1, 4):
             for k in range(n, 7):
                 assert verify_collapse(family, n, k), (family, n, k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_a_b(2, 5, "U"),
+        lambda: count_a_b_oracle(2, 5, "U", [(0, 0)]),
+        lambda: relative_l_homology("U", 2, 5),
+        lambda: read_collapse("U", 2, 5, {}),
+        lambda: cells_by_degree("U", 2, 5),
+        lambda: orbit_space_dimension("U", 2, 5),
+        lambda: reduced_l_homology("U", 2, 5),
+    ],
+)
+def test_a_str_family_is_refused_where_the_family_picks_a_branch(call):
+    # "U" is not Family.COMPLEX, so each of these used to answer for U or
+    # for Sp depending on which member it tested
+    with pytest.raises(TypeError, match="'U' is not a Family"):
+        call()

@@ -320,3 +320,14 @@ def test_a_family_that_is_not_a_family_is_refused_before_any_check(monkeypatch):
     monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
     with pytest.raises(TypeError, match="'U' is not a Family"):
         verification.run_verification(2, 4, 0, families=("U",))
+
+
+@pytest.mark.parametrize("grid", [(True, 2, 0), (2, 3, 0.5)])
+def test_a_bound_that_is_not_an_int_is_refused_before_any_check(monkeypatch, grid):
+    # True would run as 1, and 0.5 would end in a bare TypeError from range
+    def boom(*args):
+        raise AssertionError("a refused grid must build nothing")
+
+    monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
+    with pytest.raises(TypeError, match="must be ints"):
+        verification.run_verification(*grid)
