@@ -43,7 +43,10 @@ class ParityCount(NamedTuple):
 
 
 def require_valid(n: int, k: int):
-    """Reject a rank and copy count outside k >= n >= 1."""
+    """Reject a rank and copy count that are not ints (True and 2.0
+    included) with TypeError, and ones outside k >= n >= 1."""
+    if type(n) is not int or type(k) is not int:
+        raise TypeError(f"n and k must be ints, got n={n!r}, k={k!r}")
     if n < 1 or k < n:
         raise UsageError(f"need k >= n >= 1, got n={n}, k={k}")
 

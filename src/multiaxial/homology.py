@@ -1,17 +1,16 @@
 """Exact integer chain complexes and their homology.
 
 A boundary is stored as sparse columns, one row -> coefficient map per
-generator holding only the nonzero entries, and homology never builds a
-dense boundary.  Integral homology first eliminates +-1 pivots.  A unit
-alone in its row goes first, with no update at all: the Schur complement
-of a pivot only changes the columns with an entry in the pivot row.  In an
-orbit-space complex every pivot is such a unit, a free face with exactly
-one coface, the elementary collapse that coreduction removes first
-(Mrozek and Batko, Discrete Comput. Geom. 41, 2009).  Units elsewhere are
-then eliminated wherever they sit, updating the remaining columns by the
-Schur complement; only the residual block, empty for the orbit-space
-complexes, reaches the dense Smith normal form.  Mod 2 ranks come from the
-same columns, with the odd entries packed into bitmasks.
+generator holding only the nonzero entries.  Integral homology first splits
+off every column with a +-1 entry alone in its row: such a pivot needs no
+update at all, since the Schur complement of a pivot only changes the
+columns with an entry in the pivot row.  In an orbit-space complex every
+nonzero column has such a unit, a free face with exactly one coface, the
+elementary collapse of coreduction (Mrozek and Batko, Discrete Comput.
+Geom. 41, 2009).  The residual is whatever the split leaves, every other
+nonzero column; it goes as one dense block to the Smith normal form, and
+for the orbit-space complexes it is empty.  Mod 2 ranks come from the same
+columns, with the odd entries packed into bitmasks.
 
 Homology is computed in two halves.  boundary_invariant_factors and
 boundary_ranks_mod2 do the chain-level work: one elimination of each
@@ -34,7 +33,6 @@ Bounding it is an open ROADMAP item.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, compress
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
@@ -192,24 +190,22 @@ def sparse_rank_mod2(columns: Sequence[Column]) -> int:
     )
 
 
-def _eliminate_unit_pivots(
-    columns: Sequence[Column],
-) -> tuple[int, list[list[int]]]:
-    """Split off every +-1 pivot; return their count and the residual block.
+def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
+    """smith_normal_form of a matrix given as sparse columns.
 
     Pivoting on a unit u at (r, c) is unimodular and leaves [u] plus the
     Schur complement A - A[:, c] u^-1 A[r, :], which only changes the
     columns that have an entry in row r.  So the rows are counted first,
-    over all entries, and a unit that is the only entry of its row pivots
-    with no update: its column is counted and dropped.  The other isolated
-    units stay isolated, since dropping a column adds no entry to any row.
+    over all entries, and a column holding a unit that is the only entry of
+    its row is counted as a factor 1 and dropped, with no update.  The other
+    isolated units stay isolated, since dropping a column adds no entry to
+    any row.  Every column left goes, as dense rows without the zero rows,
+    to the dense Smith normal form.
 
-    Only the columns left over are copied, with a row -> columns index, for
-    the general loop.  There any unit entry of any column may serve, and a
-    column that an update changed is searched again.  Among a column's unit
-    entries the one whose row is shared by the fewest columns is taken,
-    which keeps fill-in low.  The residual block has no unit entry left; it
-    comes back as dense rows with its zero rows and columns dropped.
+    >>> sparse_invariant_factors([{0: 2, 1: 6}, {0: 4, 1: 8}])
+    [2, 4]
+    >>> sparse_invariant_factors([{0: 1, 1: 2}, {}, {1: 3}])
+    [1, 3]
     """
     # a plain dict: on boundaries of a few columns a Counter's set-up costs
     # more than the counting
@@ -217,77 +213,20 @@ def _eliminate_unit_pivots(
     for r in chain.from_iterable(columns):
         uses[r] = uses.get(r, 0) + 1
     units = 0
-    work: dict[int, dict[int, int]] = {}
-    for j, column in compress(enumerate(columns), columns):
+    rest: list[Column] = []
+    for column in filter(None, columns):
         for r, v in column.items():
             if (v == 1 or v == -1) and uses[r] == 1:
                 units += 1
                 break
         else:
-            work[j] = dict(column)
-    if not work:
-        return units, []
-    by_row: dict[int, set[int]] = {}
-    for j, column in work.items():
-        for r in column:
-            by_row.setdefault(r, set()).add(j)
-    pending = list(work)
-    while pending:
-        j = pending.pop()
-        column = work.get(j)
-        if column is None:
-            continue
-        pivot_row = None
-        for r, v in column.items():
-            if (v == 1 or v == -1) and (
-                pivot_row is None or len(by_row[r]) < len(by_row[pivot_row])
-            ):
-                pivot_row = r
-        if pivot_row is None:
-            continue
-        units += 1
-        del work[j]
-        u = column.pop(pivot_row)
-        for r in column:
-            by_row[r].discard(j)
-        touched = by_row.pop(pivot_row)
-        touched.discard(j)
-        for t in touched:
-            other = work[t]
-            factor = other.pop(pivot_row) * u  # u is its own inverse
-            for r, v in column.items():
-                w = other.get(r, 0) - factor * v
-                if w:
-                    if r not in other:
-                        by_row[r].add(t)
-                    other[r] = w
-                elif r in other:
-                    del other[r]
-                    by_row[r].discard(t)
-            if other:
-                pending.append(t)
-            else:
-                del work[t]
-    rows = sorted({r for column in work.values() for r in column})
-    residual = [[column.get(r, 0) for column in work.values()] for r in rows]
-    return units, residual
-
-
-def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
-    """smith_normal_form of a matrix given as sparse columns.
-
-    Unit pivots are eliminated first; only the residual block goes to the
-    dense Smith normal form.
-
-    >>> sparse_invariant_factors([{0: 2, 1: 6}, {0: 4, 1: 8}])
-    [2, 4]
-    >>> sparse_invariant_factors([{0: 1, 1: 2}, {}, {1: 3}])
-    [1, 3]
-    """
-    units, residual = _eliminate_unit_pivots(columns)
+            rest.append(column)
     factors = [1] * units
-    if residual:
-        factors += smith_normal_form(residual)
+    if rest:
+        rows = sorted({r for column in rest for r in column})
+        factors += smith_normal_form(
+            [[column.get(r, 0) for column in rest] for r in rows]
+        )
     return factors
 
 
@@ -431,9 +370,7 @@ def read_integral_homology(
         incoming = factors.get(p + 1, ())
         free = len(cells) - len(factors.get(p, ())) - len(incoming)
         if incoming and incoming[-1] > 1:
-            # the factors form a divisibility chain, so equal ones are
-            # adjacent and the runs need no recombining
-            torsion = tuple(Counter(d for d in incoming if d > 1).items())
+            torsion = FGAbelianGroup.from_orders(incoming).torsion
         elif free:
             torsion = ()
         else:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiaxial import homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.homology import (
@@ -24,7 +25,12 @@ from multiaxial.homology import (
     sparse_invariant_factors,
     sparse_rank_mod2,
 )
-from multiaxial.l_homology import reduced_l_homology, reduced_l_homology_oracle
+from multiaxial.l_homology import (
+    reduced_l_homology,
+    reduced_l_homology_oracle,
+    relative_l_homology,
+    relative_l_homology_oracle,
+)
 from multiaxial.orbit_cells import (
     CellFiltration,
     build_chain_complex,
@@ -445,11 +451,30 @@ def test_homology_is_generator_order_invariant():
         assert mod2_homology(shuffled) == reference2
 
 
-def test_reduced_oracle_beyond_dense_reach():
+def test_reduced_oracle_beyond_dense_reach(monkeypatch):
+    # every orbit-space boundary goes in isolated unit pivots alone, so the
+    # oracles never reach the dense Smith normal form; a cell model whose
+    # units shared rows would fail here rather than silently go dense
+    def dense(matrix):
+        raise AssertionError(f"dense SNF reached on {len(matrix)} rows")
+
+    monkeypatch.setattr(homology, "smith_normal_form", dense)
     # 26,332 cells, where dense SNF over every degree takes tens of seconds
     assert reduced_l_homology_oracle(Family.COMPLEX, 7, 16) == reduced_l_homology(
         Family.COMPLEX, 7, 16
     )
+    for family in Family:
+        for n in range(1, 6):
+            for k in range(n, 11):
+                assert relative_l_homology_oracle(family, n, k) == (
+                    relative_l_homology(family, n, k)
+                ), (family, n, k)
+                complex_ = build_chain_complex(family, n, k)
+                groups = integral_homology(complex_)
+                assert all(not g.torsion for g in groups.values())
+                assert {p: g.free_rank for p, g in groups.items()} == (
+                    mod2_homology(complex_)
+                ), (family, n, k)
 
 
 def test_euler_characteristic_agrees_with_homology():

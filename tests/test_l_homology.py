@@ -5,7 +5,7 @@ import pytest
 from multiaxial import homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.grassmannian import count_a_b, count_a_b_oracle
+from multiaxial.grassmannian import count_A_B, count_a_b, count_a_b_oracle
 from multiaxial.l_homology import (
     _torsion_free_ranks,
     assemble_l_homology,
@@ -169,4 +169,21 @@ def test_a_str_family_is_refused_where_the_family_picks_a_branch(call):
     # "U" is not Family.COMPLEX, so each of these used to answer for U or
     # for Sp depending on which member it tested
     with pytest.raises(TypeError, match="'U' is not a Family"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: orbit_space_dimension(C, 2.5, 4),
+        lambda: basepoint_correction(C, 1, 2.0),
+        lambda: count_A_B(True, 3),
+        lambda: relative_l_homology_oracle(C, True, 3),
+        lambda: cells_by_degree(C, True, 2),
+    ],
+    ids=["float_n", "float_k", "bool_n", "bool_n_oracle", "bool_n_cells"],
+)
+def test_a_rank_or_copy_count_that_is_not_an_int_is_refused(call):
+    # each of these used to answer: 2.5 and 2.0 as numbers, True as n = 1
+    with pytest.raises(TypeError, match="must be ints"):
         call()
