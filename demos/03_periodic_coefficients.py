@@ -9,6 +9,7 @@ from multiaxial.grassmannian import enumerate_box_partitions, grassmannian_betti
 from multiaxial.l_homology import (
     assemble_l_homology,
     l_coefficient,
+    one_residue_class,
     relative_l_homology,
     relative_l_homology_oracle,
     reduced_l_homology,
@@ -50,8 +51,11 @@ for family, n, k in [(C, 2, 4), (C, 3, 5), (H, 2, 3)]:
     print(f"{family} n={n} k={k} (d={d}): reduced  {closed}  [{tag}]")
 
 # The collapse itself is certified cell by cell: reduced homology must sit
-# in a single residue class of degrees.
+# in a single residue class of degrees, the same parity as n + 1 for U and
+# one class mod 4 for Sp.
 print()
-report = verify_collapse(C, 2, 4)
-print(f"collapse certificate for U(2), k=4: ok={report.ok}, rule: {report.rule}")
-print("homology degrees seen:", report.homology_degrees)
+for family, n, k in [(C, 2, 4), (H, 2, 3)]:
+    print(f"collapse certificate for {family}({n}), k={k}:",
+          verify_collapse(family, n, k))
+print("degrees 1, 3, 5 for U(2):", one_residue_class(C, 2, [1, 3, 5]))
+print("degrees 0, 2 for U(2):", one_residue_class(C, 2, [0, 2]))

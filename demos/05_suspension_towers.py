@@ -5,7 +5,11 @@ Suspension towers
 """
 
 from multiaxial.family import Family
-from multiaxial.structure_set import ActionSpec, suspension_report
+from multiaxial.structure_set import (
+    ActionSpec,
+    compute_structure_set,
+    suspension_embeds,
+)
 
 # Adding a copy of the standard representation suspends the sphere.
 # Climbing k -> k+1 flips the gap parity and with it the decomposition
@@ -19,18 +23,19 @@ spec = ActionSpec(Family.COMPLEX, 2, 2)
 print("tower over", spec.describe())
 print(f"{'k':>3} {'branch':>9}  total")
 for k in range(2, 9):
-    report = suspension_report(replace(spec, k=k))
-    print(f"{k:>3} {report.base.branch:>9}  {report.base.total}")
+    report = compute_structure_set(replace(spec, k=k))
+    print(f"{k:>3} {report.branch:>9}  {report.total}")
 
 print()
-report = suspension_report(spec)
+base = compute_structure_set(spec)
+twice = compute_structure_set(replace(spec, k=spec.k + 2))
 print(f"double suspension of {spec.describe()}:")
-for pair in report.pairs:
-    print(f"  {pair.label:>16}: {pair.near}  ->  {pair.far}"
-          f"  embeds={pair.embeds}")
-print("branch flip at k+1:", report.branch_flip)
-print("summand-wise monotone:", report.summandwise_monotone)
-print("total embeds in double suspension:", report.totals_embed)
+for summand in base.summands:
+    far = twice.summand(summand.label).group
+    print(f"  {summand.label:>16}: {summand.group}  ->  {far}"
+          f"  embeds={summand.group.embeds_in(far)}")
+print("total embeds in double suspension:", base.total.embeds_in(twice.total))
+print("suspension embeds:", suspension_embeds(base, twice))
 
 # The quaternionic odd-gap tower shows why single steps are not compared
 # summand by summand. The k and k+1 answers live on different branches
@@ -38,9 +43,9 @@ print("total embeds in double suspension:", report.totals_embed)
 # gaps has no counterpart one step up.
 print()
 spec = ActionSpec(Family.QUATERNIONIC, 3, 4, j=1)
-report = suspension_report(spec)
 print("tower over", spec.describe())
-print("  k  :", report.base.total, f"[{report.base.branch}]")
-print("  k+1:", report.once.total, f"[{report.once.branch}]")
-print("  k+2:", report.twice.total, f"[{report.twice.branch}]")
-print("consistent:", report.consistent)
+reports = [compute_structure_set(replace(spec, k=spec.k + step))
+           for step in range(3)]
+for step, report in zip(("k  ", "k+1", "k+2"), reports):
+    print(f"  {step}:", report.total, f"[{report.branch}]")
+print("suspension embeds:", suspension_embeds(reports[0], reports[2]))

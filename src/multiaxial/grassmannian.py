@@ -54,13 +54,16 @@ def require_valid(n: int, k: int):
 def enumerate_box_partitions(n: int, bound: int) -> list[BoxPartition]:
     """All nondecreasing n-tuples with entries in [0, bound], lex order.
 
-    A negative bound gives an empty list (empty box, no partitions).
+    A negative bound gives an empty list (empty box, no partitions).  n or
+    bound not an int is a TypeError, n < 1 a UsageError.
 
     >>> enumerate_box_partitions(2, 2)
     [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     """
+    if type(n) is not int or type(bound) is not int:
+        raise TypeError(f"n and bound must be ints, got n={n!r}, bound={bound!r}")
     if n < 1:
-        raise ValueError("need at least one part")
+        raise UsageError(f"need at least one part, got n={n}")
     if bound < 0:
         return []
     return list(itertools.combinations_with_replacement(range(bound + 1), n))

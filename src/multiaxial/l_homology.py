@@ -16,18 +16,18 @@ serves both parts.
 Each closed form below has an oracle twin that takes the long way around
 through the cell complex and Smith normal form.  The two routes are kept
 separate on purpose; equality between them is asserted by the test suite
-and the verify command, never assumed inside either route.  Each oracle
-(and verify_collapse) is a build followed by a read: the read_* functions
-take only the integral homology of the built complex, which they refuse
-if it has torsion, so the oracles eliminate over Z alone and verify can
-build each complex once and hand its homology to every check.
+and the verify command, never assumed inside either route.  Each oracle is
+a build followed by a read: the read_* functions take only the integral
+homology of the built complex, which they refuse if it has torsion, so the
+oracles eliminate over Z alone and verify can build each complex once and
+hand its homology to every check.  The collapse check is a bool read the
+same way, through one_residue_class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .abelian import FGAbelianGroup
 from .family import Family
@@ -42,6 +42,8 @@ def l_coefficient(q: int) -> FGAbelianGroup:
     >>> [str(l_coefficient(q)) for q in range(5)]
     ['Z', '0', 'Z_2', '0', 'Z']
     """
+    if type(q) is not int:
+        raise TypeError(f"degree must be an int, got {q!r}")
     if q < 0 or q % 2:
         return FGAbelianGroup.trivial()
     if q % 4 == 0:
@@ -136,62 +138,38 @@ def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
     return l_coefficient(orbit_space_dimension(family, n, k))
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    """Certificate that homology is sparse enough for degreewise assembly."""
+def one_residue_class(family: Family, n: int, degrees: Iterable[int]) -> bool:
+    """Whether the degrees fit the collapse pattern of (family, n).
 
-    ok: bool
-    homology_degrees: tuple[int, ...]
-    offending_degrees: tuple[int, ...]
-    rule: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_collapse(family: Family, n: int, k: int) -> CollapseReport:
-    """Check the degree pattern that kills every assembly differential.
-
-    Complex case: all reduced homology in degrees of the same parity as
-    n + 1.  Quaternionic case: all reduced homology in one residue class
-    mod 4.  Either pattern leaves no room for a nonzero differential
-    against the 4-periodic coefficients.
+    Complex case: every degree has the same parity as n + 1.  Quaternionic
+    case: all degrees lie in one residue class mod 4.  Either pattern leaves
+    no room for a nonzero differential against the 4-periodic coefficients.
     """
+    if family is Family.COMPLEX:
+        return all(p % 2 == (n + 1) % 2 for p in degrees)
+    Family.require(family)
+    return len({p % 4 for p in degrees}) <= 1
+
+
+def verify_collapse(family: Family, n: int, k: int) -> bool:
+    """Whether the reduced homology of the full complex of (family, n, k)
+    sits in the degrees that one_residue_class allows."""
     complex_ = build_chain_complex(family, n, k)
     return read_collapse(family, n, k, integral_homology(complex_))
 
 
 def read_collapse(
     family: Family, n: int, k: int, homology: Mapping[int, FGAbelianGroup]
-) -> CollapseReport:
+) -> bool:
     """The collapse certificate read off the integral homology of the full
     complex of (family, n, k)."""
-    degrees = []
-    for p, group in sorted(homology.items()):
-        if p == 0:
-            group = FGAbelianGroup(group.free_rank - 1, group.torsion)
-        if not group.is_trivial:
-            degrees.append(p)
-    if family is Family.COMPLEX:
-        wanted = (n + 1) % 2
-        offending = tuple(p for p in degrees if p % 2 != wanted)
-        rule = f"all reduced homology degrees congruent to {wanted} mod 2"
-    else:
-        if family is not Family.QUATERNIONIC:
-            Family.require(family)
-        if degrees:
-            wanted = degrees[0] % 4
-            offending = tuple(p for p in degrees if p % 4 != wanted)
-            rule = f"all reduced homology degrees congruent to {wanted} mod 4"
-        else:
-            offending = ()
-            rule = "no reduced homology at all"
-    return CollapseReport(
-        ok=not offending,
-        homology_degrees=tuple(degrees),
-        offending_degrees=offending,
-        rule=rule,
-    )
+    # reduced homology: degree 0 loses the basepoint's Z
+    degrees = [
+        p
+        for p, group in homology.items()
+        if group.torsion or group.free_rank > (1 if p == 0 else 0)
+    ]
+    return one_residue_class(family, n, degrees)
 
 
 def _torsion_free_ranks(homology: Mapping[int, FGAbelianGroup]) -> dict[int, int]:

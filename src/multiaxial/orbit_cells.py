@@ -69,6 +69,9 @@ class CellFiltration:
     max_rank: int | None = None
 
     def __post_init__(self):
+        for bound in (self.min_rank, self.max_rank):
+            if bound is not None and type(bound) is not int:
+                raise TypeError(f"rank bounds must be ints or None, got {bound!r}")
         if (
             self.min_rank is not None
             and self.max_rank is not None

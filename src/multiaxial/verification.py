@@ -57,6 +57,7 @@ from .homology import (
 )
 from .l_homology import (
     basepoint_correction,
+    one_residue_class,
     read_collapse,
     read_reduced_l_homology,
     read_relative_l_homology,
@@ -67,8 +68,8 @@ from .orbit_cells import cells_by_degree, complex_from_cells, orbit_space_dimens
 from .structure_set import (
     ActionSpec,
     DecompositionReport,
-    compare_suspensions,
     compute_structure_set,
+    suspension_embeds,
 )
 
 _SHUFFLE_SEED = 20240917
@@ -338,10 +339,7 @@ def run_verification(
                 if betti2.get(p, 0) != expected:
                     uct_ok = False
             add(CheckResult("mod2-consistency", fparams, uct_ok))
-            if family is Family.COMPLEX:
-                parity_ok = all(p % 2 == (n + 1) % 2 for p in full_rank)
-            else:
-                parity_ok = len({p % 4 for p in full_rank}) <= 1
+            parity_ok = one_residue_class(family, n, full_rank)
             add(CheckResult("full-rank-dimension-parity", fparams, parity_ok))
 
             add(
@@ -379,7 +377,7 @@ def run_verification(
                 CheckResult(
                     "collapse-certificate",
                     fparams,
-                    bool(read_collapse(family, n, k, homology)),
+                    read_collapse(family, n, k, homology),
                 )
             )
 
@@ -456,17 +454,7 @@ def run_verification(
                         report.branch,
                     )
                 )
-                suspension = compare_suspensions(
-                    report,
-                    report_of(ActionSpec(family, n, k + 1, j)),
-                    report_of(ActionSpec(family, n, k + 2, j)),
-                )
-                add(
-                    CheckResult(
-                        "suspension-monotone",
-                        sparams,
-                        suspension.consistent,
-                        f"branches {suspension.branch_flip}",
-                    )
-                )
+                twice = report_of(ActionSpec(family, n, k + 2, j))
+                embeds = suspension_embeds(report, twice)
+                add(CheckResult("suspension-monotone", sparams, embeds))
     return VerificationSummary(tuple(results))

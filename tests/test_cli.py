@@ -249,6 +249,7 @@ def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
     [
         lambda: Family.parse("X"),
         lambda: grassmannian.require_valid(0, 2),
+        lambda: grassmannian.enumerate_box_partitions(0, 2),
         lambda: ActionSpec(Family.COMPLEX, -1, 2),
         lambda: CellFiltration(3, 1),
         lambda: run_verification(0, 8, 2),
@@ -256,7 +257,7 @@ def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
         lambda: run_verification(1, 1, 0, (Family.COMPLEX, Family.COMPLEX)),
     ],
     ids=[
-        "family", "require_valid", "action_spec", "cell_filtration",
+        "family", "require_valid", "box_partitions", "action_spec", "cell_filtration",
         "grid_bounds", "grid_max_j", "grid_families",
     ],
 )

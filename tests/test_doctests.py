@@ -1,8 +1,10 @@
 import ast
 import doctest
 import importlib.util
+import inspect
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,18 +12,25 @@ import sys
 import pytest
 
 import multiaxial
-from multiaxial import abelian, grassmannian, homology, l_homology, orbit_cells
+from multiaxial import abelian
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-MODULES = [abelian, grassmannian, homology, l_homology, orbit_cells]
+MODULES = [
+    f"multiaxial.{info.name}"
+    for info in pkgutil.iter_modules(multiaxial.__path__)
+    if info.name != "__main__"
+]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
-def test_module_doctests(module):
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(name)
     result = doctest.testmod(module)
-    assert result.attempted > 0
     assert result.failed == 0
+    # a module whose source shows an example must run at least one
+    if ">>>" in inspect.getsource(module):
+        assert result.attempted > 0
 
 
 def test_package_guards_survive_optimized_mode():

@@ -5,12 +5,18 @@ import pytest
 from multiaxial import homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.grassmannian import count_A_B, count_a_b, count_a_b_oracle
+from multiaxial.grassmannian import (
+    count_A_B,
+    count_a_b,
+    count_a_b_oracle,
+    enumerate_box_partitions,
+)
 from multiaxial.l_homology import (
     _torsion_free_ranks,
     assemble_l_homology,
     basepoint_correction,
     l_coefficient,
+    one_residue_class,
     read_collapse,
     reduced_l_homology,
     reduced_l_homology_oracle,
@@ -18,7 +24,12 @@ from multiaxial.l_homology import (
     relative_l_homology_oracle,
     verify_collapse,
 )
-from multiaxial.orbit_cells import cells_by_degree, orbit_space_dimension
+from multiaxial.orbit_cells import (
+    CellFiltration,
+    build_chain_complex,
+    cells_by_degree,
+    orbit_space_dimension,
+)
 
 C = Family.COMPLEX
 H = Family.QUATERNIONIC
@@ -133,24 +144,57 @@ def test_basepoint_rejects_even_gap():
 
 
 def test_collapse_examples():
-    assert verify_collapse(C, 2, 4)
-    assert verify_collapse(C, 1, 5)
-    assert verify_collapse(H, 1, 3)
+    assert verify_collapse(C, 2, 4) is True
+    assert verify_collapse(C, 1, 5) is True
+    assert verify_collapse(H, 1, 3) is True
 
 
 def test_collapse_reports_are_informative():
-    report = verify_collapse(C, 2, 4)
-    assert report.ok
-    assert report.offending_degrees == ()
-    assert report.homology_degrees
-    assert all(p % 2 == 1 for p in report.homology_degrees)
+    # the certificate reads reduced homology: the basepoint's Z in degree 0
+    # is dropped, and U(2) on 4 copies keeps only odd degrees
+    groups = homology.integral_homology(build_chain_complex(C, 2, 4))
+    reduced = [p for p, g in groups.items() if p and not g.is_trivial]
+    assert groups[0] == Z and reduced
+    assert all(p % 2 == 1 for p in reduced)
+    assert read_collapse(C, 2, 4, groups) is True
+    assert read_collapse(C, 2, 4, {**groups, 0: Z.direct_sum(Z)}) is False
 
 
 def test_collapse_grid():
     for family in (C, H):
         for n in range(1, 4):
             for k in range(n, 7):
-                assert verify_collapse(family, n, k), (family, n, k)
+                assert verify_collapse(family, n, k) is True, (family, n, k)
+
+
+@pytest.mark.parametrize(
+    "family, n, groups",
+    [
+        (C, 2, {0: Z, 2: Z}),
+        (H, 1, {0: Z, 3: Z, 5: Z}),
+        (C, 1, {0: Z, 1: Z2}),
+    ],
+    ids=["U-even-degree", "Sp-two-classes", "U-torsion-counts"],
+)
+def test_collapse_is_false_on_fabricated_homology(family, n, groups):
+    assert read_collapse(family, n, n + 2, groups) is False
+
+
+@pytest.mark.parametrize(
+    "family, n, degrees, holds",
+    [
+        (C, 2, [1, 3, 7], True),
+        (C, 2, [1, 2], False),
+        (C, 3, [0, 2, 4], True),
+        (C, 3, [3], False),
+        (H, 1, [3, 7, 11], True),
+        (H, 1, [0, 4, 6], False),
+        (H, 5, [], True),
+        (C, 4, [], True),
+    ],
+)
+def test_one_residue_class(family, n, degrees, holds):
+    assert one_residue_class(family, n, degrees) is holds
 
 
 @pytest.mark.parametrize(
@@ -186,4 +230,21 @@ def test_a_str_family_is_refused_where_the_family_picks_a_branch(call):
 def test_a_rank_or_copy_count_that_is_not_an_int_is_refused(call):
     # each of these used to answer: 2.5 and 2.0 as numbers, True as n = 1
     with pytest.raises(TypeError, match="must be ints"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CellFiltration(1.5, 2),
+        lambda: CellFiltration(True, 2),
+        lambda: l_coefficient(2.0),
+        lambda: l_coefficient(True),
+        lambda: enumerate_box_partitions(True, 2),
+    ],
+    ids=["float_bound", "bool_bound", "float_q", "bool_q", "bool_box_n"],
+)
+def test_a_bound_or_degree_that_is_not_an_int_is_refused(call):
+    # each of these used to answer: 1.5 as a bound, True as 1, 2.0 as 2
+    with pytest.raises(TypeError, match="must be"):
         call()

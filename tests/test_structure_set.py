@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from multiaxial import grassmannian, l_homology
@@ -10,13 +12,20 @@ from multiaxial.l_homology import (
 )
 from multiaxial.structure_set import (
     ActionSpec,
+    DecompositionReport,
+    Summand,
     compute_structure_set,
     normalize,
-    suspension_report,
+    suspension_embeds,
 )
 
 C = Family.COMPLEX
 H = Family.QUATERNIONIC
+
+Z = FGAbelianGroup.free(1)
+Z2 = FGAbelianGroup(0, ((2, 1),))
+Z2_2 = FGAbelianGroup(0, ((2, 2),))
+Z4 = FGAbelianGroup(0, ((4, 1),))
 
 
 def total(family, n, k, j=0):
@@ -90,10 +99,6 @@ def test_unnormalized_spec_is_normalized_first():
     report = compute_structure_set(ActionSpec(C, 5, 3, 2))
     assert report == compute_structure_set(ActionSpec(C, 3, 3, 2))
     assert report.spec == ActionSpec(C, 3, 3, 2)
-    # the rank is folded before k steps, so all three reports share it
-    suspension = suspension_report(ActionSpec(C, 4, 2, 0))
-    assert suspension == suspension_report(ActionSpec(C, 2, 2, 0))
-    assert suspension.twice.spec == ActionSpec(C, 2, 4, 0)
 
 
 @pytest.mark.parametrize(
@@ -176,24 +181,51 @@ def test_exception_exclusivity_and_branch_dispatch():
                     assert ("basepoint" in labels) == basepoint, point
 
 
+def suspension_holds(spec):
+    twice = compute_structure_set(replace(spec, k=spec.k + 2))
+    return suspension_embeds(compute_structure_set(spec), twice)
+
+
 def test_suspension_listed_examples():
-    report = suspension_report(ActionSpec(C, 1, 3, 0))
-    assert report.base.total == FGAbelianGroup(1, ((2, 1),))
-    assert report.twice.total == FGAbelianGroup(2, ((2, 2),))
-    assert report.consistent
-    assert report.base.labels() == report.twice.labels() == ("free_stratum",)
+    base = compute_structure_set(ActionSpec(C, 1, 3, 0))
+    twice = compute_structure_set(ActionSpec(C, 1, 5, 0))
+    assert base.total == FGAbelianGroup(1, ((2, 1),))
+    assert twice.total == FGAbelianGroup(2, ((2, 2),))
+    assert base.labels() == twice.labels() == ("free_stratum",)
+    assert suspension_embeds(base, twice)
 
-    report = suspension_report(ActionSpec(C, 2, 2, 0))
-    assert report.base.total == FGAbelianGroup.free(1)
-    assert report.twice.total == FGAbelianGroup(4, ((2, 2),))
-    assert report.consistent
+    base = compute_structure_set(ActionSpec(C, 2, 2, 0))
+    twice = compute_structure_set(ActionSpec(C, 2, 4, 0))
+    assert base.total == FGAbelianGroup.free(1)
+    assert twice.total == FGAbelianGroup(4, ((2, 2),))
+    assert suspension_embeds(base, twice)
 
 
-def test_suspension_records_branch_flip():
-    report = suspension_report(ActionSpec(C, 2, 2, 0))
-    assert report.branch_flip == ("even-gap", "odd-gap")
-    report = suspension_report(ActionSpec(C, 2, 3, 0))
-    assert report.branch_flip == ("odd-gap", "even-gap")
+def report_of(total, **summands):
+    """A hand-built report; only the summands and the total are read."""
+    return DecompositionReport(
+        spec=ActionSpec(C, 1, 1),
+        branch="even-gap",
+        summands=tuple(Summand(label, g, "") for label, g in summands.items()),
+        total=total,
+    )
+
+
+@pytest.mark.parametrize(
+    "base, twice",
+    [
+        (report_of(Z2, top=Z2), report_of(Z2_2, free_stratum=Z2_2)),
+        (
+            report_of(Z4, top=Z4),
+            report_of(Z4.direct_sum(Z2_2), top=Z2_2, basepoint=Z4),
+        ),
+        (report_of(Z2, top=Z2), report_of(Z, top=Z2)),
+    ],
+    ids=["label-missing", "Z_4-in-Z_2^2", "totals-do-not-embed"],
+)
+def test_suspension_embeds_false_side(base, twice):
+    # each case breaks one condition and keeps the others
+    assert suspension_embeds(base, twice) is False
 
 
 def test_identity_embedding():
@@ -207,14 +239,14 @@ def test_suspension_monotone_grid():
         for n in range(1, 4):
             for k in range(n, 7):
                 for j in range(0, 3):
-                    report = suspension_report(ActionSpec(family, n, k, j))
-                    assert report.consistent, (family, n, k, j)
+                    spec = ActionSpec(family, n, k, j)
+                    assert suspension_holds(spec), spec
 
 
 def test_trivial_spec_suspension():
-    report = suspension_report(ActionSpec(C, 0, 0, 5))
-    assert report.consistent
-    assert report.base.total == FGAbelianGroup.trivial()
+    spec = ActionSpec(C, 0, 0, 5)
+    assert suspension_holds(spec)
+    assert compute_structure_set(spec).total == FGAbelianGroup.trivial()
 
 
 def test_closed_form_never_builds_the_oracle_route(monkeypatch):
