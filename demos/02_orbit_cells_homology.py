@@ -5,7 +5,7 @@ Cells of the orbit space and their homology
 """
 
 from multiaxial.family import Family
-from multiaxial.homology import integral_homology, mod2_homology, smith_normal_form
+from multiaxial.homology import integral_homology, smith_normal_form
 from multiaxial.orbit_cells import (
     CellFiltration,
     build_chain_complex,
@@ -43,9 +43,11 @@ for p in cx.degrees():
 
 print()
 print("integral homology:")
-for degree, group in sorted(integral_homology(cx).items()):
+homology = integral_homology(cx)
+for degree, group in sorted(homology.items()):
     print(f"  H_{degree} = {group}")
-print("mod 2 ranks:", mod2_homology(cx))
+# Torsion free, so the Betti numbers over any field are these free ranks.
+print("Betti numbers:", {p: group.free_rank for p, group in homology.items()})
 
 # Restricting to full-rank cells kills every boundary map outright. The
 # resulting groups are the relative homology of the orbit space against

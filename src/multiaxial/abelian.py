@@ -169,10 +169,6 @@ class FGAbelianGroup:
                 torsion = _insert(torsion, order, count)
         return FGAbelianGroup(free_rank, torsion)
 
-    def two_torsion_rank(self) -> int:
-        """Number of cyclic summands of even order."""
-        return sum(count for d, count in self.torsion if d % 2 == 0)
-
     def embeds_in(self, other: "FGAbelianGroup") -> bool:
         """Whether an injective homomorphism self -> other exists.
 

@@ -24,7 +24,10 @@ class Family(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Family":
-        """Accept the common spellings used on the command line."""
+        """Accept the common spellings used on the command line; TypeError
+        unless text is a str."""
+        if not isinstance(text, str):
+            raise TypeError(f"family name {text!r} is not a str")
         key = text.strip().lower()
         if key in {"u", "c", "complex", "unitary"}:
             return cls.COMPLEX

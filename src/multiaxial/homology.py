@@ -9,16 +9,14 @@ nonzero column has such a unit, a free face with exactly one coface, the
 elementary collapse of coreduction (Mrozek and Batko, Discrete Comput.
 Geom. 41, 2009).  The residual is whatever the split leaves, every other
 nonzero column; it goes as one dense block to the Smith normal form, and
-for the orbit-space complexes it is empty.  Mod 2 ranks come from the same
-columns, with the odd entries packed into bitmasks.
+for the orbit-space complexes it is empty.
 
-Homology is computed in two halves.  boundary_invariant_factors and
-boundary_ranks_mod2 do the chain-level work: one elimination of each
-nonzero boundary.  read_integral_homology and read_mod2_homology turn those
-per-boundary invariants into groups and Betti numbers without touching a
-column.  integral_homology and mod2_homology are the two halves composed; a
-caller that also wants the invariants themselves, as verify does to compare
-them with the dense routines, keeps them and calls the reads.
+Homology is computed in two halves.  boundary_invariant_factors does the
+chain-level work, one elimination over Z of each nonzero boundary, and
+read_integral_homology turns those invariant factors into groups without
+touching a column.  integral_homology is the two halves composed; a
+caller that also wants the factors themselves, as verify does to compare
+them with the dense Smith normal form, keeps them and calls the read.
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
+from typing import Hashable, Mapping, NoReturn, Sequence
 
 from .abelian import FGAbelianGroup
 
@@ -55,11 +53,6 @@ def _reject_row(p: int, column: Column, rows: int) -> NoReturn:
     )
 
 
-def _require_rectangular(matrix: Matrix) -> None:
-    if len(set(map(len, matrix))) > 1:
-        raise ValueError("matrix rows must all have the same length")
-
-
 def _not_an_int(value: object, what: str) -> NoReturn:
     """Refuse a value that should be an int, rather than truncate it."""
     raise TypeError(f"{what} {value!r} is not an int")
@@ -68,7 +61,8 @@ def _not_an_int(value: object, what: str) -> NoReturn:
 def _pruned_copy(matrix: Matrix) -> list[list[int]]:
     """Mutable rows of matrix without its all-zero rows and columns,
     which leaves the invariant factors unchanged."""
-    _require_rectangular(matrix)
+    if len(set(map(len, matrix))) > 1:
+        raise ValueError("matrix rows must all have the same length")
     rows = [row for row in matrix if any(row)]
     keep = [any(column) for column in zip(*rows)]
     return [
@@ -147,47 +141,6 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
     torsion = FGAbelianGroup.from_orders(orders).torsion if orders else ()
     factors = [d for d, count in torsion for _ in range(count)]
     return [1] * (t - len(factors)) + factors
-
-
-def _bitmask_rank(masks: Iterable[int]) -> int:
-    """Rank over the field with two elements of vectors packed as bitmasks."""
-    pivots: dict[int, int] = {}
-    for bits in masks:
-        while bits:
-            low = bits & -bits
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = bits
-                break
-            bits ^= other
-    return len(pivots)
-
-
-def rank_mod2(matrix: Matrix) -> int:
-    """Rank over the field with two elements, via bitmask elimination;
-    only nonzero entries are read, so zero rows and columns need no pruning."""
-    _require_rectangular(matrix)
-    return _bitmask_rank(
-        sum(
-            1 << j
-            for j, v in compress(enumerate(row), row)
-            if (type(v) is int or _not_an_int(v, "entry")) and v % 2
-        )
-        for row in matrix
-    )
-
-
-def sparse_rank_mod2(columns: Sequence[Column]) -> int:
-    """rank_mod2 of a matrix given as sparse columns, odd entries as bits.
-
-    >>> sparse_rank_mod2([{0: 1, 1: 3}, {0: 2}, {1: 1}])
-    2
-    """
-    return _bitmask_rank(
-        sum(1 << r for r, v in column.items() if v % 2)
-        for column in columns
-        if column
-    )
 
 
 def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
@@ -351,11 +304,6 @@ def boundary_invariant_factors(complex_: ChainComplex) -> dict[int, list[int]]:
     }
 
 
-def boundary_ranks_mod2(complex_: ChainComplex) -> dict[int, int]:
-    """sparse_rank_mod2 of every nonzero boundary, by degree."""
-    return {p: sparse_rank_mod2(columns) for p, columns in complex_._columns.items()}
-
-
 def read_integral_homology(
     complex_: ChainComplex, factors: Mapping[int, Sequence[int]]
 ) -> dict[int, FGAbelianGroup]:
@@ -379,23 +327,7 @@ def read_integral_homology(
     return result
 
 
-def read_mod2_homology(
-    complex_: ChainComplex, ranks: Mapping[int, int]
-) -> dict[int, int]:
-    """Mod 2 Betti numbers from the boundary_ranks_mod2 of complex_."""
-    result = {}
-    for p, cells in complex_._generators.items():
-        betti = len(cells) - ranks.get(p, 0) - ranks.get(p + 1, 0)
-        if betti:
-            result[p] = betti
-    return result
-
-
 def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
     """Integral homology groups, trivial degrees omitted."""
     return read_integral_homology(complex_, boundary_invariant_factors(complex_))
 
-
-def mod2_homology(complex_: ChainComplex) -> dict[int, int]:
-    """Mod 2 Betti numbers, zero degrees omitted."""
-    return read_mod2_homology(complex_, boundary_ranks_mod2(complex_))

@@ -11,16 +11,15 @@ numbers are both read off that listing.  For every (family, n, k) its cells
 are enumerated once, and both the full complex and the rank-n complex (the
 full-rank slice, faces outside it dropped) are built from that enumeration;
 the cell census and the full-rank parities are read off it too.  The full
-complex gets its integral and mod 2 homology once, the rank-n complex its
-integral homology, and each spec one structure-set report.  Every check
-that reads one of them reads that copy; the oracle side gets only integral
-homology, the closed-form side only reports.  Mod 2 homology is a
-cross-check here and an input to no oracle.  Each nonzero boundary of the full
-complex is eliminated once over Z and once mod 2, and sparse-vs-dense-snf
-compares the dense routines with the very factors and ranks that its
-homology was read from.  The shuffled copy is built by complex_from_cells
-from the point's cells, each degree's list shuffled, so it passes the same
-constructor checks as every other complex; it gets its own elimination.
+complex and the rank-n complex each get their integral homology once, and
+each spec one structure-set report.  Every check that reads one of them
+reads that copy; the oracle side gets only integral homology, the
+closed-form side only reports.  Each nonzero boundary of the full complex
+is eliminated once, over Z, and sparse-vs-dense-snf compares the dense
+Smith normal form with the very factors that its homology was read from.
+The shuffled copy is built by complex_from_cells from the point's cells,
+each degree's list shuffled, so it passes the same constructor checks as
+every other complex; it gets its own elimination.
 
 Oracle homology that a read_* function refuses (torsion where the
 assembly needs none) fails its closed-vs-oracle check, with the reason as
@@ -47,12 +46,8 @@ from .grassmannian import (
 )
 from .homology import (
     boundary_invariant_factors,
-    boundary_ranks_mod2,
     integral_homology,
-    mod2_homology,
-    rank_mod2,
     read_integral_homology,
-    read_mod2_homology,
     smith_normal_form,
 )
 from .l_homology import (
@@ -175,7 +170,7 @@ def run_verification(
     on a bound that is not an int or a family that is not a Family.
 
     The grid is n <= max_n, n <= k <= max_k, 0 <= j <= max_j, for each of
-    families, which must not repeat.
+    families, which must be nonempty and must not repeat.
     """
     for bound in (max_n, max_k, max_j):
         if type(bound) is not int:
@@ -188,6 +183,8 @@ def run_verification(
         raise UsageError(f"max_j must be nonnegative, got max_j={max_j}")
     for family in families:
         Family.require(family)
+    if not families:
+        raise UsageError("families must name at least one family")
     if len(set(families)) != len(families):
         raise UsageError(
             f"families must not repeat, got {','.join(map(str, families))}"
@@ -311,9 +308,7 @@ def run_verification(
             # the one elimination of each boundary: every check below that
             # reads the full complex's homology or invariants reads these
             factors = boundary_invariant_factors(complex_)
-            ranks = boundary_ranks_mod2(complex_)
             homology = read_integral_homology(complex_, factors)
-            betti2 = read_mod2_homology(complex_, ranks)
             euler_cells = complex_.euler_characteristic()
             euler_homology = sum(
                 (-1) ** p * g.free_rank for p, g in homology.items()
@@ -326,19 +321,6 @@ def run_verification(
                     f"{euler_cells} vs {euler_homology}",
                 )
             )
-            uct_ok = True
-            degrees = set(homology) | set(betti2)
-            for p in sorted(degrees):
-                g = homology.get(p, FGAbelianGroup.trivial())
-                below = homology.get(p - 1, FGAbelianGroup.trivial())
-                expected = (
-                    g.free_rank
-                    + g.two_torsion_rank()
-                    + below.two_torsion_rank()
-                )
-                if betti2.get(p, 0) != expected:
-                    uct_ok = False
-            add(CheckResult("mod2-consistency", fparams, uct_ok))
             parity_ok = one_residue_class(family, n, full_rank)
             add(CheckResult("full-rank-dimension-parity", fparams, parity_ok))
 
@@ -393,21 +375,17 @@ def run_verification(
                 CheckResult(
                     "generator-order-invariance",
                     fparams,
-                    integral_homology(shuffled) == homology
-                    and mod2_homology(shuffled) == betti2,
+                    integral_homology(shuffled) == homology,
                 )
             )
-            # the dense third route against the factors and ranks that the
-            # homology above was read from; in any other degree both sides
-            # are empty by construction
-            mismatched = []
-            for p in sorted({*complex_.boundary_degrees(), *factors, *ranks}):
-                matrix = complex_.boundary_matrix(p)
-                if not (
-                    factors.get(p, []) == smith_normal_form(matrix)
-                    and ranks.get(p, 0) == rank_mod2(matrix)
-                ):
-                    mismatched.append(p)
+            # the dense third route against the factors that the homology
+            # above was read from; in any other degree both sides are empty
+            # by construction
+            mismatched = [
+                p
+                for p in sorted({*complex_.boundary_degrees(), *factors})
+                if factors.get(p, []) != smith_normal_form(complex_.boundary_matrix(p))
+            ]
             add(
                 CheckResult(
                     "sparse-vs-dense-snf",

@@ -186,7 +186,6 @@ def test_run_algebra_matches_expanded_reference(left, right):
         a.free_rank <= b.free_rank
         and expanded_embeds(torsion_of(a), torsion_of(b))
     )
-    assert a.two_torsion_rank() == sum(1 for d in torsion_of(a) if d % 2 == 0)
 
 
 def test_large_multiplicities_stay_run_length():
@@ -194,7 +193,6 @@ def test_large_multiplicities_stay_run_length():
     total = big.direct_sum(FGAbelianGroup(0, ((2, 3), (4, 10**15))))
     assert total == FGAbelianGroup(10**12, ((2, 10**15 + 3), (4, 10**15)))
     assert big.embeds_in(total) and not total.embeds_in(big)
-    assert total.two_torsion_rank() == 2 * 10**15 + 3
     assert str(total) == f"Z^{10**12} ⊕ Z_2^{10**15 + 3} ⊕ Z_4^{10**15}"
 
 

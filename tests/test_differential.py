@@ -3,8 +3,8 @@
 At each (family, n, k) with at most 300 cells (the sum of C(k, r) over
 r <= n), the closed-form groups equal their oracle twins, the parity
 counts equal the partition enumeration, and every boundary of the full
-complex has the same invariant factors and mod 2 rank by unit elimination
-as by the dense routines.
+complex has the same invariant factors by unit elimination as by the dense
+Smith normal form.
 """
 
 from math import comb
@@ -20,12 +20,7 @@ from multiaxial.grassmannian import (
     count_a_b_oracle,
     enumerate_box_partitions,
 )
-from multiaxial.homology import (
-    rank_mod2,
-    smith_normal_form,
-    sparse_invariant_factors,
-    sparse_rank_mod2,
-)
+from multiaxial.homology import smith_normal_form, sparse_invariant_factors
 from multiaxial.l_homology import (
     reduced_l_homology,
     reduced_l_homology_oracle,
@@ -79,4 +74,3 @@ def test_closed_form_enumeration_and_chain_level_agree(family, point):
         columns = complex_.columns(p)
         matrix = complex_.boundary_matrix(p)
         assert sparse_invariant_factors(columns) == smith_normal_form(matrix), p
-        assert sparse_rank_mod2(columns) == rank_mod2(matrix), p

@@ -19,11 +19,8 @@ from multiaxial.family import Family
 from multiaxial.homology import (
     ChainComplex,
     integral_homology,
-    mod2_homology,
-    rank_mod2,
     smith_normal_form,
     sparse_invariant_factors,
-    sparse_rank_mod2,
 )
 from multiaxial.l_homology import (
     reduced_l_homology,
@@ -119,7 +116,7 @@ def test_snf_rejects_ragged_input():
         smith_normal_form([[1, 2], [3]])
 
 
-@pytest.mark.parametrize("routine", [smith_normal_form, rank_mod2])
+@pytest.mark.parametrize("routine", [smith_normal_form])
 # the second is all zero, so it must be refused before any pruning
 @pytest.mark.parametrize("matrix", [[[1], [1, 1]], [[0], [0, 0]]])
 def test_dense_routines_refuse_ragged_input(routine, matrix):
@@ -206,7 +203,6 @@ def test_unit_elimination_matches_dense_snf_and_minor_gcd_oracle(matrix):
     factors = sparse_invariant_factors(columns)
     assert factors == smith_normal_form(matrix)
     assert factors == oracle_invariant_factors(matrix)
-    assert sparse_rank_mod2(columns) == rank_mod2(matrix)
 
 
 @st.composite
@@ -255,7 +251,6 @@ def test_sparse_routines_match_dense_on_mixed_units(drawn, rng):
     shuffled = columns[:]
     rng.shuffle(shuffled)
     assert sparse_invariant_factors(shuffled) == factors
-    assert sparse_rank_mod2(columns) == rank_mod2(matrix)
 
 
 def test_constructor_keeps_its_own_copy_of_the_columns():
@@ -266,12 +261,6 @@ def test_constructor_keeps_its_own_copy_of_the_columns():
     del first[1]
     second[1] = 1
     assert complex_.columns(1) == ({0: 1, 1: -1}, {})
-
-
-def test_rank_mod2_drops_even_entries():
-    assert rank_mod2([[2, 4], [6, 8]]) == 0
-    assert rank_mod2([[1, 1], [1, 1]]) == 1
-    assert rank_mod2([[1, 0], [0, 1]]) == 2
 
 
 def test_complex_rejects_nonzero_composite():
@@ -318,7 +307,7 @@ def test_sparse_constructor_names_the_row_and_drops_zeros():
 def test_sparse_constructor_guards_survive_optimized_mode():
     script = textwrap.dedent(
         """
-        from multiaxial.homology import ChainComplex, rank_mod2, smith_normal_form
+        from multiaxial.homology import ChainComplex, smith_normal_form
         gens = {0: ["v"], 1: ["e"], 2: ["f"]}
         for boundaries in ({1: [{0: 1}], 2: [{0: 1}]}, {1: [{3: 1}]}):
             try:
@@ -338,13 +327,12 @@ def test_sparse_constructor_guards_survive_optimized_mode():
             except TypeError:
                 continue
             raise SystemExit(f"accepted {generators} {boundaries}")
-        for routine in (smith_normal_form, rank_mod2):
-            for matrix in ([[2.5, 0], [0, 3.7]], [[1, 0], [0, 2.0]]):
-                try:
-                    routine(matrix)
-                except TypeError:
-                    continue
-                raise SystemExit(f"{routine.__name__} accepted {matrix}")
+        for matrix in ([[2.5, 0], [0, 3.7]], [[1, 0], [0, 2.0]]):
+            try:
+                smith_normal_form(matrix)
+            except TypeError:
+                continue
+            raise SystemExit(f"smith_normal_form accepted {matrix}")
         print("guards hold")
         """
     )
@@ -367,13 +355,11 @@ def test_sphere_complex_homology():
         0: FGAbelianGroup.free(1),
         2: FGAbelianGroup.free(1),
     }
-    assert mod2_homology(complex_) == {0: 1, 2: 1}
 
 
 def test_contractible_complex_homology():
     complex_ = build_chain_complex(Family.COMPLEX, 2, 2)
     assert integral_homology(complex_) == {0: FGAbelianGroup.free(1)}
-    assert mod2_homology(complex_) == {0: 1}
 
 
 def test_relative_rank_two_complex_homology():
@@ -387,8 +373,6 @@ def test_relative_rank_two_complex_homology():
         9: FGAbelianGroup.free(1),
         11: FGAbelianGroup.free(1),
     }
-    # all boundaries drop out of the filtration, so mod 2 sees raw counts
-    assert mod2_homology(complex_) == {3: 1, 5: 1, 7: 2, 9: 1, 11: 1}
 
 
 def test_torsion_complex():
@@ -400,39 +384,12 @@ def test_torsion_complex():
         0: FGAbelianGroup.free(1),
         1: FGAbelianGroup(0, ((2, 1),)),
     }
-    assert mod2_homology(rp2) == {0: 1, 1: 1, 2: 1}
-
-
-def test_universal_coefficients_relation():
-    complexes = [
-        from_matrices(
-            {0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[2]]}
-        ),
-        from_matrices(
-            {0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[4]]}
-        ),
-        build_chain_complex(Family.COMPLEX, 2, 4),
-        build_chain_complex(Family.QUATERNIONIC, 2, 4),
-    ]
-    for complex_ in complexes:
-        homology = integral_homology(complex_)
-        betti2 = mod2_homology(complex_)
-        degrees = set(homology) | set(betti2)
-        for p in degrees:
-            here = homology.get(p, FGAbelianGroup.trivial())
-            below = homology.get(p - 1, FGAbelianGroup.trivial())
-            assert betti2.get(p, 0) == (
-                here.free_rank
-                + here.two_torsion_rank()
-                + below.two_torsion_rank()
-            )
 
 
 def test_homology_is_generator_order_invariant():
     cells = cells_by_degree(Family.COMPLEX, 3, 5)
     complex_ = complex_from_cells(cells)
     reference = integral_homology(complex_)
-    reference2 = mod2_homology(complex_)
     rng = random.Random(7)
     for _ in range(3):
         shuffled_cells = {}
@@ -448,7 +405,6 @@ def test_homology_is_generator_order_invariant():
                 boundary = {faces[r]: v for r, v in column.items()}
                 assert boundary == dict(pivot_boundary(cell))
         assert integral_homology(shuffled) == reference
-        assert mod2_homology(shuffled) == reference2
 
 
 def test_reduced_oracle_beyond_dense_reach(monkeypatch):
@@ -469,12 +425,8 @@ def test_reduced_oracle_beyond_dense_reach(monkeypatch):
                 assert relative_l_homology_oracle(family, n, k) == (
                     relative_l_homology(family, n, k)
                 ), (family, n, k)
-                complex_ = build_chain_complex(family, n, k)
-                groups = integral_homology(complex_)
-                assert all(not g.torsion for g in groups.values())
-                assert {p: g.free_rank for p, g in groups.items()} == (
-                    mod2_homology(complex_)
-                ), (family, n, k)
+                groups = integral_homology(build_chain_complex(family, n, k))
+                assert all(not g.torsion for g in groups.values()), (family, n, k)
 
 
 def test_euler_characteristic_agrees_with_homology():

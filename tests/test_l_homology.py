@@ -77,21 +77,32 @@ def test_torsion_input_is_contract_violation():
 
 @pytest.mark.parametrize("family", [C, H], ids=str)
 def test_oracles_eliminate_over_z_alone(monkeypatch, family):
-    # torsion-free integral homology fixes the mod 2 ranks, so no oracle
-    # needs a mod 2 elimination
-    def refuse(*args):
-        raise AssertionError("an oracle ran a mod 2 elimination")
+    # torsion-free integral homology fixes the mod 2 ranks, so an oracle
+    # eliminates each nonzero boundary of its complex once, over Z, and
+    # runs no other elimination
+    eliminated = []
+    original = homology.sparse_invariant_factors
 
-    for name in ("boundary_ranks_mod2", "sparse_rank_mod2"):
-        monkeypatch.setattr(homology, name, refuse)
+    def counting(columns):
+        eliminated.append(columns)
+        return original(columns)
+
+    monkeypatch.setattr(homology, "sparse_invariant_factors", counting)
     n, k = 2, 5
+    complex_ = build_chain_complex(family, n, k)
+    boundaries = [complex_.columns(p) for p in complex_.boundary_degrees()]
+    assert boundaries
     assert relative_l_homology_oracle(family, n, k) == relative_l_homology(
         family, n, k
     )
+    assert eliminated == []  # the rank-n slice stores no boundary
     assert reduced_l_homology_oracle(family, n, k) == reduced_l_homology(
         family, n, k
     )
+    assert eliminated == boundaries
+    eliminated.clear()
     assert verify_collapse(family, n, k)
+    assert eliminated == boundaries
 
 
 def test_relative_examples():

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -114,6 +115,28 @@ def test_complex_from_cells_drops_faces_outside_the_cells():
     complex_ = complex_from_cells(cells)
     assert complex_.degrees() == [3, 5]
     assert complex_.boundary_degrees() == []
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_every_band_boundary_is_a_partial_matching(family):
+    # each nonzero column is a single 1 and no row serves two columns, so
+    # every elimination pivots on isolated units: integral ranks equal the
+    # ranks over any field, and the homology is free
+    matched = 0
+    for n in range(1, 6):
+        for k in range(n, 10):
+            for lo, hi in itertools.combinations_with_replacement(range(1, n + 1), 2):
+                band = CellFiltration(lo, hi)
+                complex_ = complex_from_cells(cells_by_degree(family, n, k, band))
+                for p in complex_.boundary_degrees():
+                    used = set()
+                    for column in filter(None, complex_.columns(p)):
+                        where = (n, k, lo, hi, p, column)
+                        assert list(column.values()) == [1], where
+                        assert not used & column.keys(), where
+                        used |= column.keys()
+                    matched += len(used)
+    assert matched
 
 
 def test_quaternionic_point():

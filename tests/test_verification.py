@@ -50,11 +50,7 @@ def counted(monkeypatch):
     )
     _counting(
         monkeypatch, eliminations, homology, "sparse_invariant_factors",
-        lambda columns: ("Z", _content(columns)),
-    )
-    _counting(
-        monkeypatch, eliminations, homology, "sparse_rank_mod2",
-        lambda columns: ("Z/2", _content(columns)),
+        _content,
     )
     _counting(
         monkeypatch, reports, structure_set, "compute_structure_set",
@@ -88,15 +84,13 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
         (family, n, k, None) for family in FAMILIES for n, k in GRID
     )
     assert len(built) == 3 * len(FAMILIES) * len(GRID)
-    # every nonzero boundary of each of them is eliminated once over Z and
-    # once mod 2, and nothing else is
-    expected_eliminations = Counter()
-    for complex_ in built:
-        for p in complex_.boundary_degrees():
-            content = _content(complex_.columns(p))
-            expected_eliminations["Z", content] += 1
-            expected_eliminations["Z/2", content] += 1
-    assert eliminations == expected_eliminations
+    # every nonzero boundary of each of them is eliminated once, over Z,
+    # and nothing else is
+    assert eliminations == Counter(
+        _content(complex_.columns(p))
+        for complex_ in built
+        for p in complex_.boundary_degrees()
+    )
 
     expected_specs = {
         ActionSpec(family, n, k + step, j)
@@ -183,10 +177,6 @@ def _one_factor_less(factors):
     return factors[:-1]
 
 
-def _one_more_rank(rank):
-    return rank + 1
-
-
 def _last_factor_two(factors):
     return factors[:-1] + [2]
 
@@ -214,11 +204,7 @@ def _plant_invariant(monkeypatch, name, plant, target, degree=None):
 
 
 @pytest.mark.parametrize(
-    "name, plant",
-    [
-        ("boundary_invariant_factors", _one_factor_less),
-        ("boundary_ranks_mod2", _one_more_rank),
-    ],
+    "name, plant", [("boundary_invariant_factors", _one_factor_less)]
 )
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
@@ -235,17 +221,10 @@ def test_a_wrong_invariant_fails_sparse_vs_dense_at_its_point(
     assert failures[("sparse-vs-dense-snf", point)] == f"degrees {planted} differ"
     # the homology was read from the planted invariants too
     assert ("generator-order-invariance", point) in failures
-    if name == "boundary_ranks_mod2":
-        # no oracle reads mod 2 homology; the universal coefficient
-        # cross-check is where a wrong mod 2 rank shows
-        assert ("mod2-consistency", point) in failures
     assert {params for _, params in failures} == {point}
 
 
-@pytest.mark.parametrize(
-    "name, extra",
-    [("boundary_invariant_factors", [2]), ("boundary_ranks_mod2", 1)],
-)
+@pytest.mark.parametrize("name, extra", [("boundary_invariant_factors", [2])])
 @pytest.mark.parametrize("above_top", [False, True])
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_an_invariant_where_no_boundary_is_stored_fails_sparse_vs_dense(
