@@ -143,6 +143,10 @@ class FGAbelianGroup:
         >>> FGAbelianGroup.from_orders([6, 4]) == FGAbelianGroup.from_orders([12, 2])
         True
         """
+        orders = tuple(orders)
+        if set(map(type, orders)) - {int}:
+            bad = next(order for order in orders if type(order) is not int)
+            raise TypeError(f"order {bad!r} is not an int")
         counts = Counter(map(abs, orders))
         torsion: tuple[Run, ...] = ()
         for order, count in counts.items():

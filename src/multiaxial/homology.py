@@ -11,12 +11,10 @@ Geom. 41, 2009).  The residual is whatever the split leaves, every other
 nonzero column; it goes as one dense block to the Smith normal form, and
 for the orbit-space complexes it is empty.
 
-Homology is computed in two halves.  boundary_invariant_factors does the
-chain-level work, one elimination over Z of each nonzero boundary, and
-read_integral_homology turns those invariant factors into groups without
-touching a column.  integral_homology is the two halves composed; a
-caller that also wants the factors themselves, as verify does to compare
-them with the dense Smith normal form, keeps them and calls the read.
+integral_homology eliminates each nonzero boundary once, over Z, and reads
+every degree's group off the invariant factors of its two boundaries.  The
+dense smith_normal_form is also the reference that the sparse split is
+tested against on matrices with torsion.
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -63,12 +61,14 @@ def _pruned_copy(matrix: Matrix) -> list[list[int]]:
     which leaves the invariant factors unchanged."""
     if len(set(map(len, matrix))) > 1:
         raise ValueError("matrix rows must all have the same length")
+    # every entry is checked before pruning, so a zero that is not an int
+    # is refused rather than dropped
+    for v in chain.from_iterable(matrix):
+        if type(v) is not int:
+            _not_an_int(v, "entry")
     rows = [row for row in matrix if any(row)]
     keep = [any(column) for column in zip(*rows)]
-    return [
-        [v for v in compress(row, keep) if type(v) is int or _not_an_int(v, "entry")]
-        for row in rows
-    ]
+    return [list(compress(row, keep)) for row in rows]
 
 
 def _smallest_nonzero(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -136,9 +136,7 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
         if a[t][t] not in (1, -1):
             orders.append(a[t][t])
         t += 1
-    # orbit boundaries reach here as permutation matrices; building no group
-    # for their unit diagonals keeps verify about 4 % faster
-    torsion = FGAbelianGroup.from_orders(orders).torsion if orders else ()
+    torsion = FGAbelianGroup.from_orders(orders).torsion
     factors = [d for d, count in torsion for _ in range(count)]
     return [1] * (t - len(factors)) + factors
 
@@ -169,7 +167,9 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
     rest: list[Column] = []
     for column in filter(None, columns):
         for r, v in column.items():
-            if (v == 1 or v == -1) and uses[r] == 1:
+            # a unit that is not an int goes on to the dense block, which
+            # refuses it
+            if (v == 1 or v == -1) and uses[r] == 1 and type(v) is int:
                 units += 1
                 break
         else:
@@ -233,11 +233,11 @@ class ChainComplex:
                     _reject_row(p, column, rows)
                 copy = {}
                 for r, v in column.items():
+                    if type(r) is not int:
+                        _not_an_int(r, "row")
+                    if type(v) is not int:
+                        _not_an_int(v, "coefficient")
                     if v:
-                        if type(r) is not int:
-                            _not_an_int(r, "row")
-                        if type(v) is not int:
-                            _not_an_int(v, "coefficient")
                         copy[r] = v
                 if copy:
                     if kept is None:
@@ -296,23 +296,18 @@ class ChainComplex:
         )
 
 
-def boundary_invariant_factors(complex_: ChainComplex) -> dict[int, list[int]]:
-    """sparse_invariant_factors of every nonzero boundary, by degree."""
-    return {
-        p: sparse_invariant_factors(columns)
-        for p, columns in complex_._columns.items()
-    }
+def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
+    """Integral homology groups, trivial degrees omitted.
 
-
-def read_integral_homology(
-    complex_: ChainComplex, factors: Mapping[int, Sequence[int]]
-) -> dict[int, FGAbelianGroup]:
-    """Integral homology from the boundary_invariant_factors of complex_.
-
+    Each nonzero boundary is eliminated once by sparse_invariant_factors.
     In each degree the free rank is the cell count minus the ranks of the
     two adjacent boundaries, and the torsion is read off the invariant
     factors of the incoming boundary.
     """
+    factors = {
+        p: sparse_invariant_factors(columns)
+        for p, columns in complex_._columns.items()
+    }
     result = {}
     for p, cells in complex_._generators.items():
         incoming = factors.get(p + 1, ())
@@ -325,9 +320,3 @@ def read_integral_homology(
             continue
         result[p] = FGAbelianGroup(free, torsion)
     return result
-
-
-def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
-    """Integral homology groups, trivial degrees omitted."""
-    return read_integral_homology(complex_, boundary_invariant_factors(complex_))
-

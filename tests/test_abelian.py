@@ -45,6 +45,11 @@ def test_constructor_rejects_non_chain():
         FGAbelianGroup(0, ((2.0, 1),))
     with pytest.raises(TypeError):
         FGAbelianGroup(True)
+    # so are the orders of from_orders, even the ones it drops or counts as Z
+    with pytest.raises(TypeError, match="order 0.0 is not an int"):
+        FGAbelianGroup.from_orders([0.0])
+    with pytest.raises(TypeError, match="order True is not an int"):
+        FGAbelianGroup.from_orders([True])
 
 
 def test_direct_sum_of_two_torsion():

@@ -290,6 +290,11 @@ def test_sparse_constructor_rejects_bad_input():
         ChainComplex(gens, {1: [{0: 1}, {}]})
     with pytest.raises(ValueError, match="duplicate"):
         ChainComplex({0: ["v", "v"]}, {})
+    # a zero or a unit that is not an int is refused, never dropped or counted
+    with pytest.raises(TypeError, match="coefficient 0.0 is not an int"):
+        ChainComplex({0: ["a"], 1: ["b"]}, {1: [{0: 0.0}]})
+    with pytest.raises(TypeError, match="entry True is not an int"):
+        sparse_invariant_factors([{0: True}])
 
 
 def test_sparse_constructor_names_the_row_and_drops_zeros():
@@ -327,7 +332,7 @@ def test_sparse_constructor_guards_survive_optimized_mode():
             except TypeError:
                 continue
             raise SystemExit(f"accepted {generators} {boundaries}")
-        for matrix in ([[2.5, 0], [0, 3.7]], [[1, 0], [0, 2.0]]):
+        for matrix in ([[2.5, 0], [0, 3.7]], [[1, 0], [0, 2.0]], [[2, 0.0]]):
             try:
                 smith_normal_form(matrix)
             except TypeError:
@@ -387,24 +392,25 @@ def test_torsion_complex():
 
 
 def test_homology_is_generator_order_invariant():
-    cells = cells_by_degree(Family.COMPLEX, 3, 5)
-    complex_ = complex_from_cells(cells)
-    reference = integral_homology(complex_)
     rng = random.Random(7)
-    for _ in range(3):
-        shuffled_cells = {}
-        for p, cells_p in cells.items():
-            shuffled_cells[p] = list(cells_p)
-            rng.shuffle(shuffled_cells[p])
-        shuffled = complex_from_cells(shuffled_cells)
-        assert any(shuffled.generators(p) != complex_.generators(p) for p in cells)
-        # rows and columns follow the generators they index
-        for p in cells:
-            faces = shuffled.generators(p - 1)
-            for cell, column in zip(shuffled.generators(p), shuffled.columns(p)):
-                boundary = {faces[r]: v for r, v in column.items()}
-                assert boundary == dict(pivot_boundary(cell))
-        assert integral_homology(shuffled) == reference
+    for family in Family:
+        cells = cells_by_degree(family, 3, 5)
+        complex_ = complex_from_cells(cells)
+        reference = integral_homology(complex_)
+        for _ in range(3):
+            shuffled_cells = {}
+            for p, cells_p in cells.items():
+                shuffled_cells[p] = list(cells_p)
+                rng.shuffle(shuffled_cells[p])
+            shuffled = complex_from_cells(shuffled_cells)
+            assert any(shuffled.generators(p) != complex_.generators(p) for p in cells)
+            # rows and columns follow the generators they index
+            for p in cells:
+                faces = shuffled.generators(p - 1)
+                for cell, column in zip(shuffled.generators(p), shuffled.columns(p)):
+                    boundary = {faces[r]: v for r, v in column.items()}
+                    assert boundary == dict(pivot_boundary(cell))
+            assert integral_homology(shuffled) == reference, family
 
 
 def test_reduced_oracle_beyond_dense_reach(monkeypatch):
