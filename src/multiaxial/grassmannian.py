@@ -28,7 +28,7 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .family import Family, UsageError
+from .family import Family, UsageError, require_valid
 
 BoxPartition = tuple[int, ...]
 
@@ -40,15 +40,6 @@ class ParityCount(NamedTuple):
     @property
     def total(self) -> int:
         return self.even_count + self.odd_count
-
-
-def require_valid(n: int, k: int):
-    """Reject a rank and copy count that are not ints (True and 2.0
-    included) with TypeError, and ones outside k >= n >= 1."""
-    if type(n) is not int or type(k) is not int:
-        raise TypeError(f"n and k must be ints, got n={n!r}, k={k!r}")
-    if n < 1 or k < n:
-        raise UsageError(f"need k >= n >= 1, got n={n}, k={k}")
 
 
 def enumerate_box_partitions(n: int, bound: int) -> list[BoxPartition]:

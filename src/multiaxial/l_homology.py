@@ -30,8 +30,8 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .abelian import FGAbelianGroup
-from .family import Family
-from .grassmannian import count_A_B, count_a_b, require_valid
+from .family import Family, require_valid
+from .grassmannian import count_A_B, count_a_b
 from .homology import integral_homology
 from .orbit_cells import CellFiltration, build_chain_complex, orbit_space_dimension
 

@@ -10,9 +10,9 @@ dimension
     4*sum(m) - 3*r - 1    over the quaternions.
 
 The degree drops by exactly one when the last pivot equals 1, and removing
-that pivot gives the unique boundary cell; every other attaching map is
-degree zero on cells.  That single rule, pivot_boundary, is the whole
-differential.
+that pivot gives the unique boundary cell, with coefficient +1; every other
+attaching map is degree zero on cells.  That single rule, pivot_boundary,
+is the whole differential, and nothing here comes from the closed form.
 
 cells_by_degree enumerates the tuples of a rank band grouped by dimension,
 and complex_from_cells turns any such map into a chain complex whose
@@ -30,8 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .family import Family, UsageError
-from .grassmannian import require_valid
+from .family import Family, UsageError, require_valid
 from .homology import ChainComplex
 
 Pivots = tuple[int, ...]
@@ -46,14 +45,13 @@ def cell_label(pivots: Pivots) -> str:
     return "(" + ",".join(map(str, pivots)) + ")"
 
 
-def pivot_boundary(pivots: Pivots) -> tuple[tuple[Pivots, int], ...]:
-    """Formal boundary of the cell over a pivot tuple, as (face, coefficient).
-
-    Nonzero only for rank >= 2 with last pivot 1.
-    """
+def pivot_boundary(pivots: Pivots) -> Pivots | None:
+    """The one face of the cell over a pivot tuple, with coefficient +1: the
+    tuple without its last pivot when that is 1 and the rank is >= 2, else
+    None."""
     if len(pivots) >= 2 and pivots[-1] == 1:
-        return ((pivots[:-1], 1),)
-    return ()
+        return pivots[:-1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,8 @@ def cells_by_degree(
 def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComplex:
     """Cellular chain complex on exactly the given cells, degree -> pivots.
 
-    Boundary terms whose face is not among the cells are dropped, which is
-    what makes a rank slice compute relative homology.
+    A face that is not among the cells is dropped, which is what makes a
+    rank slice compute relative homology.
 
     >>> complex_from_cells({2: [(2,)], 3: [(2, 1)]}).columns(3)
     ({0: 1},)
@@ -129,7 +127,7 @@ def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComple
     []
     """
     boundaries = {}
-    no_terms: dict[int, int] = {}  # shared by every cell without a boundary
+    no_face: dict[int, int] = {}  # shared by every cell without a face
     for p, cells in by_degree.items():
         below = by_degree.get(p - 1)
         if not below:
@@ -137,14 +135,8 @@ def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComple
         row_of = dict(zip(below, range(len(below))))
         columns = []
         for pivots in cells:
-            column = no_terms
-            for face, coefficient in pivot_boundary(pivots):
-                row = row_of.get(face)
-                if row is not None:
-                    if column is no_terms:
-                        column = {}
-                    column[row] = coefficient
-            columns.append(column)
+            row = row_of.get(pivot_boundary(pivots))
+            columns.append(no_face if row is None else {row: 1})
         boundaries[p] = columns
     return ChainComplex(by_degree, boundaries)
 

@@ -8,7 +8,7 @@ import pytest
 
 from multiaxial import cli, grassmannian
 from multiaxial.abelian import FGAbelianGroup
-from multiaxial.family import Family, UsageError
+from multiaxial.family import Family, UsageError, require_valid
 from multiaxial.orbit_cells import CellFiltration
 from multiaxial.structure_set import ActionSpec, compute_structure_set
 from multiaxial.verification import (
@@ -248,7 +248,7 @@ def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
     "validator",
     [
         lambda: Family.parse("X"),
-        lambda: grassmannian.require_valid(0, 2),
+        lambda: require_valid(0, 2),
         lambda: grassmannian.enumerate_box_partitions(0, 2),
         lambda: ActionSpec(Family.COMPLEX, -1, 2),
         lambda: CellFiltration(3, 1),
@@ -421,6 +421,60 @@ def test_verify_stdout_is_pinned(capsys):
     )
     assert code == 0
     assert out == VERIFY_4_8_2
+
+
+HOMOLOGY_U_2_4 = ("homology", "--family", "U", "--n", "2", "--k", "4", "--variant")
+
+# the table form of each homology variant, and a structure set with a note
+TABLES = {
+    "relative": (
+        (*HOMOLOGY_U_2_4, "relative"),
+        """\
+relative top-degree homology, family=U n=2 k=4 (degree 11)
+  closed form: Z^4 ⊕ Z_2^2
+  oracle:      Z^4 ⊕ Z_2^2
+  agree:       yes
+""",
+    ),
+    "reduced": (
+        (*HOMOLOGY_U_2_4, "reduced"),
+        """\
+reduced top-degree homology, family=U n=2 k=4 (degree 11)
+  closed form: Z^2 ⊕ Z_2
+  oracle:      Z^2 ⊕ Z_2
+  agree:       yes
+""",
+    ),
+    "integral-all": (
+        (*HOMOLOGY_U_2_4, "integral-all"),
+        """\
+integral homology of the orbit space, family=U n=2 k=4 (dimension 11)
+  H_0 = Z
+  H_7 = Z
+  H_9 = Z
+  H_11 = Z
+""",
+    ),
+    "structure-set-note": (
+        ("structure-set", "--family", "U", "--n", "1", "--k", "3"),
+        """\
+structure set of S_U(1)(S(3 rho_1 + 0 eps))
+  normalized: family=U n=1 k=3 j=0  branch=even-gap
+  free_stratum  Z ⊕ Z_2
+  note: no trivial summand (j=0), so the deepest stratum is a free sphere \
+quotient (n and k - n make k odd in every firing case) and its summand drops \
+one Z
+  total: Z ⊕ Z_2
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", TABLES.values(), ids=TABLES.keys())
+def test_table_stdout_is_pinned(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_verify_header_names_the_parsed_families(capsys):

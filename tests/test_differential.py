@@ -54,7 +54,7 @@ def grid_points(draw):
     return n, draw(st.integers(n, MAX_K[n]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(tuple(Family)), grid_points())
 def test_closed_form_enumeration_and_chain_level_agree(family, point):
     n, k = point

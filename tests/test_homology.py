@@ -295,6 +295,16 @@ def test_sparse_constructor_rejects_bad_input():
         ChainComplex({0: ["a"], 1: ["b"]}, {1: [{0: 0.0}]})
     with pytest.raises(TypeError, match="entry True is not an int"):
         sparse_invariant_factors([{0: True}])
+    # so is a degree that is not an int or is negative, and a row that is
+    # not an int even where it passes the range check
+    with pytest.raises(TypeError, match="degree 0.0 is not an int"):
+        ChainComplex({0.0: ["v"]}, {})
+    with pytest.raises(ValueError, match="nonnegative"):
+        ChainComplex({-1: ["v"]}, {})
+    with pytest.raises(TypeError, match="degree 1.0 is not an int"):
+        ChainComplex(gens, {1.0: [{0: 1}]})
+    with pytest.raises(TypeError, match="row True is not an int"):
+        ChainComplex({0: ["v", "w"], 1: ["e"]}, {1: [{True: 1}]})
 
 
 def test_sparse_constructor_names_the_row_and_drops_zeros():
@@ -409,7 +419,8 @@ def test_homology_is_generator_order_invariant():
                 faces = shuffled.generators(p - 1)
                 for cell, column in zip(shuffled.generators(p), shuffled.columns(p)):
                     boundary = {faces[r]: v for r, v in column.items()}
-                    assert boundary == dict(pivot_boundary(cell))
+                    face = pivot_boundary(cell)
+                    assert boundary == ({} if face is None else {face: 1})
             assert integral_homology(shuffled) == reference, family
 
 

@@ -18,6 +18,7 @@ from multiaxial.l_homology import (
     l_coefficient,
     one_residue_class,
     read_collapse,
+    read_reduced_l_homology,
     reduced_l_homology,
     reduced_l_homology_oracle,
     relative_l_homology,
@@ -73,6 +74,9 @@ def test_assemble_rejects_negative_degree():
 def test_torsion_input_is_contract_violation():
     with pytest.raises(ValueError):
         _torsion_free_ranks({3: FGAbelianGroup(1, ((2, 1),))})
+    # nor may the full complex have two classes in degree 0
+    with pytest.raises(ValueError, match="got rank 2 in degree 0"):
+        read_reduced_l_homology(C, 1, 2, {0: FGAbelianGroup.free(2)})
 
 
 @pytest.mark.parametrize("family", [C, H], ids=str)

@@ -38,10 +38,10 @@ def test_dimension_examples():
 
 
 def test_boundary_examples():
-    assert pivot_boundary((2, 1)) == (((2,), 1),)
-    assert pivot_boundary((3, 2)) == ()
-    assert pivot_boundary((1,)) == ()
-    assert pivot_boundary((4, 2, 1)) == (((4, 2), 1),)
+    assert pivot_boundary((2, 1)) == (2,)
+    assert pivot_boundary((3, 2)) is None
+    assert pivot_boundary((1,)) is None
+    assert pivot_boundary((4, 2, 1)) == (4, 2)
 
 
 def test_enumerate_sphere():

@@ -1,8 +1,10 @@
+import ast
+import inspect
 from dataclasses import replace
 
 import pytest
 
-from multiaxial import grassmannian, l_homology
+from multiaxial import grassmannian, homology, l_homology, orbit_cells
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.l_homology import (
@@ -79,6 +81,8 @@ def test_basepoint_summand_appears_only_with_trivial_summands():
     without = compute_structure_set(ActionSpec(C, 1, 2, 0))
     with_j = compute_structure_set(ActionSpec(C, 1, 2, 1))
     assert "basepoint" not in without.labels()
+    with pytest.raises(KeyError):
+        without.summand("basepoint")
     assert with_j.labels() == ("top", "basepoint")
     assert with_j.total == FGAbelianGroup(1, ((2, 1),))
     # even rank has a trivial correction, so no summand is emitted
@@ -263,6 +267,64 @@ def test_closed_form_never_builds_the_oracle_route(monkeypatch):
     for family in (C, H):
         for n, k, j in points:
             compute_structure_set(ActionSpec(family, n, k, j))
+
+
+def test_oracle_route_never_reads_the_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle route reached the closed form")
+
+    points = [(1, 1), (1, 4), (2, 5), (3, 6), (4, 8)]
+    oracles = (
+        l_homology.relative_l_homology_oracle,
+        l_homology.reduced_l_homology_oracle,
+        l_homology.verify_collapse,
+    )
+    expected = {
+        (oracle, family, n, k): oracle(family, n, k)
+        for oracle in oracles
+        for family in (C, H)
+        for n, k in points
+    }
+    for module in (grassmannian, l_homology):
+        for name in ("count_A_B", "count_a_b", "comb"):
+            monkeypatch.setattr(module, name, refuse)
+    for (oracle, family, n, k), value in expected.items():
+        assert oracle(family, n, k) == value
+
+
+def _sibling_imports(module) -> set[str]:
+    """Names of the package modules that module imports, relative or not."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "multiaxial." + base if base else "multiaxial"
+            if base == "multiaxial":
+                names.update(alias.name for alias in node.names)
+            elif base.startswith("multiaxial."):
+                names.add(base.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("multiaxial.")
+            )
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        (homology, {"grassmannian", "l_homology", "structure_set"}),
+        (orbit_cells, {"grassmannian", "l_homology", "structure_set"}),
+        (grassmannian, {"homology", "orbit_cells", "l_homology"}),
+    ],
+    ids=["homology", "orbit_cells", "grassmannian"],
+)
+def test_the_two_routes_import_nothing_from_each_other(module, forbidden):
+    imports = _sibling_imports(module)
+    assert imports and not imports & forbidden, imports
 
 
 def test_large_closed_form_total():

@@ -131,10 +131,10 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
                 assert complex_.columns(p) == reference.columns(p)
 
 
-def _plant(monkeypatch, name, family, n, k):
-    """Make verification's binding of name answer one more Z_2 at one
+def _plant(monkeypatch, name, family, n, k, module=verification):
+    """Make module's binding of name answer one more Z_2 at one
     (family, n, k) and the right answer everywhere else."""
-    original = getattr(verification, name)
+    original = getattr(module, name)
 
     def wrong(*args):
         group = original(*args)
@@ -142,7 +142,7 @@ def _plant(monkeypatch, name, family, n, k):
             return group.direct_sum(FGAbelianGroup.with_two_torsion(0, 1))
         return group
 
-    monkeypatch.setattr(verification, name, wrong)
+    monkeypatch.setattr(module, name, wrong)
 
 
 # At n = MAX_N no structure-set summand reads the relative group of
@@ -165,6 +165,25 @@ def test_a_wrong_group_on_either_side_fails_exactly_its_check(
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = [(r.check, r.params) for r in summary.results if not r.ok]
     assert failures == [(check, f"family={family} n={n} k={k}")]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_a_wrong_summand_group_fails_the_layer_check_at_its_point(
+    monkeypatch, family
+):
+    # the report's total is still the sum of its summands, so the layer
+    # check sees the planted group only by comparing it with the closed form
+    n, k = 2, 5
+    _plant(monkeypatch, "reduced_l_homology", family, n, k, structure_set)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = [
+        r.params
+        for r in summary.results
+        if r.check == "summand-layer-consistency" and not r.ok
+    ]
+    assert failures == [
+        f"family={family} n={n} k={k} j={j}" for j in range(MAX_J + 1)
+    ]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
