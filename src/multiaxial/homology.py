@@ -42,15 +42,6 @@ Column = Mapping[int, int]
 _NO_ENTRIES: Column = MappingProxyType({})
 
 
-def _reject_row(p: int, column: Column, rows: int) -> NoReturn:
-    """Raise for the out-of-range row of a boundary column."""
-    low = min(column)
-    row = low if low < 0 else max(column)
-    raise ValueError(
-        f"boundary in degree {p} has row {row}, expected 0 <= row < {rows}"
-    )
-
-
 def _not_an_int(value: object, what: str) -> NoReturn:
     """Refuse a value that should be an int, rather than truncate it."""
     raise TypeError(f"{what} {value!r} is not an int")
@@ -225,25 +216,25 @@ class ChainComplex:
                     f"boundary in degree {p} has {len(columns)} columns, "
                     f"expected {expected}"
                 )
-            # one pass over the nonzero columns: each is range checked by its
-            # smallest and largest row, then copied without its zero entries
-            kept: list[Column] | None = None
+            # one pass over the entries of the nonzero columns: the row's type
+            # and range, then the coefficient's type, and zeros are dropped
+            kept = [_NO_ENTRIES] * expected
             for j, column in compress(enumerate(columns), columns):
-                if min(column) < 0 or max(column) >= rows:
-                    _reject_row(p, column, rows)
                 copy = {}
                 for r, v in column.items():
                     if type(r) is not int:
                         _not_an_int(r, "row")
+                    if not 0 <= r < rows:
+                        raise ValueError(
+                            f"boundary in degree {p} has row {r}, "
+                            f"expected 0 <= row < {rows}"
+                        )
                     if type(v) is not int:
                         _not_an_int(v, "coefficient")
                     if v:
                         copy[r] = v
-                if copy:
-                    if kept is None:
-                        kept = [_NO_ENTRIES] * expected
-                    kept[j] = copy
-            if kept is not None:
+                kept[j] = copy or _NO_ENTRIES
+            if any(kept):
                 stored[p] = tuple(kept)
         for p, columns in stored.items():
             lower = stored.get(p - 1)

@@ -155,14 +155,14 @@ def verify_collapse(family: Family, n: int, k: int) -> bool:
     """Whether the reduced homology of the full complex of (family, n, k)
     sits in the degrees that one_residue_class allows."""
     complex_ = build_chain_complex(family, n, k)
-    return read_collapse(family, n, k, integral_homology(complex_))
+    return read_collapse(family, n, integral_homology(complex_))
 
 
 def read_collapse(
-    family: Family, n: int, k: int, homology: Mapping[int, FGAbelianGroup]
+    family: Family, n: int, homology: Mapping[int, FGAbelianGroup]
 ) -> bool:
-    """The collapse certificate read off the integral homology of the full
-    complex of (family, n, k)."""
+    """The collapse certificate read off the integral homology of a full
+    complex of (family, n, k), for any k."""
     # reduced homology: degree 0 loses the basepoint's Z
     degrees = [
         p

@@ -1,8 +1,11 @@
+import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
@@ -585,3 +588,36 @@ def test_export_complex_header_names_the_selected_band(
     # the JSON input echoes the flags as given
     code, doc = run_json(capsys, *argv)
     assert (doc["input"]["min_rank"], doc["input"]["max_rank"]) == input_band
+
+
+# SHA-256 of the structure-set sweep below; after a deliberate change to
+# that command's output, recompute it with
+#   PYTHONPATH=src python -c "import tests.test_cli as t; print(t.structure_set_sweep_digest())"
+# and say in the change why the bytes moved
+STRUCTURE_SET_SWEEP_SHA256 = (
+    "f1e93ebba23c74a055f7f7c0196f48bb9e118e9455b70a464d46f16a7f1aa889"
+)
+
+
+def structure_set_sweep_digest() -> str:
+    """SHA-256 over the stdout and exit code of 1,728 in-process
+    structure-set invocations: U and Sp, n 0..8, k 0..15, j 0..2, as a
+    table and as JSON."""
+    digest = hashlib.sha256()
+    for family, n, k, j, fmt in itertools.product(
+        ("U", "Sp"), range(9), range(16), range(3), ("table", "json")
+    ):
+        argv = [
+            "structure-set", "--family", family, "--n", str(n), "--k", str(k),
+            "--j", str(j), "--format", fmt,
+        ]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        digest.update(out.getvalue().encode("utf-8"))
+        digest.update(f"exit {code}\n".encode())
+    return digest.hexdigest()
+
+
+def test_structure_set_sweep_bytes_are_pinned():
+    assert structure_set_sweep_digest() == STRUCTURE_SET_SWEEP_SHA256

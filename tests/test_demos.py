@@ -17,7 +17,8 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a warning fails a demo, as it fails the console script and tier-1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     result = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env,
         timeout=120,

@@ -42,6 +42,40 @@ def test_package_guards_survive_optimized_mode():
         assert not asserts, f"{path.name} has assert statements at {asserts}"
 
 
+def test_every_parameter_is_read():
+    # a parameter that the body never reads is a no-op a caller still has
+    # to pass; self and cls are exempt
+    package = pathlib.Path(abelian.__file__).parent
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, functions):
+                continue
+            args = node.args
+            named = (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            params = [
+                a.arg
+                for a in (*named, args.vararg, args.kwarg)
+                if a is not None and a.arg not in ("self", "cls")
+            ]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.name}:{node.lineno} {name}({p})"
+                for p in params
+                if p not in read
+            ]
+    assert not unread, unread
+
+
 def test_acceptance_passes_in_optimized_mode():
     # python -O strips the package's assert statements; pytest rewrites the
     # test file's own asserts, so every criterion is still checked

@@ -171,8 +171,8 @@ def test_collapse_reports_are_informative():
     reduced = [p for p, g in groups.items() if p and not g.is_trivial]
     assert groups[0] == Z and reduced
     assert all(p % 2 == 1 for p in reduced)
-    assert read_collapse(C, 2, 4, groups) is True
-    assert read_collapse(C, 2, 4, {**groups, 0: Z.direct_sum(Z)}) is False
+    assert read_collapse(C, 2, groups) is True
+    assert read_collapse(C, 2, {**groups, 0: Z.direct_sum(Z)}) is False
 
 
 def test_collapse_grid():
@@ -192,7 +192,7 @@ def test_collapse_grid():
     ids=["U-even-degree", "Sp-two-classes", "U-torsion-counts"],
 )
 def test_collapse_is_false_on_fabricated_homology(family, n, groups):
-    assert read_collapse(family, n, n + 2, groups) is False
+    assert read_collapse(family, n, groups) is False
 
 
 @pytest.mark.parametrize(
@@ -218,7 +218,7 @@ def test_one_residue_class(family, n, degrees, holds):
         lambda: count_a_b(2, 5, "U"),
         lambda: count_a_b_oracle(2, 5, "U", [(0, 0)]),
         lambda: relative_l_homology("U", 2, 5),
-        lambda: read_collapse("U", 2, 5, {}),
+        lambda: read_collapse("U", 2, {}),
         lambda: cells_by_degree("U", 2, 5),
         lambda: orbit_space_dimension("U", 2, 5),
         lambda: reduced_l_homology("U", 2, 5),

@@ -205,31 +205,37 @@ def test_suspension_listed_examples():
     assert suspension_embeds(base, twice)
 
 
-def report_of(total, **summands):
-    """A hand-built report; only the summands and the total are read."""
+def report_of(**summands):
+    """A hand-built report; only the summands are read."""
     return DecompositionReport(
         spec=ActionSpec(C, 1, 1),
         branch="even-gap",
         summands=tuple(Summand(label, g, "") for label, g in summands.items()),
-        total=total,
     )
 
 
 @pytest.mark.parametrize(
     "base, twice",
     [
-        (report_of(Z2, top=Z2), report_of(Z2_2, free_stratum=Z2_2)),
-        (
-            report_of(Z4, top=Z4),
-            report_of(Z4.direct_sum(Z2_2), top=Z2_2, basepoint=Z4),
-        ),
-        (report_of(Z2, top=Z2), report_of(Z, top=Z2)),
+        (report_of(top=Z2), report_of(free_stratum=Z2_2)),
+        (report_of(top=Z4), report_of(top=Z2_2, basepoint=Z4)),
     ],
-    ids=["label-missing", "Z_4-in-Z_2^2", "totals-do-not-embed"],
+    ids=["label-missing", "Z_4-in-Z_2^2"],
 )
 def test_suspension_embeds_false_side(base, twice):
     # each case breaks one condition and keeps the others
     assert suspension_embeds(base, twice) is False
+
+
+def test_report_total_is_derived_from_its_summands():
+    assert report_of().total == FGAbelianGroup.trivial()
+    assert report_of(top=Z2, basepoint=Z4, free_stratum=Z).total == (
+        FGAbelianGroup(1, ((2, 1), (4, 1)))
+    )
+    with pytest.raises(TypeError, match="total"):
+        DecompositionReport(
+            spec=ActionSpec(C, 1, 1), branch="even-gap", summands=(), total=Z
+        )
 
 
 def test_identity_embedding():
