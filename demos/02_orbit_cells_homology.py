@@ -33,13 +33,16 @@ print("top dimension:", orbit_space_dimension(C, n, k))
 # Almost every boundary map vanishes. The only surviving face relation
 # drops a trailing pivot at position 1, with coefficient 1, so the chain
 # complex is very sparse and its homology is torsion free.
+# A boundary is stored as sparse columns, one row -> coefficient map per
+# generator, the row indexing the generators one degree down.
 cx = build_chain_complex(C, n, k)
 print()
-print("nonzero boundary matrices:")
-for p in cx.degrees():
-    matrix = cx.boundary_matrix(p)
-    if any(any(row) for row in matrix):
-        print(f"  d_{p}: {matrix}")
+print("nonzero boundary columns:")
+for p in cx.boundary_degrees():
+    faces = cx.generators(p - 1)
+    for cell, column in zip(cx.generators(p), cx.columns(p)):
+        for row, coeff in sorted(column.items()):
+            print(f"  d_{p} {cell_label(cell)} = {coeff} * {cell_label(faces[row])}")
 
 print()
 print("integral homology:")

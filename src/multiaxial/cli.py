@@ -7,9 +7,10 @@ internal ValueError stays a traceback.
 
 JSON documents share one envelope: schema_version, tool, command, then
 the command specific payload.  Groups carry their torsion as
-[order, multiplicity] runs (schema 2).  Key order is fixed and nothing in the
-output depends on wall clock, environment or hash seeds, so repeated
-runs are byte identical.
+[order, multiplicity] runs (schema 2), and export-complex its boundaries as
+stored, one list of [row, coeff] pairs per generator (schema 3).  Key order
+is fixed and nothing in the output depends on wall clock, environment or
+hash seeds, so repeated runs are byte identical.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .orbit_cells import (
 from .structure_set import ActionSpec, compute_structure_set
 from .verification import run_verification
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _document(command: str, payload: dict) -> dict:
@@ -53,7 +54,7 @@ def _document(command: str, payload: dict) -> dict:
 def _render(value, out: list[str], pad: str):
     """Append value as json.dumps(indent=2) would write it, except that an
     array holding no object stays on one line, so a torsion run or a
-    matrix costs one line.  pad is a newline plus the current indent."""
+    boundary costs one line.  pad is a newline plus the current indent."""
     if type(value) is dict and value:
         inner = pad + "  "
         separator = "{"
@@ -234,7 +235,7 @@ def cmd_export_complex(args) -> int:
         {
             "degree": p,
             "generators": [cell_label(cell) for cell in complex_.generators(p)],
-            "boundary": complex_.boundary_matrix(p),
+            "boundary": [sorted(column.items()) for column in complex_.columns(p)],
         }
         for p in complex_.degrees()
     ]
@@ -259,8 +260,9 @@ def cmd_export_complex(args) -> int:
         for entry in degrees:
             gens = " ".join(entry["generators"])
             print(f"  degree {entry['degree']}: {gens}")
-            for row in entry["boundary"]:
-                print(f"    {row}")
+            for label, column in zip(entry["generators"], entry["boundary"]):
+                if column:
+                    print(f"    {label} -> {json.dumps(column)}")
     return 0
 
 

@@ -273,14 +273,6 @@ class ChainComplex:
             return stored
         return (_NO_ENTRIES,) * self.cell_count(p)
 
-    def boundary_matrix(self, p: int) -> list[list[int]]:
-        """Dense matrix of the boundary out of degree p, zeros included."""
-        matrix = [[0] * self.cell_count(p) for _ in range(self.cell_count(p - 1))]
-        for j, column in enumerate(self._columns.get(p, ())):
-            for r, v in column.items():
-                matrix[r][j] = v
-        return matrix
-
     def euler_characteristic(self) -> int:
         return sum(
             (-1) ** p * len(cells) for p, cells in self._generators.items()

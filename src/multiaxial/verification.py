@@ -23,8 +23,9 @@ partial matchings with unit entries.
 
 Oracle homology that a read_* function refuses (torsion where the
 assembly needs none) fails its closed-vs-oracle check, with the reason as
-detail, instead of ending the run.  Nothing is kept between calls, so a
-second call recomputes all of it.
+detail, instead of ending the run; so does a summand label naming no layer,
+in summand-layer-consistency.  Nothing is kept between calls, so a second
+call recomputes all of it.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def _gaussian_binomials(max_n: int, max_k: int) -> dict[tuple[int, int], list]:
 
 def _expected_layer(
     family: Family, n: int, k: int, label: str
-) -> FGAbelianGroup:
-    """The closed-form group that a structure-set summand should carry."""
+) -> FGAbelianGroup | None:
+    """The closed-form group a structure-set summand should carry, or None."""
     if label == "top":
         return reduced_l_homology(family, n, k)
     if label == "basepoint":
@@ -147,8 +148,8 @@ def _expected_layer(
     if label == "free_stratum":
         line = relative_l_homology(family, 1, k)
         return FGAbelianGroup(line.free_rank - 1, line.torsion)
-    depth = int(label.removeprefix("stratum_pair(").rstrip(")"))
-    return relative_l_homology(family, n - depth, k)
+    depth = {f"stratum_pair({d})": d for d in range(n)}.get(label)
+    return None if depth is None else relative_l_homology(family, n - depth, k)
 
 
 def run_verification(
@@ -366,11 +367,13 @@ def run_verification(
                 spec = ActionSpec(family, n, k, j)
                 sparams = f"family={family} n={n} k={k} j={j}"
                 report = report_of(spec)
-                layer_ok = all(
-                    summand.group == _expected_layer(family, n, k, summand.label)
+                wrong = [
+                    summand.label
                     for summand in report.summands
-                )
-                add(CheckResult("summand-layer-consistency", sparams, layer_ok))
+                    if summand.group != _expected_layer(family, n, k, summand.label)
+                ]
+                detail = " ".join(wrong)
+                add(CheckResult("summand-layer-consistency", sparams, not wrong, detail))
                 expected_branch = "even-gap" if (k - n) % 2 == 0 else "odd-gap"
                 add(
                     CheckResult(

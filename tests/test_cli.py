@@ -12,7 +12,7 @@ import pytest
 from multiaxial import cli, grassmannian
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family, UsageError, require_valid
-from multiaxial.orbit_cells import CellFiltration
+from multiaxial.orbit_cells import CellFiltration, build_chain_complex, cell_label
 from multiaxial.structure_set import ActionSpec, compute_structure_set
 from multiaxial.verification import (
     CheckResult,
@@ -38,7 +38,7 @@ def test_structure_set_json_document(capsys):
         "--j", "0",
     )
     assert code == 0
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "structure-set"
     assert doc["total"] == {"free_rank": 4, "torsion": [[2, 2]]}
     assert doc["normalized"]["branch"] == "even-gap"
@@ -316,8 +316,46 @@ def test_export_complex_round_trip(capsys):
     assert doc["total_cells"] == 3
     degrees = {entry["degree"]: entry for entry in doc["degrees"]}
     assert degrees[0]["generators"] == ["(1)"]
-    assert degrees[3]["boundary"] == [[1]]
+    assert degrees[0]["boundary"] == [[]]
+    assert degrees[3]["boundary"] == [[[0, 1]]]
     assert json.loads(json.dumps(doc)) == doc
+
+
+# read back, each degree's columns are the in-process complex's, one list
+# of [row, coeff] pairs per generator with the rows ascending
+@pytest.mark.parametrize(
+    "n, k, band",
+    [
+        (3, 6, ()),
+        (4, 7, ()),
+        (4, 7, ("--min-rank", "2")),
+        (4, 7, ("--min-rank", "2", "--max-rank", "3")),
+        (4, 7, ("--max-rank", "1")),
+        (4, 7, ("--min-rank", "4")),
+    ],
+)
+@pytest.mark.parametrize("family", ["U", "Sp"])
+def test_export_complex_reads_back_as_the_built_complex(
+    capsys, family, n, k, band
+):
+    code, doc = run_json(
+        capsys, "export-complex", "--family", family, "--n", str(n),
+        "--k", str(k), *band,
+    )
+    assert code == 0
+    filtration = CellFiltration(doc["input"]["min_rank"], doc["input"]["max_rank"])
+    complex_ = build_chain_complex(Family.parse(family), n, k, filtration)
+    assert [entry["degree"] for entry in doc["degrees"]] == complex_.degrees()
+    for entry in doc["degrees"]:
+        p = entry["degree"]
+        assert entry["generators"] == [
+            cell_label(cell) for cell in complex_.generators(p)
+        ]
+        for pairs in entry["boundary"]:
+            assert all(len(pair) == 2 for pair in pairs)
+            assert [row for row, _ in pairs] == sorted({row for row, _ in pairs})
+        columns = [dict(pairs) for pairs in entry["boundary"]]
+        assert columns == list(complex_.columns(p))
 
 
 def test_export_complex_rank_filter(capsys):
@@ -328,7 +366,20 @@ def test_export_complex_rank_filter(capsys):
     assert code == 0
     assert doc["total_cells"] == 6
     for entry in doc["degrees"]:
-        assert not any(any(row) for row in entry["boundary"])
+        assert entry["boundary"] == [[]] * len(entry["generators"])
+
+
+# the document grows with the cells and their nonzeros, not with the square
+# of a degree's cell count: dense boundaries took 1.69 MB at U(6,14) and
+# 21.9 MB at U(7,16)
+@pytest.mark.parametrize("n, k, limit", [(6, 14, 200_000), (7, 16, 1_000_000)])
+def test_export_complex_json_size_follows_the_columns(capsys, n, k, limit):
+    code, out = run_cli(
+        capsys, "export-complex", "--family", "U", "--n", str(n), "--k", str(k),
+        "--format", "json",
+    )
+    assert code == 0
+    assert len(out.encode("utf-8")) <= limit
 
 
 def _run_subprocess(args, seed):
@@ -497,17 +548,16 @@ chain complex, family=U n=2 k=3 ranks 1..2
   degree 0: (1)
   degree 2: (2)
   degree 3: (2,1)
-    [1]
+    (2,1) -> [[0, 1]]
   degree 4: (3)
-    [0]
   degree 5: (3,1)
-    [1]
+    (3,1) -> [[0, 1]]
   degree 7: (3,2)
 """
 
 EXPORT_U_2_3_JSON = """\
 {
-  "schema_version": 2,
+  "schema_version": 3,
   "tool": {
     "name": "multiaxial",
     "version": "0.1.0"
@@ -526,32 +576,32 @@ EXPORT_U_2_3_JSON = """\
     {
       "degree": 0,
       "generators": ["(1)"],
-      "boundary": []
+      "boundary": [[]]
     },
     {
       "degree": 2,
       "generators": ["(2)"],
-      "boundary": []
+      "boundary": [[]]
     },
     {
       "degree": 3,
       "generators": ["(2,1)"],
-      "boundary": [[1]]
+      "boundary": [[[0, 1]]]
     },
     {
       "degree": 4,
       "generators": ["(3)"],
-      "boundary": [[0]]
+      "boundary": [[]]
     },
     {
       "degree": 5,
       "generators": ["(3,1)"],
-      "boundary": [[1]]
+      "boundary": [[[0, 1]]]
     },
     {
       "degree": 7,
       "generators": ["(3,2)"],
-      "boundary": []
+      "boundary": [[]]
     }
   ]
 }
@@ -559,7 +609,9 @@ EXPORT_U_2_3_JSON = """\
 
 
 @pytest.mark.parametrize(
-    "fmt, expected", [("table", EXPORT_U_2_3), ("json", EXPORT_U_2_3_JSON)]
+    "fmt, expected",
+    [("table", EXPORT_U_2_3), ("json", EXPORT_U_2_3_JSON)],
+    ids=["table", "json"],
 )
 def test_export_complex_stdout_is_pinned(capsys, fmt, expected):
     code, out = run_cli(
@@ -595,7 +647,7 @@ def test_export_complex_header_names_the_selected_band(
 #   PYTHONPATH=src python -c "import tests.test_cli as t; print(t.structure_set_sweep_digest())"
 # and say in the change why the bytes moved
 STRUCTURE_SET_SWEEP_SHA256 = (
-    "f1e93ebba23c74a055f7f7c0196f48bb9e118e9455b70a464d46f16a7f1aa889"
+    "58bf956c1dcebcc9df10b2393979403ac28aecc887140501d2c2cd68544e0094"
 )
 
 

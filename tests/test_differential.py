@@ -29,6 +29,16 @@ from multiaxial.l_homology import (
 )
 from multiaxial.orbit_cells import build_chain_complex
 
+
+def dense_boundary(complex_, p):
+    """The boundary out of degree p as a dense matrix, zeros included."""
+    columns = complex_.columns(p)
+    return [
+        [column.get(r, 0) for column in columns]
+        for r in range(complex_.cell_count(p - 1))
+    ]
+
+
 CELL_BUDGET = 300
 
 
@@ -71,6 +81,5 @@ def test_closed_form_enumeration_and_chain_level_agree(family, point):
 
     complex_ = build_chain_complex(family, n, k)
     for p in complex_.degrees():
-        columns = complex_.columns(p)
-        matrix = complex_.boundary_matrix(p)
-        assert sparse_invariant_factors(columns) == smith_normal_form(matrix), p
+        sparse = sparse_invariant_factors(complex_.columns(p))
+        assert sparse == smith_normal_form(dense_boundary(complex_, p)), p

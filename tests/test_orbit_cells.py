@@ -90,7 +90,7 @@ def test_build_two_by_two_complex():
     assert complex_.generators(0) == ((1,),)
     assert complex_.generators(2) == ((2,),)
     assert complex_.generators(3) == ((2, 1),)
-    assert complex_.boundary_matrix(3) == [[1]]
+    assert complex_.columns(3) == ({0: 1},)
 
 
 def test_generators_are_the_enumerated_cells():
@@ -105,7 +105,7 @@ def test_generators_are_the_enumerated_cells():
 def test_relative_complex_has_zero_boundaries():
     complex_ = build_chain_complex(C, 2, 4, CellFiltration.exact(2))
     for p in complex_.degrees():
-        assert not any(any(row) for row in complex_.boundary_matrix(p))
+        assert not any(complex_.columns(p))
 
 
 def test_complex_from_cells_drops_faces_outside_the_cells():

@@ -3,10 +3,11 @@ cross-checks still catch a wrong answer on either side."""
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from multiaxial import homology, orbit_cells, structure_set, verification
+from multiaxial import cli, homology, orbit_cells, structure_set, verification
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.orbit_cells import CellFiltration, build_chain_complex
@@ -183,6 +184,37 @@ def test_a_wrong_summand_group_fails_the_layer_check_at_its_point(
     ]
     assert failures == [
         f"family={family} n={n} k={k} j={j}" for j in range(MAX_J + 1)
+    ]
+
+
+# stratum_pair(x) names no depth, and stratum_pair(5) a depth below rank 2
+@pytest.mark.parametrize("label", ["stratum_pair(x)", "stratum_pair(5)"])
+def test_a_label_naming_no_layer_fails_the_layer_check_at_its_spec(
+    monkeypatch, capsys, label
+):
+    planted = ActionSpec(Family.COMPLEX, 2, 2)
+    original = verification.compute_structure_set
+
+    def relabeled(spec):
+        report = original(spec)
+        if spec != planted:
+            return report
+        first = replace(report.summands[0], label=label)
+        return replace(report, summands=(first, *report.summands[1:]))
+
+    monkeypatch.setattr(verification, "compute_structure_set", relabeled)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = {
+        r.params: r.detail
+        for r in summary.results
+        if r.check == "summand-layer-consistency" and not r.ok
+    }
+    assert failures == {"family=U n=2 k=2 j=0": label}
+    code = cli.main(["verify", "--max-n", "2", "--max-k", "4", "--max-j", "0"])
+    assert code == 4
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "first failure: summand-layer-consistency at family=U n=2 k=2 j=0",
+        f"  detail: {label}",
     ]
 
 
