@@ -3,34 +3,34 @@
 Every check compares two independent routes to the same number or group,
 or asserts a structural identity that the construction does not enforce
 by itself, as it does a report's total, the direct sum of its summands.
-The CLI verify subcommand and the acceptance tests both run through here,
-so a single list of checks serves both.
+The CLI verify subcommand and the acceptance tests both run through here.
 
-Within one run_verification call each object is computed once per grid
-point.  Each (n, k) box is listed once, and the parity counts and the Betti
-numbers are both read off that listing.  For every (family, n, k) its cells
-are enumerated once, and both the full complex and the rank-n complex (the
-full-rank slice, faces outside it dropped) are built from that enumeration;
-the cell census and the full-rank parities are read off it too.  The full
-complex and the rank-n complex each get their integral homology once, and
-each spec one structure-set report.  Every check that reads one of them
-reads that copy; the oracle side gets only integral homology, the
-closed-form side only reports.  The checks compare routes, not linear
-algebra: the elimination itself, its agreement with the dense Smith normal
-form and its independence of the generator order are tier-1 tests, on
-complexes with torsion as well as on orbit complexes, whose boundaries are
-partial matchings with unit entries.
+Each scope is one generator: the (n, k) box, that box for each family, the
+(family, n, k) cell point and the (family, n, k, j) spec.  It computes the
+scope's shared data once, as plain locals, and yields (name, (ok, detail))
+in output order, skipping a check that does not apply.  One listing of a
+box serves the box and each family's box.  A cell point enumerates its
+cells once and builds the full and the rank-n complex (the full-rank
+slice, faces outside it dropped) from them; each gets its integral
+homology once.  A spec reads its report and the one at k + 2, and each
+report is computed once per call.  The oracle side gets only integral
+homology, the closed-form side only reports.  The checks compare routes,
+not linear algebra: the elimination, its agreement with the dense Smith
+normal form and its independence of generator order are tier-1 tests.
 
-Oracle homology that a read_* function refuses (torsion where the
-assembly needs none) fails its closed-vs-oracle check, with the reason as
-detail, instead of ending the run; so does a summand label naming no layer,
-in summand-layer-consistency.  Nothing is kept between calls, so a second
-call recomputes all of it.
+run_verification is the one consumer: it walks the grid and is the only
+place that makes a CheckResult.  Every detail names what its check saw,
+pass or fail.  Oracle homology that a read_* function refuses (torsion
+where the assembly needs none) fails its closed-vs-oracle check, with the
+reason as detail, instead of ending the run; so does a summand label
+naming no layer, in summand-layer-consistency.  Nothing is kept between
+calls, so a second call recomputes all of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from itertools import zip_longest
 from math import comb
 
@@ -57,7 +57,6 @@ from .l_homology import (
 from .orbit_cells import cells_by_degree, complex_from_cells, orbit_space_dimension
 from .structure_set import (
     ActionSpec,
-    DecompositionReport,
     compute_structure_set,
     suspension_embeds,
 )
@@ -107,16 +106,21 @@ def _grid(max_n: int, max_k: int):
             yield n, k
 
 
+def _degrees(degrees) -> str:
+    return " ".join(map(str, sorted(degrees))) or "none"
+
+
 def _closed_vs_oracle(
-    check: str, params: str, closed: FGAbelianGroup, read, *args
-) -> CheckResult:
-    """Compare a closed form with the oracle's reading of chain-level
-    homology; homology that the reading refuses fails the check."""
+    closed_form, read, family: Family, n: int, k: int, homology
+) -> tuple[bool, str]:
+    """Compare a closed form at (family, n, k) with the oracle's reading of
+    chain-level homology; homology that the reading refuses fails the check."""
+    closed = closed_form(family, n, k)
     try:
-        oracle = read(*args)
+        oracle = read(family, n, k, homology)
     except ValueError as refusal:
-        return CheckResult(check, params, False, str(refusal))
-    return CheckResult(check, params, closed == oracle, f"{closed} vs {oracle}")
+        return False, str(refusal)
+    return closed == oracle, f"{closed} vs {oracle}"
 
 
 def _gaussian_binomials(max_n: int, max_k: int) -> dict[tuple[int, int], list]:
@@ -152,6 +156,118 @@ def _expected_layer(
     return None if depth is None else relative_l_homology(family, n - depth, k)
 
 
+def _box_checks(n: int, k: int, partitions: list, gaussian: list):
+    yield "partition-enumeration", (
+        partitions == sorted(set(partitions)) and len(partitions) == comb(k, n),
+        f"{len(partitions)} partitions",
+    )
+    a_b = tuple(count_A_B(n, k))
+    listed = tuple(count_A_B_oracle(partitions))
+    yield "parity-count-formula-vs-enumeration", (
+        a_b == listed, f"A,B formula {a_b} vs listed {listed}"
+    )
+    if k > n:
+        transpose = tuple(count_A_B(k - n, k))
+        yield "transpose-duality", (a_b == transpose, f"{a_b} vs {transpose}")
+    betti = grassmannian_betti(partitions)
+    expected = {2 * i: c for i, c in enumerate(gaussian)}
+    yield "betti-total", (betti == expected, f"{betti} vs {expected}")
+
+
+def _family_box_checks(family: Family, n: int, k: int, partitions: list):
+    reduced = count_a_b(n, k, family)
+    yield "reduced-count-identity", (
+        reduced.total == comb(k - 1, n), f"total {reduced.total} vs C({k - 1},{n})"
+    )
+    listed = count_a_b_oracle(n, k, family, partitions)
+    yield "parity-count-formula-vs-enumeration", (
+        reduced == listed, f"a,b formula {tuple(reduced)} vs listed {tuple(listed)}"
+    )
+    if (k - n) % 2 == 1 and family is Family.COMPLEX:
+        shifted = tuple(count_A_B(n, k - 1))
+        yield "reduced-equals-shifted", (
+            tuple(reduced) == shifted, f"{tuple(reduced)} vs {shifted}"
+        )
+
+
+def _cell_checks(family: Family, n: int, k: int):
+    # the one enumeration of the point: the full complex and the rank-n
+    # complex are both built from it
+    cells = cells_by_degree(family, n, k)
+    full_rank = {}
+    for p, cells_p in cells.items():
+        slice_p = [pivots for pivots in cells_p if len(pivots) == n]
+        if slice_p:
+            full_rank[p] = slice_p
+    complex_ = complex_from_cells(cells)
+    relative = complex_from_cells(full_rank)
+    total_cells = complex_.total_cells()
+    full_rank_interior = sum(
+        pivots[-1] > 1 for slice_p in full_rank.values() for pivots in slice_p
+    )
+    d = orbit_space_dimension(family, n, k)
+    yield "cell-census", (
+        total_cells == sum(comb(k, r) for r in range(1, n + 1))
+        and complex_.cell_count(0) == 1
+        and full_rank_interior == comb(k - 1, n)
+        and max(cells) == d,
+        f"{total_cells} cells, top degree {d}",
+    )
+    homology = integral_homology(complex_)
+    euler_cells = complex_.euler_characteristic()
+    euler_homology = sum((-1) ** p * g.free_rank for p, g in homology.items())
+    yield "euler-characteristic", (
+        euler_cells == euler_homology, f"{euler_cells} vs {euler_homology}"
+    )
+    yield "full-rank-dimension-parity", (
+        one_residue_class(family, n, full_rank),
+        f"full-rank cells in degrees {_degrees(full_rank)}",
+    )
+    boundaries = relative.boundary_degrees()
+    yield "relative-complex-zero-boundary", (
+        not boundaries, f"nonzero boundary in degrees {_degrees(boundaries)}"
+    )
+    relative_homology = integral_homology(relative)
+    yield "relative-closed-vs-oracle", _closed_vs_oracle(
+        relative_l_homology, read_relative_l_homology, family, n, k, relative_homology
+    )
+    yield "reduced-closed-vs-oracle", _closed_vs_oracle(
+        reduced_l_homology, read_reduced_l_homology, family, n, k, homology
+    )
+    yield "collapse-certificate", (
+        read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
+    )
+
+
+def _spec_checks(family: Family, n: int, k: int, j: int, report_of):
+    report = report_of(ActionSpec(family, n, k, j))
+    twice = report_of(ActionSpec(family, n, k + 2, j))
+    wrong = [
+        summand.label
+        for summand in report.summands
+        if summand.group != _expected_layer(family, n, k, summand.label)
+    ]
+    yield "summand-layer-consistency", (
+        not wrong, " ".join(wrong) or f"on their layers: {' '.join(report.labels())}"
+    )
+    expected_branch = "even-gap" if (k - n) % 2 == 0 else "odd-gap"
+    yield "branch-dispatch", (report.branch == expected_branch, report.branch)
+    if suspension_embeds(report, twice):
+        yield "suspension-monotone", (True, f"{report.total} embeds in {twice.total}")
+    else:
+        # the rule goes summand by summand, so a summand alone fails it
+        # exactly when it is one that does not embed
+        missed = ", ".join(
+            f"{s.label} {s.group}"
+            for s in report.summands
+            if not suspension_embeds(replace(report, summands=(s,)), twice)
+        )
+        there = ", ".join(f"{s.label} {s.group}" for s in twice.summands)
+        yield "suspension-monotone", (
+            False, f"{missed} not embedded at k={k + 2}: {there}"
+        )
+
+
 def run_verification(
     max_n: int,
     max_k: int,
@@ -182,208 +298,30 @@ def run_verification(
             f"families must not repeat, got {','.join(map(str, families))}"
         )
     results: list[CheckResult] = []
-    add = results.append
+
+    def run(params: str, checks) -> None:
+        for name, (ok, detail) in checks:
+            results.append(CheckResult(name, params, ok, detail))
 
     gaussian_binomials = _gaussian_binomials(max_n, max_k)
     for n, k in _grid(max_n, max_k):
-        params = f"n={n} k={k}"
         partitions = enumerate_box_partitions(n, k - n)
-        sorted_ok = partitions == sorted(set(partitions))
-        add(
-            CheckResult(
-                "partition-enumeration",
-                params,
-                sorted_ok and len(partitions) == comb(k, n),
-                f"{len(partitions)} partitions",
-            )
-        )
-        a_count, b_count = count_A_B(n, k)
-        add(
-            CheckResult(
-                "cell-count-identity",
-                params,
-                a_count + b_count == comb(k, n),
-                f"{a_count}+{b_count} vs C({k},{n})",
-            )
-        )
-        listed = count_A_B_oracle(partitions)
-        add(
-            CheckResult(
-                "parity-count-formula-vs-enumeration",
-                params,
-                (a_count, b_count) == listed,
-                f"A,B formula {(a_count, b_count)} vs listed {tuple(listed)}",
-            )
-        )
-        if k > n:
-            transpose = count_A_B(k - n, k)
-            add(
-                CheckResult(
-                    "transpose-duality",
-                    params,
-                    (a_count, b_count) == tuple(transpose),
-                    f"{(a_count, b_count)} vs {tuple(transpose)}",
-                )
-            )
-        betti = grassmannian_betti(partitions)
-        gaussian = {2 * i: c for i, c in enumerate(gaussian_binomials[k, n])}
-        add(
-            CheckResult(
-                "betti-total",
-                params,
-                betti == gaussian,
-                f"{betti} vs {gaussian}",
-            )
-        )
+        run(f"n={n} k={k}", _box_checks(n, k, partitions, gaussian_binomials[k, n]))
         for family in families:
-            fparams = f"family={family} {params}"
-            reduced_counts = count_a_b(n, k, family)
-            add(
-                CheckResult(
-                    "reduced-count-identity",
-                    fparams,
-                    reduced_counts.total == comb(k - 1, n),
-                    f"total {reduced_counts.total} vs C({k - 1},{n})",
-                )
+            run(
+                f"family={family} n={n} k={k}",
+                _family_box_checks(family, n, k, partitions),
             )
-            listed = count_a_b_oracle(n, k, family, partitions)
-            add(
-                CheckResult(
-                    "parity-count-formula-vs-enumeration",
-                    fparams,
-                    reduced_counts == listed,
-                    f"a,b formula {tuple(reduced_counts)} vs listed {tuple(listed)}",
-                )
-            )
-            if (k - n) % 2 == 1 and family is Family.COMPLEX:
-                shifted = count_A_B(n, k - 1)
-                add(
-                    CheckResult(
-                        "reduced-equals-shifted",
-                        fparams,
-                        tuple(reduced_counts) == tuple(shifted),
-                        f"{tuple(reduced_counts)} vs {tuple(shifted)}",
-                    )
-                )
-
     for family in families:
         for n, k in _grid(max_n, max_k):
-            fparams = f"family={family} n={n} k={k}"
-            # the one enumeration of the point: the full complex and the
-            # rank-n complex are both built from it
-            cells = cells_by_degree(family, n, k)
-            full_rank = {}
-            for p, cells_p in cells.items():
-                slice_p = [pivots for pivots in cells_p if len(pivots) == n]
-                if slice_p:
-                    full_rank[p] = slice_p
-            complex_ = complex_from_cells(cells)
-            relative = complex_from_cells(full_rank)
-            total_cells = complex_.total_cells()
-            full_rank_interior = sum(
-                pivots[-1] > 1
-                for slice_p in full_rank.values()
-                for pivots in slice_p
-            )
-            d = orbit_space_dimension(family, n, k)
-            add(
-                CheckResult(
-                    "cell-census",
-                    fparams,
-                    total_cells == sum(comb(k, r) for r in range(1, n + 1))
-                    and complex_.cell_count(0) == 1
-                    and full_rank_interior == comb(k - 1, n)
-                    and max(cells) == d,
-                    f"{total_cells} cells, top degree {d}",
-                )
-            )
-            # every check below that reads the full complex's homology
-            # reads this one copy
-            homology = integral_homology(complex_)
-            euler_cells = complex_.euler_characteristic()
-            euler_homology = sum(
-                (-1) ** p * g.free_rank for p, g in homology.items()
-            )
-            add(
-                CheckResult(
-                    "euler-characteristic",
-                    fparams,
-                    euler_cells == euler_homology,
-                    f"{euler_cells} vs {euler_homology}",
-                )
-            )
-            parity_ok = one_residue_class(family, n, full_rank)
-            add(CheckResult("full-rank-dimension-parity", fparams, parity_ok))
-
-            add(
-                CheckResult(
-                    "relative-complex-zero-boundary",
-                    fparams,
-                    not relative.boundary_degrees(),
-                )
-            )
-            add(
-                _closed_vs_oracle(
-                    "relative-closed-vs-oracle",
-                    fparams,
-                    relative_l_homology(family, n, k),
-                    read_relative_l_homology,
-                    family,
-                    n,
-                    k,
-                    integral_homology(relative),
-                )
-            )
-            add(
-                _closed_vs_oracle(
-                    "reduced-closed-vs-oracle",
-                    fparams,
-                    reduced_l_homology(family, n, k),
-                    read_reduced_l_homology,
-                    family,
-                    n,
-                    k,
-                    homology,
-                )
-            )
-            add(
-                CheckResult(
-                    "collapse-certificate",
-                    fparams,
-                    read_collapse(family, n, homology),
-                )
-            )
-
-    reports: dict[ActionSpec, DecompositionReport] = {}
-
-    def report_of(spec: ActionSpec) -> DecompositionReport:
-        if spec not in reports:
-            reports[spec] = compute_structure_set(spec)
-        return reports[spec]
-
+            run(f"family={family} n={n} k={k}", _cell_checks(family, n, k))
+    # each report is computed once: the one at k + 2 is also a base later
+    report_of = cache(compute_structure_set)
     for family in families:
         for n, k in _grid(max_n, max_k):
             for j in range(0, max_j + 1):
-                spec = ActionSpec(family, n, k, j)
-                sparams = f"family={family} n={n} k={k} j={j}"
-                report = report_of(spec)
-                wrong = [
-                    summand.label
-                    for summand in report.summands
-                    if summand.group != _expected_layer(family, n, k, summand.label)
-                ]
-                detail = " ".join(wrong)
-                add(CheckResult("summand-layer-consistency", sparams, not wrong, detail))
-                expected_branch = "even-gap" if (k - n) % 2 == 0 else "odd-gap"
-                add(
-                    CheckResult(
-                        "branch-dispatch",
-                        sparams,
-                        report.branch == expected_branch,
-                        report.branch,
-                    )
+                run(
+                    f"family={family} n={n} k={k} j={j}",
+                    _spec_checks(family, n, k, j, report_of),
                 )
-                twice = report_of(ActionSpec(family, n, k + 2, j))
-                embeds = suspension_embeds(report, twice)
-                add(CheckResult("suspension-monotone", sparams, embeds))
     return VerificationSummary(tuple(results))

@@ -444,12 +444,11 @@ def test_patched_commands_take_effect_on_a_reused_parser(capsys, monkeypatch):
     assert code == 4 and "fake-check" in out
 
 
-# the whole verify report over a grid of 1,074 checks; a change to any
-# check's name, order or count shows here
+# the whole verify report over grids of 1,048 and 2,301 checks; a change
+# to any check's name, order or count shows here
 VERIFY_4_8_2 = """\
 verification grid: n<=4 k<=8 j<=2 families=U,Sp
   partition-enumeration: 26 passed, 0 failed  [ok]
-  cell-count-identity: 26 passed, 0 failed  [ok]
   parity-count-formula-vs-enumeration: 78 passed, 0 failed  [ok]
   betti-total: 26 passed, 0 failed  [ok]
   reduced-count-identity: 52 passed, 0 failed  [ok]
@@ -465,16 +464,42 @@ verification grid: n<=4 k<=8 j<=2 families=U,Sp
   summand-layer-consistency: 156 passed, 0 failed  [ok]
   branch-dispatch: 156 passed, 0 failed  [ok]
   suspension-monotone: 156 passed, 0 failed  [ok]
-total: 1074 passed, 0 failed
+total: 1048 passed, 0 failed
+"""
+
+VERIFY_6_12_2 = """\
+verification grid: n<=6 k<=12 j<=2 families=U,Sp
+  partition-enumeration: 57 passed, 0 failed  [ok]
+  parity-count-formula-vs-enumeration: 171 passed, 0 failed  [ok]
+  betti-total: 57 passed, 0 failed  [ok]
+  reduced-count-identity: 114 passed, 0 failed  [ok]
+  transpose-duality: 51 passed, 0 failed  [ok]
+  reduced-equals-shifted: 27 passed, 0 failed  [ok]
+  cell-census: 114 passed, 0 failed  [ok]
+  euler-characteristic: 114 passed, 0 failed  [ok]
+  full-rank-dimension-parity: 114 passed, 0 failed  [ok]
+  relative-complex-zero-boundary: 114 passed, 0 failed  [ok]
+  relative-closed-vs-oracle: 114 passed, 0 failed  [ok]
+  reduced-closed-vs-oracle: 114 passed, 0 failed  [ok]
+  collapse-certificate: 114 passed, 0 failed  [ok]
+  summand-layer-consistency: 342 passed, 0 failed  [ok]
+  branch-dispatch: 342 passed, 0 failed  [ok]
+  suspension-monotone: 342 passed, 0 failed  [ok]
+total: 2301 passed, 0 failed
 """
 
 
-def test_verify_stdout_is_pinned(capsys):
+@pytest.mark.parametrize(
+    "max_n, max_k, expected",
+    [("4", "8", VERIFY_4_8_2), ("6", "12", VERIFY_6_12_2)],
+    ids=["4-8-2", "6-12-2"],
+)
+def test_verify_stdout_is_pinned(capsys, max_n, max_k, expected):
     code, out = run_cli(
-        capsys, "verify", "--max-n", "4", "--max-k", "8", "--max-j", "2",
+        capsys, "verify", "--max-n", max_n, "--max-k", max_k, "--max-j", "2",
     )
     assert code == 0
-    assert out == VERIFY_4_8_2
+    assert out == expected
 
 
 HOMOLOGY_U_2_4 = ("homology", "--family", "U", "--n", "2", "--k", "4", "--variant")

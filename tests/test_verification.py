@@ -288,3 +288,39 @@ def test_a_bound_that_is_not_an_int_is_refused_before_any_check(monkeypatch, gri
     monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
     with pytest.raises(TypeError, match="must be ints"):
         verification.run_verification(*grid)
+
+
+@pytest.mark.parametrize("label", ["stratum_pair(x)", "stratum_pair(5)"])
+def test_a_summand_missing_two_steps_up_fails_suspension_and_names_it(
+    monkeypatch, capsys, label
+):
+    # relabeling U(2,4)'s one summand leaves U(2,2)'s summand with no
+    # namesake at k + 2, and U(2,2) j=0 is checked before U(2,4)
+    planted = ActionSpec(Family.COMPLEX, 2, 4)
+    original = verification.compute_structure_set
+
+    def relabeled(spec):
+        report = original(spec)
+        if spec != planted:
+            return report
+        first = replace(report.summands[0], label=label)
+        return replace(report, summands=(first, *report.summands[1:]))
+
+    monkeypatch.setattr(verification, "compute_structure_set", relabeled)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    first = summary.first_failure()
+    assert (first.check, first.params) == (
+        "suspension-monotone", "family=U n=2 k=2 j=0"
+    )
+    assert first.detail == f"stratum_pair(0) Z not embedded at k=4: {label} Z^4 ⊕ Z_2^2"
+    code = cli.main(["verify", "--max-n", "2", "--max-k", "4", "--max-j", "0"])
+    assert code == 4
+    failure, detail = capsys.readouterr().out.splitlines()[-2:]
+    assert failure == "first failure: suspension-monotone at family=U n=2 k=2 j=0"
+    assert detail.startswith("  detail: ") and label in detail
+
+
+def test_every_check_names_what_it_saw():
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    assert summary.ok
+    assert [r for r in summary.results if not r.detail] == []
