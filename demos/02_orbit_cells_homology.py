@@ -11,7 +11,6 @@ from multiaxial.orbit_cells import (
     build_chain_complex,
     cell_label,
     cells_by_degree,
-    orbit_space_dimension,
 )
 
 C = Family.COMPLEX
@@ -28,14 +27,17 @@ print(f"cells of the n={n}, k={k} orbit space:")
 for dim, cells in cells_by_degree(C, n, k).items():
     for pivots in cells:
         print(f"  {cell_label(pivots):>8}  rank {len(pivots)}  dim {dim}")
-print("top dimension:", orbit_space_dimension(C, n, k))
+
+# The chain complex has the cells as generators. The orbit space's
+# dimension is read off it as the degree of its top cell.
+cx = build_chain_complex(C, n, k)
+print("top dimension:", cx.degrees()[-1])
 
 # Almost every boundary map vanishes. The only surviving face relation
 # drops a trailing pivot at position 1, with coefficient 1, so the chain
 # complex is very sparse and its homology is torsion free.
 # A boundary is stored as sparse columns, one row -> coefficient map per
 # generator, the row indexing the generators one degree down.
-cx = build_chain_complex(C, n, k)
 print()
 print("nonzero boundary columns:")
 for p in cx.boundary_degrees():

@@ -8,15 +8,17 @@ from multiaxial.family import Family
 from multiaxial.grassmannian import enumerate_box_partitions, grassmannian_betti
 from multiaxial.l_homology import (
     assemble_l_homology,
-    l_coefficient,
     one_residue_class,
-    relative_l_homology,
-    relative_l_homology_oracle,
-    reduced_l_homology,
     reduced_l_homology_oracle,
+    relative_l_homology_oracle,
     verify_collapse,
 )
-from multiaxial.orbit_cells import orbit_space_dimension
+from multiaxial.structure_set import (
+    l_coefficient,
+    orbit_space_dimension,
+    reduced_l_homology,
+    relative_l_homology,
+)
 
 C = Family.COMPLEX
 H = Family.QUATERNIONIC
@@ -35,9 +37,10 @@ print()
 print("Betti numbers of the projective plane:", betti)
 print("degree-4 L-homology:", assemble_l_homology(betti, 4))
 
-# The same assembly runs over the orbit-space cell complexes. Closed forms
-# count box partitions; the oracle builds the complex and pushes it through
-# the integer kernel instead. They must agree.
+# The same assembly runs over the orbit-space cell complexes in the oracle
+# (l_homology), which builds the complex and pushes it through the integer
+# kernel. The closed forms (structure_set) count box partitions instead,
+# with their own formula for the top degree d. They must agree.
 print()
 for family, n, k in [(C, 2, 4), (C, 3, 5), (H, 2, 3)]:
     d = orbit_space_dimension(family, n, k)

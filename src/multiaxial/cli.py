@@ -23,19 +23,15 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .family import Family, UsageError
 from .homology import integral_homology
-from .l_homology import (
-    reduced_l_homology,
-    reduced_l_homology_oracle,
-    relative_l_homology,
-    relative_l_homology_oracle,
-)
-from .orbit_cells import (
-    CellFiltration,
-    build_chain_complex,
-    cell_label,
+from .l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
+from .orbit_cells import CellFiltration, build_chain_complex, cell_label
+from .structure_set import (
+    ActionSpec,
+    compute_structure_set,
     orbit_space_dimension,
+    reduced_l_homology,
+    relative_l_homology,
 )
-from .structure_set import ActionSpec, compute_structure_set
 from .verification import run_verification
 
 SCHEMA_VERSION = 3

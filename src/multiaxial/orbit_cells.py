@@ -1,4 +1,5 @@
-"""Cell model for the orbit space of the sphere of k defining representations.
+"""Cells of the orbit space of the sphere of k defining representations: the
+oracle route's model, which homology and l_homology reduce and assemble.
 
 Orbits of unit k-tuples of vectors in n-space are indexed by pivot tuples:
 strictly decreasing pivot positions (m_1 > ... > m_r >= 1 with m_1 <= k
@@ -12,7 +13,8 @@ dimension
 The degree drops by exactly one when the last pivot equals 1, and removing
 that pivot gives the unique boundary cell, with coefficient +1; every other
 attaching map is degree zero on cells.  That single rule, pivot_boundary,
-is the whole differential, and nothing here comes from the closed form.
+is the whole differential, and nothing here comes from the closed form,
+not even the orbit space's dimension: that is the top cell's degree.
 
 cells_by_degree enumerates the tuples of a rank band grouped by dimension,
 and complex_from_cells turns any such map into a chain complex whose
@@ -151,17 +153,3 @@ def build_chain_complex(
     (((2, 1),), ({0: 1},))
     """
     return complex_from_cells(cells_by_degree(family, n, k, filtration))
-
-
-def orbit_space_dimension(family: Family, n: int, k: int) -> int:
-    """Dimension of the whole orbit space, which is also its top cell's.
-
-    >>> orbit_space_dimension(Family.COMPLEX, 2, 4)
-    11
-    """
-    require_valid(n, k)
-    if family is Family.COMPLEX:
-        return 2 * k * n - 1 - n * n
-    if family is not Family.QUATERNIONIC:
-        Family.require(family)
-    return 4 * k * n - 1 - n * (2 * n + 1)

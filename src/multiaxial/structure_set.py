@@ -1,10 +1,12 @@
-"""Structure sets of multiaxial representation spheres.
+"""Structure sets of multiaxial representation spheres, by the closed form.
 
 The sphere is the unit sphere of k copies of the defining representation
 of U(n) or Sp(n) plus j trivial summands.  Its isovariant structure set
 splits along the rank strata of the orbit space, and every piece is a
-top-degree group already computed in l_homology.  Which pieces appear is
-decided by the parity of the gap k - n:
+top-degree group with 4-periodic coefficients (Z, 0, Z_2, 0, ...), counted
+here from box partitions, in a top degree that is the sphere's dimension
+minus the group's.  This is the closed route; l_homology is the oracle.
+Which pieces appear is decided by the parity of the gap k - n:
 
     even gap:  stratum pairs at depths 0, 2, 4, ... below the top rank
     odd gap:   the reduced group of the whole orbit space, then stratum
@@ -21,14 +23,71 @@ branch the basepoint contributes its coefficient group as an extra summand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import comb
 
 from .abelian import FGAbelianGroup
-from .family import Family, UsageError
-from .l_homology import (
-    basepoint_correction,
-    reduced_l_homology,
-    relative_l_homology,
-)
+from .family import Family, UsageError, require_valid
+from .grassmannian import count_A_B, count_a_b
+
+
+def l_coefficient(q: int) -> FGAbelianGroup:
+    """Coefficient group in degree q: Z, Z_2 or 0.
+
+    >>> [str(l_coefficient(q)) for q in range(5)]
+    ['Z', '0', 'Z_2', '0', 'Z']
+    """
+    if type(q) is not int:
+        raise TypeError(f"degree must be an int, got {q!r}")
+    if q < 0 or q % 2:
+        return FGAbelianGroup.trivial()
+    if q % 4 == 0:
+        return FGAbelianGroup.free(1)
+    return FGAbelianGroup.with_two_torsion(0, 1)
+
+
+def orbit_space_dimension(family: Family, n: int, k: int) -> int:
+    """The top degree: the sphere's dimension minus the group's.
+
+    >>> orbit_space_dimension(Family.COMPLEX, 2, 4)
+    11
+    """
+    require_valid(n, k)
+    if family is Family.COMPLEX:
+        return 2 * k * n - 1 - n * n
+    Family.require(family)
+    return 4 * k * n - 1 - n * (2 * n + 1)
+
+
+def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
+    """Top-degree group of the pair (orbit space, next lower stratum).
+
+    One Z per even-weight and one Z_2 per odd-weight cell of the
+    Grassmannian of n-planes in k-space in the complex case, and one Z per
+    cell overall in the quaternionic case.
+    """
+    if family is Family.COMPLEX:
+        return FGAbelianGroup.with_two_torsion(*count_A_B(n, k))
+    Family.require(family)
+    require_valid(n, k)
+    return FGAbelianGroup.free(comb(k, n))
+
+
+def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
+    """Top-degree group of the orbit space with the basepoint removed,
+    from the one-column-smaller box counts."""
+    return FGAbelianGroup.with_two_torsion(*count_a_b(n, k, family))
+
+
+def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
+    """Coefficient group sitting at the basepoint in the top degree.
+
+    Only meaningful when k - n is odd (the top degree is even then); the
+    even-gap case never consumes it and is rejected.
+    """
+    require_valid(n, k)
+    if (k - n) % 2 == 0:
+        raise ValueError("basepoint correction applies only when k - n is odd")
+    return l_coefficient(orbit_space_dimension(family, n, k))
 
 
 @dataclass(frozen=True)
@@ -126,31 +185,17 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
         depths = range(0, n, 2)
     else:
         branch = "odd-gap"
-        top_group = reduced_l_homology(family, n, k)
-        summands.append(
-            Summand(
-                label="top",
-                group=top_group,
-                source=(
-                    f"reduced top-degree assembly of the whole orbit space, "
-                    f"counts from the {n} x {k - n - 1} box with parity "
-                    f"offset {k * n}"
-                ),
-            )
+        source = (
+            f"reduced top-degree assembly of the whole orbit space, "
+            f"counts from the {n} x {k - n - 1} box with parity "
+            f"offset {k * n}"
         )
+        summands.append(Summand("top", reduced_l_homology(family, n, k), source))
         if j > 0:
             correction = basepoint_correction(family, n, k)
             if not correction.is_trivial:
-                summands.append(
-                    Summand(
-                        label="basepoint",
-                        group=correction,
-                        source=(
-                            "periodic coefficient at the basepoint in the "
-                            "top degree"
-                        ),
-                    )
-                )
+                source = "periodic coefficient at the basepoint in the top degree"
+                summands.append(Summand("basepoint", correction, source))
                 notes.append(
                     f"trivial summands present (j={j}), the basepoint "
                     f"contributes an extra {correction} summand"
@@ -160,17 +205,12 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
         m = n - depth
         group = relative_l_homology(family, m, k)
         if m == 1 and j == 0:
+            label = "free_stratum"
             group = FGAbelianGroup(group.free_rank - 1, group.torsion)
-            summands.append(
-                Summand(
-                    label="free_stratum",
-                    group=group,
-                    source=(
-                        "structure set of the free-stratum quotient, the "
-                        f"cell count of lines in {k}-space minus one Z for "
-                        "the degree zero surgery obstruction"
-                    ),
-                )
+            source = (
+                "structure set of the free-stratum quotient, the "
+                f"cell count of lines in {k}-space minus one Z for "
+                "the degree zero surgery obstruction"
             )
             notes.append(
                 "no trivial summand (j=0), so the deepest stratum is a "
@@ -178,16 +218,12 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
                 "firing case) and its summand drops one Z"
             )
         else:
-            summands.append(
-                Summand(
-                    label=f"stratum_pair({depth})",
-                    group=group,
-                    source=(
-                        f"relative top-degree assembly at rank {m}, parity "
-                        f"split cell counts of {m}-planes in {k}-space"
-                    ),
-                )
+            label = f"stratum_pair({depth})"
+            source = (
+                f"relative top-degree assembly at rank {m}, parity "
+                f"split cell counts of {m}-planes in {k}-space"
             )
+        summands.append(Summand(label, group, source))
     return DecompositionReport(
         spec=spec,
         branch=branch,

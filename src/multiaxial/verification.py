@@ -13,8 +13,9 @@ box serves the box and each family's box.  A cell point enumerates its
 cells once and builds the full and the rank-n complex (the full-rank
 slice, faces outside it dropped) from them; each gets its integral
 homology once.  A spec reads its report and the one at k + 2, and each
-report is computed once per call.  The oracle side gets only integral
-homology, the closed-form side only reports.  The checks compare routes,
+report is computed once per call.  The oracle's reads get only integral
+homology and the top cell's degree, never the closed top-degree formula,
+which cell-census compares with that degree.  The checks compare routes,
 not linear algebra: the elimination, its agreement with the dense Smith
 normal form and its independence of generator order are tier-1 tests.
 
@@ -46,18 +47,19 @@ from .grassmannian import (
 )
 from .homology import integral_homology
 from .l_homology import (
-    basepoint_correction,
     one_residue_class,
     read_collapse,
     read_reduced_l_homology,
     read_relative_l_homology,
-    reduced_l_homology,
-    relative_l_homology,
 )
-from .orbit_cells import cells_by_degree, complex_from_cells, orbit_space_dimension
+from .orbit_cells import cells_by_degree, complex_from_cells
 from .structure_set import (
     ActionSpec,
+    basepoint_correction,
     compute_structure_set,
+    orbit_space_dimension,
+    reduced_l_homology,
+    relative_l_homology,
     suspension_embeds,
 )
 
@@ -111,13 +113,13 @@ def _degrees(degrees) -> str:
 
 
 def _closed_vs_oracle(
-    closed_form, read, family: Family, n: int, k: int, homology
+    closed: FGAbelianGroup, read, homology, top: int
 ) -> tuple[bool, str]:
-    """Compare a closed form at (family, n, k) with the oracle's reading of
-    chain-level homology; homology that the reading refuses fails the check."""
-    closed = closed_form(family, n, k)
+    """Compare a closed-form group with the oracle's reading of chain-level
+    homology whose top cell is in degree top; homology that the reading
+    refuses fails the check."""
     try:
-        oracle = read(family, n, k, homology)
+        oracle = read(homology, top)
     except ValueError as refusal:
         return False, str(refusal)
     return closed == oracle, f"{closed} vs {oracle}"
@@ -142,9 +144,10 @@ def _gaussian_binomials(max_n: int, max_k: int) -> dict[tuple[int, int], list]:
 
 
 def _expected_layer(
-    family: Family, n: int, k: int, label: str
+    family: Family, n: int, k: int, label: str, rank_of: dict[str, int]
 ) -> FGAbelianGroup | None:
-    """The closed-form group a structure-set summand should carry, or None."""
+    """The closed-form group a structure-set summand should carry, or None;
+    rank_of maps each stratum summand's label to its stratum's rank."""
     if label == "top":
         return reduced_l_homology(family, n, k)
     if label == "basepoint":
@@ -152,8 +155,8 @@ def _expected_layer(
     if label == "free_stratum":
         line = relative_l_homology(family, 1, k)
         return FGAbelianGroup(line.free_rank - 1, line.torsion)
-    depth = {f"stratum_pair({d})": d for d in range(n)}.get(label)
-    return None if depth is None else relative_l_homology(family, n - depth, k)
+    rank = rank_of.get(label)
+    return None if rank is None else relative_l_homology(family, rank, k)
 
 
 def _box_checks(n: int, k: int, partitions: list, gaussian: list):
@@ -205,13 +208,14 @@ def _cell_checks(family: Family, n: int, k: int):
     full_rank_interior = sum(
         pivots[-1] > 1 for slice_p in full_rank.values() for pivots in slice_p
     )
+    top = max(cells)  # the oracle's top degree; d is the closed route's
     d = orbit_space_dimension(family, n, k)
     yield "cell-census", (
         total_cells == sum(comb(k, r) for r in range(1, n + 1))
         and complex_.cell_count(0) == 1
         and full_rank_interior == comb(k - 1, n)
-        and max(cells) == d,
-        f"{total_cells} cells, top degree {d}",
+        and top == d,
+        f"{total_cells} cells, top degree {top} vs {d}",
     )
     homology = integral_homology(complex_)
     euler_cells = complex_.euler_characteristic()
@@ -229,10 +233,13 @@ def _cell_checks(family: Family, n: int, k: int):
     )
     relative_homology = integral_homology(relative)
     yield "relative-closed-vs-oracle", _closed_vs_oracle(
-        relative_l_homology, read_relative_l_homology, family, n, k, relative_homology
+        relative_l_homology(family, n, k),
+        read_relative_l_homology,
+        relative_homology,
+        top,
     )
     yield "reduced-closed-vs-oracle", _closed_vs_oracle(
-        reduced_l_homology, read_reduced_l_homology, family, n, k, homology
+        reduced_l_homology(family, n, k), read_reduced_l_homology, homology, top
     )
     yield "collapse-certificate", (
         read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
@@ -242,16 +249,25 @@ def _cell_checks(family: Family, n: int, k: int):
 def _spec_checks(family: Family, n: int, k: int, j: int, report_of):
     report = report_of(ActionSpec(family, n, k, j))
     twice = report_of(ActionSpec(family, n, k + 2, j))
+    rank_of = {f"stratum_pair({d})": n - d for d in range(n)} | {"free_stratum": 1}
+    labels = report.labels()
     wrong = [
         summand.label
         for summand in report.summands
-        if summand.group != _expected_layer(family, n, k, summand.label)
+        if summand.group != _expected_layer(family, n, k, summand.label, rank_of)
     ]
     yield "summand-layer-consistency", (
-        not wrong, " ".join(wrong) or f"on their layers: {' '.join(report.labels())}"
+        not wrong, " ".join(wrong) or f"on their layers: {' '.join(labels)}"
     )
-    expected_branch = "even-gap" if (k - n) % 2 == 0 else "odd-gap"
-    yield "branch-dispatch", (report.branch == expected_branch, report.branch)
+    # the branch fixes the strata: ranks m <= n with m = k mod 2, top if odd
+    odd_gap = (k - n) % 2 == 1
+    ranks = sorted(rank_of[label] for label in labels if label in rank_of)
+    yield "branch-dispatch", (
+        report.branch == ("odd-gap" if odd_gap else "even-gap")
+        and ("top" in labels) == odd_gap
+        and ranks == list(range(2 - k % 2, n + 1, 2)),
+        f"{report.branch}, strata at ranks {_degrees(ranks)}",
+    )
     if suspension_embeds(report, twice):
         yield "suspension-monotone", (True, f"{report.total} embeds in {twice.total}")
     else:

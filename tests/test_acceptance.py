@@ -25,12 +25,13 @@ from multiaxial.grassmannian import (
     enumerate_box_partitions,
     grassmannian_betti,
 )
-from multiaxial.l_homology import (
-    assemble_l_homology,
+from multiaxial.l_homology import assemble_l_homology
+from multiaxial.structure_set import (
+    ActionSpec,
+    compute_structure_set,
     reduced_l_homology,
     relative_l_homology,
 )
-from multiaxial.structure_set import ActionSpec, compute_structure_set
 from multiaxial.verification import run_verification
 
 COMPLEX_GRID = [(n, k) for n in range(1, 5) for k in range(n, 9)]

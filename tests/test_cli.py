@@ -667,6 +667,18 @@ def test_export_complex_header_names_the_selected_band(
     assert (doc["input"]["min_rank"], doc["input"]["max_rank"]) == input_band
 
 
+def sweep_digest(argvs) -> str:
+    """SHA-256 over the stdout and exit code of each in-process invocation."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        digest.update(out.getvalue().encode("utf-8"))
+        digest.update(f"exit {code}\n".encode())
+    return digest.hexdigest()
+
+
 # SHA-256 of the structure-set sweep below; after a deliberate change to
 # that command's output, recompute it with
 #   PYTHONPATH=src python -c "import tests.test_cli as t; print(t.structure_set_sweep_digest())"
@@ -680,21 +692,68 @@ def structure_set_sweep_digest() -> str:
     """SHA-256 over the stdout and exit code of 1,728 in-process
     structure-set invocations: U and Sp, n 0..8, k 0..15, j 0..2, as a
     table and as JSON."""
-    digest = hashlib.sha256()
-    for family, n, k, j, fmt in itertools.product(
-        ("U", "Sp"), range(9), range(16), range(3), ("table", "json")
-    ):
-        argv = [
+    return sweep_digest(
+        [
             "structure-set", "--family", family, "--n", str(n), "--k", str(k),
             "--j", str(j), "--format", fmt,
         ]
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = cli.main(argv)
-        digest.update(out.getvalue().encode("utf-8"))
-        digest.update(f"exit {code}\n".encode())
-    return digest.hexdigest()
+        for family, n, k, j, fmt in itertools.product(
+            ("U", "Sp"), range(9), range(16), range(3), ("table", "json")
+        )
+    )
 
 
 def test_structure_set_sweep_bytes_are_pinned():
     assert structure_set_sweep_digest() == STRUCTURE_SET_SWEEP_SHA256
+
+
+# SHA-256 of the homology and export-complex sweeps below, recomputed the
+# same way with
+#   PYTHONPATH=src python -c "import tests.test_cli as t; print(t.homology_sweep_digest(), t.export_complex_sweep_digest())"
+HOMOLOGY_SWEEP_SHA256 = (
+    "6a3bc22c69d66d36b99293b7e5ff8eab87d17e07f8834597574feb1449e8bf28"
+)
+EXPORT_COMPLEX_SWEEP_SHA256 = (
+    "19e4b509f4855111776ea8ca6304d81345e6a1b65d2bb5d085a54abda1f90591"
+)
+
+
+def homology_sweep_digest() -> str:
+    """SHA-256 over 756 in-process homology invocations: every variant, as
+    a table and as JSON, at U n 1..6, k n..14 and Sp n 1..6, k n..12."""
+    points = [("U", n, k) for n in range(1, 7) for k in range(n, 15)]
+    points += [("Sp", n, k) for n in range(1, 7) for k in range(n, 13)]
+    return sweep_digest(
+        [
+            "homology", "--family", family, "--n", str(n), "--k", str(k),
+            "--variant", variant, "--format", fmt,
+        ]
+        for family, n, k in points
+        for variant in ("relative", "reduced", "integral-all")
+        for fmt in ("table", "json")
+    )
+
+
+def export_complex_sweep_digest() -> str:
+    """SHA-256 over 560 in-process export-complex invocations: U and Sp,
+    n 1..5, k n..9, four rank bands, as a table and as JSON."""
+    bands = ([], ["--max-rank", "1"], ["--min-rank", "2"], ["--min-rank", "3"])
+    return sweep_digest(
+        [
+            "export-complex", "--family", family, "--n", str(n), "--k", str(k),
+            *band, "--format", fmt,
+        ]
+        for family in ("U", "Sp")
+        for n in range(1, 6)
+        for k in range(n, 10)
+        for band in bands
+        for fmt in ("table", "json")
+    )
+
+
+def test_homology_sweep_bytes_are_pinned():
+    assert homology_sweep_digest() == HOMOLOGY_SWEEP_SHA256
+
+
+def test_export_complex_sweep_bytes_are_pinned():
+    assert export_complex_sweep_digest() == EXPORT_COMPLEX_SWEEP_SHA256

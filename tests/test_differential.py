@@ -21,13 +21,9 @@ from multiaxial.grassmannian import (
     enumerate_box_partitions,
 )
 from multiaxial.homology import smith_normal_form, sparse_invariant_factors
-from multiaxial.l_homology import (
-    reduced_l_homology,
-    reduced_l_homology_oracle,
-    relative_l_homology,
-    relative_l_homology_oracle,
-)
+from multiaxial.l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
 from multiaxial.orbit_cells import build_chain_complex
+from multiaxial.structure_set import reduced_l_homology, relative_l_homology
 
 
 def dense_boundary(complex_, p):

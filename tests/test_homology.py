@@ -22,12 +22,7 @@ from multiaxial.homology import (
     smith_normal_form,
     sparse_invariant_factors,
 )
-from multiaxial.l_homology import (
-    reduced_l_homology,
-    reduced_l_homology_oracle,
-    relative_l_homology,
-    relative_l_homology_oracle,
-)
+from multiaxial.l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
 from multiaxial.orbit_cells import (
     CellFiltration,
     build_chain_complex,
@@ -35,6 +30,7 @@ from multiaxial.orbit_cells import (
     complex_from_cells,
     pivot_boundary,
 )
+from multiaxial.structure_set import reduced_l_homology, relative_l_homology
 
 
 def determinant(matrix):

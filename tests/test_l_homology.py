@@ -14,22 +14,20 @@ from multiaxial.grassmannian import (
 from multiaxial.l_homology import (
     _torsion_free_ranks,
     assemble_l_homology,
-    basepoint_correction,
-    l_coefficient,
     one_residue_class,
     read_collapse,
     read_reduced_l_homology,
-    reduced_l_homology,
     reduced_l_homology_oracle,
-    relative_l_homology,
     relative_l_homology_oracle,
     verify_collapse,
 )
-from multiaxial.orbit_cells import (
-    CellFiltration,
-    build_chain_complex,
-    cells_by_degree,
+from multiaxial.orbit_cells import CellFiltration, build_chain_complex, cells_by_degree
+from multiaxial.structure_set import (
+    basepoint_correction,
+    l_coefficient,
     orbit_space_dimension,
+    reduced_l_homology,
+    relative_l_homology,
 )
 
 C = Family.COMPLEX
@@ -76,7 +74,7 @@ def test_torsion_input_is_contract_violation():
         _torsion_free_ranks({3: FGAbelianGroup(1, ((2, 1),))})
     # nor may the full complex have two classes in degree 0
     with pytest.raises(ValueError, match="got rank 2 in degree 0"):
-        read_reduced_l_homology(C, 1, 2, {0: FGAbelianGroup.free(2)})
+        read_reduced_l_homology({0: FGAbelianGroup.free(2)}, 3)
 
 
 @pytest.mark.parametrize("family", [C, H], ids=str)

@@ -134,12 +134,18 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
 
 def _plant(monkeypatch, name, family, n, k, module=verification):
     """Make module's binding of name answer one more Z_2 at one
-    (family, n, k) and the right answer everywhere else."""
+    (family, n, k) and the right answer everywhere else.  A read_* function
+    sees the point only as the homology and top degree of its complex."""
     original = getattr(module, name)
+    point = (family, n, k)
+    if name.startswith("read_"):
+        filtration = CellFiltration.exact(n) if "relative" in name else None
+        complex_ = build_chain_complex(family, n, k, filtration)
+        point = (homology.integral_homology(complex_), complex_.degrees()[-1])
 
     def wrong(*args):
         group = original(*args)
-        if args[:3] == (family, n, k):
+        if args[: len(point)] == point:
             return group.direct_sum(FGAbelianGroup.with_two_torsion(0, 1))
         return group
 
@@ -216,6 +222,34 @@ def test_a_label_naming_no_layer_fails_the_layer_check_at_its_spec(
         "first failure: summand-layer-consistency at family=U n=2 k=2 j=0",
         f"  detail: {label}",
     ]
+
+
+# U(2,3) is on the odd gap: the reduced top group and the free stratum
+# (rank 1); each summand left alone is still on its layer
+@pytest.mark.parametrize(
+    "dropped, detail",
+    [
+        ("top", "odd-gap, strata at ranks 1"),
+        ("free_stratum", "odd-gap, strata at ranks none"),
+    ],
+)
+def test_a_report_missing_a_summand_fails_branch_dispatch_at_its_spec(
+    monkeypatch, dropped, detail
+):
+    planted = ActionSpec(Family.COMPLEX, 2, 3)
+    original = verification.compute_structure_set
+
+    def dropping(spec):
+        report = original(spec)
+        if spec != planted:
+            return report
+        kept = tuple(s for s in report.summands if s.label != dropped)
+        return replace(report, summands=kept)
+
+    monkeypatch.setattr(verification, "compute_structure_set", dropping)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = [(r.check, r.params, r.detail) for r in summary.results if not r.ok]
+    assert failures == [("branch-dispatch", "family=U n=2 k=3 j=0", detail)]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
