@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import multiaxial
-from multiaxial import grassmannian, l_homology, structure_set
+from multiaxial import grassmannian, homology, l_homology, orbit_cells, structure_set
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.structure_set import (
@@ -345,7 +345,21 @@ def _closure(imports: dict[str, set[str]], start: str) -> set[str]:
     return seen
 
 
-def test_the_two_routes_import_nothing_from_each_other():
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        (homology, {"grassmannian", "l_homology", "structure_set"}),
+        (orbit_cells, {"grassmannian", "l_homology", "structure_set"}),
+        (grassmannian, {"homology", "orbit_cells", "l_homology"}),
+    ],
+    ids=["homology", "orbit_cells", "grassmannian"],
+)
+def test_the_two_routes_import_nothing_from_each_other(module, forbidden):
+    imports = _sibling_imports(module)
+    assert imports and not imports & forbidden, imports
+
+
+def test_the_two_route_closures_meet_only_in_the_shared_vocabulary():
     # the closed route is structure_set and what it imports, the oracle
     # route l_homology and what it imports; they meet only in the shared
     # vocabulary, and only the modules that compare them import both
