@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 usage error, 4 a verification or agreement
-failure.  Exit 2 is argparse's own errors plus UsageError, which the
+failure, 141 stdout closed early (a shell's code for SIGPIPE; stderr
+stays empty).  Exit 2 is argparse's own errors plus UsageError, which the
 library raises where it checks each input; nothing else maps to it, so an
 internal ValueError stays a traceback.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -330,9 +332,15 @@ def main(argv=None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
     except UsageError as exc:  # the library checked the input and refused it
         _parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader is gone: the rest goes to devnull, not to a shutdown error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if lift:
             sys.set_int_max_str_digits(previous)

@@ -37,10 +37,6 @@ class ParityCount(NamedTuple):
     even_count: int
     odd_count: int
 
-    @property
-    def total(self) -> int:
-        return self.even_count + self.odd_count
-
 
 def enumerate_box_partitions(n: int, bound: int) -> list[BoxPartition]:
     """All nondecreasing n-tuples with entries in [0, bound], lex order.

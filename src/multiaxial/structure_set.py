@@ -84,10 +84,10 @@ def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
     Only meaningful when k - n is odd (the top degree is even then); the
     even-gap case never consumes it and is rejected.
     """
-    require_valid(n, k)
+    top = orbit_space_dimension(family, n, k)
     if (k - n) % 2 == 0:
         raise ValueError("basepoint correction applies only when k - n is odd")
-    return l_coefficient(orbit_space_dimension(family, n, k))
+    return l_coefficient(top)
 
 
 @dataclass(frozen=True)

@@ -225,18 +225,23 @@ def test_a_label_naming_no_layer_fails_the_layer_check_at_its_spec(
 
 
 # U(2,3) is on the odd gap: the reduced top group and the free stratum
-# (rank 1); each summand left alone is still on its layer
+# (rank 1); so is U(1,2) with j = 1, whose top degree 2 puts a Z_2 at the
+# basepoint; each summand left alone is still on its layer
 @pytest.mark.parametrize(
     "dropped, detail",
     [
         ("top", "odd-gap, strata at ranks 1"),
         ("free_stratum", "odd-gap, strata at ranks none"),
+        ("basepoint", "odd-gap, strata at ranks none"),
     ],
 )
 def test_a_report_missing_a_summand_fails_branch_dispatch_at_its_spec(
     monkeypatch, dropped, detail
 ):
-    planted = ActionSpec(Family.COMPLEX, 2, 3)
+    if dropped == "basepoint":
+        planted = ActionSpec(Family.COMPLEX, 1, 2, 1)
+    else:
+        planted = ActionSpec(Family.COMPLEX, 2, 3)
     original = verification.compute_structure_set
 
     def dropping(spec):
@@ -249,7 +254,8 @@ def test_a_report_missing_a_summand_fails_branch_dispatch_at_its_spec(
     monkeypatch.setattr(verification, "compute_structure_set", dropping)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = [(r.check, r.params, r.detail) for r in summary.results if not r.ok]
-    assert failures == [("branch-dispatch", "family=U n=2 k=3 j=0", detail)]
+    params = f"family=U n={planted.n} k={planted.k} j={planted.j}"
+    assert failures == [("branch-dispatch", params, detail)]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
