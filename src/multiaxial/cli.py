@@ -26,7 +26,9 @@ from . import __version__
 from .family import Family, UsageError
 from .homology import integral_homology
 from .l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
-from .orbit_cells import CellFiltration, build_chain_complex, cell_label
+from .orbit_cells import (
+    CellFiltration, build_chain_complex, cell_label, cell_slices, cells_by_degree
+)
 from .structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -149,8 +151,7 @@ def cmd_homology(args) -> int:
     n, k = args.n, args.k
     d = orbit_space_dimension(family, n, k)
     if args.variant == "integral-all":
-        complex_ = build_chain_complex(family, n, k)
-        groups = integral_homology(complex_)
+        groups = integral_homology(cell_slices(cells_by_degree(family, n, k)))
         if args.format == "json":
             _emit(
                 _document(

@@ -11,8 +11,11 @@ Geom. 41, 2009).  The residual is whatever the split leaves, every other
 nonzero column; it goes as one dense block to the Smith normal form, and
 for the orbit-space complexes it is empty.
 
-integral_homology eliminates each nonzero boundary once, over Z, and reads
-every degree's group off the invariant factors of its two boundaries.  The
+A complex is an ascending stream of (degree, generators, sparse columns)
+slices, and checked_slices is its one check.  integral_homology reads it
+holding two adjacent slices, as a degree's group needs only its two
+boundaries and d^2 only adjacent pairs, and eliminates each nonzero
+boundary once, over Z.  A ChainComplex is the stream held whole.  The
 dense smith_normal_form is also the reference that the sparse split is
 tested against on matrices with torsion.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from types import MappingProxyType
-from typing import Hashable, Mapping, NoReturn, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .abelian import FGAbelianGroup
 
@@ -174,51 +177,41 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
     return factors
 
 
-class ChainComplex:
-    """Finite free chain complex over Z.
+Slice = tuple[int, Sequence[Hashable], "Sequence[Column] | None"]
 
-    generators maps a degree to its ordered generators, any distinct
-    hashable values; an orbit-space complex uses its cells' pivot tuples.
-    boundaries maps degree p to the boundary out of degree p as sparse
-    columns: one mapping per generator of degree p, from a row (the index
-    of a generator of degree p - 1) to its coefficient.  Zero coefficients
-    may be left out and missing degrees are zero.  Int degrees, rows and
-    coefficients, column counts, row ranges, distinct generators and the
-    vanishing of every composite are checked here, at construction, and
-    nowhere else; this constructor is the only way to make a complex.
+
+def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
+    """The one check of a chain complex: a slice is (degree, distinct
+    hashable generators, the boundary out of that degree as one sparse row
+    -> coefficient column per generator, or None), its rows indexing the
+    slice before if that is one degree lower.  Degrees must be ints >= 0
+    and ascend; column counts, rows, int coefficients and d^2 = 0 are
+    checked holding only the slice before.  Each slice comes out with
+    tuples of generators and of zero-free column copies, or None.
     """
-
-    def __init__(
-        self,
-        generators: Mapping[int, Sequence[Hashable]],
-        boundaries: Mapping[int, Sequence[Column]],
-    ):
-        gens: dict[int, tuple[Hashable, ...]] = {}
-        for p, cells in generators.items():
-            if type(p) is not int:
-                _not_an_int(p, "degree")
-            if p < 0:
-                raise ValueError("generator degrees must be nonnegative")
-            cells = tuple(cells)
-            if cells:
-                if len(set(cells)) != len(cells):
-                    raise ValueError(f"duplicate generators in degree {p}")
-                gens[p] = cells
-        gens = dict(sorted(gens.items()))
-        stored: dict[int, tuple[Column, ...]] = {}
-        for p, columns in boundaries.items():
-            if type(p) is not int:
-                _not_an_int(p, "degree")
-            rows = len(gens.get(p - 1, ()))
-            expected = len(gens.get(p, ()))
-            if len(columns) != expected:
+    below, rows, lower = -1, 0, None
+    for p, cells, columns in slices:
+        if type(p) is not int:
+            _not_an_int(p, "degree")
+        if p < 0:
+            raise ValueError("generator degrees must be nonnegative")
+        if p <= below:
+            raise ValueError(f"degree {p} does not ascend past degree {below}")
+        cells = tuple(cells)
+        if len(set(cells)) != len(cells):
+            raise ValueError(f"duplicate generators in degree {p}")
+        if p != below + 1:
+            rows, lower = 0, None
+        kept = None
+        if columns is not None:
+            if len(columns) != len(cells):
                 raise ValueError(
                     f"boundary in degree {p} has {len(columns)} columns, "
-                    f"expected {expected}"
+                    f"expected {len(cells)}"
                 )
-            # one pass over the entries of the nonzero columns: the row's type
-            # and range, then the coefficient's type, and zeros are dropped
-            kept = [_NO_ENTRIES] * expected
+            # one pass over each nonzero column: row type and range, coefficient
+            # type, zeros dropped, then its composite with the boundary before
+            copies = [_NO_ENTRIES] * len(cells)
             for j, column in compress(enumerate(columns), columns):
                 copy = {}
                 for r, v in column.items():
@@ -233,22 +226,85 @@ class ChainComplex:
                         _not_an_int(v, "coefficient")
                     if v:
                         copy[r] = v
-                kept[j] = copy or _NO_ENTRIES
-            if any(kept):
-                stored[p] = tuple(kept)
-        for p, columns in stored.items():
-            lower = stored.get(p - 1)
-            if lower is None:
-                continue
-            for column in filter(None, columns):
-                composite: dict[int, int] = {}
-                for r, v in column.items():
-                    for s, w in lower[r].items():
-                        composite[s] = composite.get(s, 0) + v * w
-                if any(composite.values()):
-                    raise ValueError(f"boundary composite in degree {p} is nonzero")
-        self._generators = gens
-        self._columns = stored
+                if copy and lower:
+                    composite: dict[int, int] = {}
+                    for r, v in copy.items():
+                        for s, w in lower[r].items():
+                            composite[s] = composite.get(s, 0) + v * w
+                    if any(composite.values()):
+                        raise ValueError(f"boundary composite in degree {p} is nonzero")
+                copies[j] = copy or _NO_ENTRIES
+            kept = tuple(copies) if any(copies) else None
+        yield p, cells, kept
+        below, rows, lower = p, len(cells), kept
+
+
+def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
+    """Integral homology of a stream of slices (a ChainComplex is one),
+    trivial degrees omitted, checked by checked_slices as it is read.
+
+    A degree's free rank is its cell count minus the ranks of its two
+    boundaries, each eliminated once by sparse_invariant_factors, and its
+    torsion the incoming one's invariant factors.
+
+    >>> print(integral_homology([(0, ["v"], None), (1, ["e"], [{0: 2}])])[0])
+    Z_2
+    """
+    result = {}
+    held = None  # (degree, cell count, factors of its outgoing boundary)
+    # a last slice of degree None is adjacent to nothing and closes the top
+    for p, cells, columns in chain(checked_slices(slices), [(None, (), None)]):
+        factors = sparse_invariant_factors(columns) if columns else []
+        if held is not None:
+            q, count, outgoing = held
+            incoming = factors if p == q + 1 else []
+            free = count - len(outgoing) - len(incoming)
+            if incoming and incoming[-1] > 1:
+                torsion = FGAbelianGroup.from_orders(incoming).torsion
+                result[q] = FGAbelianGroup(free, torsion)
+            elif free:
+                result[q] = FGAbelianGroup(free, ())
+        held = p, len(cells), factors
+    return result
+
+
+class ChainComplex:
+    """Finite free chain complex over Z: a stream of slices held whole.
+
+    generators maps a degree to its ordered generators, any distinct
+    hashable values; an orbit-space complex uses its cells' pivot tuples.
+    boundaries maps degree p to the boundary out of degree p as sparse
+    columns: one mapping per generator of degree p, from a row (the index
+    of a generator of degree p - 1) to its coefficient.  Zero coefficients
+    may be left out, and missing degrees or None are zero.  The degrees go
+    through checked_slices in ascending order, so a complex is checked as a
+    stream is; iterating over a complex gives that stream back.
+    """
+
+    def __init__(
+        self,
+        generators: Mapping[int, Sequence[Hashable]],
+        boundaries: Mapping[int, Sequence[Column]],
+    ):
+        # keys are checked before they are merged, where 1.0 would pass as 1
+        for p in chain(generators, boundaries):
+            if type(p) is not int:
+                _not_an_int(p, "degree")
+        self._generators: dict[int, tuple[Hashable, ...]] = {}
+        self._columns: dict[int, tuple[Column, ...]] = {}
+        degrees = sorted({*generators, *boundaries})
+        for p, cells, columns in checked_slices(
+            (p, generators.get(p, ()), boundaries.get(p)) for p in degrees
+        ):
+            if cells:
+                self._generators[p] = cells
+            if columns:
+                self._columns[p] = columns
+
+    def __iter__(self) -> Iterator[Slice]:
+        """The slices of the degrees holding cells, ascending."""
+        for p, cells in self._generators.items():
+            yield p, cells, self._columns.get(p)
 
     def degrees(self) -> list[int]:
         return sorted(self._generators)
@@ -277,29 +333,3 @@ class ChainComplex:
         return sum(
             (-1) ** p * len(cells) for p, cells in self._generators.items()
         )
-
-
-def integral_homology(complex_: ChainComplex) -> dict[int, FGAbelianGroup]:
-    """Integral homology groups, trivial degrees omitted.
-
-    Each nonzero boundary is eliminated once by sparse_invariant_factors.
-    In each degree the free rank is the cell count minus the ranks of the
-    two adjacent boundaries, and the torsion is read off the invariant
-    factors of the incoming boundary.
-    """
-    factors = {
-        p: sparse_invariant_factors(columns)
-        for p, columns in complex_._columns.items()
-    }
-    result = {}
-    for p, cells in complex_._generators.items():
-        incoming = factors.get(p + 1, ())
-        free = len(cells) - len(factors.get(p, ())) - len(incoming)
-        if incoming and incoming[-1] > 1:
-            torsion = FGAbelianGroup.from_orders(incoming).torsion
-        elif free:
-            torsion = ()
-        else:
-            continue
-        result[p] = FGAbelianGroup(free, torsion)
-    return result

@@ -14,12 +14,14 @@ integral ranks (Hatcher, Algebraic Topology, Thm. 3A.3), so one rank map
 serves both parts.
 
 This is the oracle route; structure_set holds the closed forms, and only
-the tests and verify compare the two.  Each oracle is a build followed by
-a read: a read_* function takes the integral homology of the built complex,
-which it refuses if it has torsion, and the degree of the complex's top
-cell, since at k = n the top cell is matched and the top group is 0.  So
-the oracles eliminate over Z alone, and verify builds each complex once
-and hands its homology to every check.  The collapse check is a bool read
+the tests and verify compare the two.  Each oracle enumerates its cells
+whole, the cheapest listing (see orbit_cells), streams their complex
+through integral_homology two adjacent degrees at a time, and reads: a
+read_* function takes the integral homology, which it refuses if it has
+torsion, and the top cell's degree, since at k = n the top cell is
+matched and the top group is 0.  So the oracles eliminate over Z alone,
+and verify streams each complex once and hands its homology to every
+check.  The collapse check is a bool read
 the same way, through one_residue_class.
 """
 
@@ -30,7 +32,7 @@ from typing import Iterable, Mapping
 from .abelian import FGAbelianGroup
 from .family import Family
 from .homology import integral_homology
-from .orbit_cells import CellFiltration, build_chain_complex
+from .orbit_cells import CellFiltration, cell_slices, cells_by_degree
 
 
 def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
@@ -49,9 +51,9 @@ def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
 def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Top-degree group of the pair (orbit space, next lower stratum),
     from the full-rank cell complex."""
-    complex_ = build_chain_complex(family, n, k, CellFiltration.exact(n))
+    cells = cells_by_degree(family, n, k, CellFiltration.exact(n))
     return read_relative_l_homology(
-        integral_homology(complex_), complex_.degrees()[-1]
+        integral_homology(cell_slices(cells)), max(cells)
     )
 
 
@@ -66,10 +68,8 @@ def read_relative_l_homology(
 def reduced_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Top-degree group of the orbit space with the basepoint removed,
     from the full cell complex."""
-    complex_ = build_chain_complex(family, n, k)
-    return read_reduced_l_homology(
-        integral_homology(complex_), complex_.degrees()[-1]
-    )
+    cells = cells_by_degree(family, n, k)
+    return read_reduced_l_homology(integral_homology(cell_slices(cells)), max(cells))
 
 
 def read_reduced_l_homology(
@@ -103,8 +103,8 @@ def one_residue_class(family: Family, n: int, degrees: Iterable[int]) -> bool:
 def verify_collapse(family: Family, n: int, k: int) -> bool:
     """Whether the reduced homology of the full complex of (family, n, k)
     sits in the degrees that one_residue_class allows."""
-    complex_ = build_chain_complex(family, n, k)
-    return read_collapse(family, n, integral_homology(complex_))
+    cells = cells_by_degree(family, n, k)
+    return read_collapse(family, n, integral_homology(cell_slices(cells)))
 
 
 def read_collapse(

@@ -16,24 +16,25 @@ attaching map is degree zero on cells.  That single rule, pivot_boundary,
 is the whole differential, and nothing here comes from the closed form,
 not even the orbit space's dimension: that is the top cell's degree.
 
-cells_by_degree enumerates the tuples of a rank band grouped by dimension,
-and complex_from_cells turns any such map into a chain complex whose
-generators are the tuples themselves, with each boundary as sparse
-columns, one row -> coefficient map per cell, and no dense matrix or
-string anywhere.  build_chain_complex is the two composed; a caller that
-needs several complexes of one (family, n, k) enumerates once and slices
-the map.  cell_label is the one place a cell becomes text, "(m1,...,mr)",
-and only output that prints a cell calls it.
+cells_by_degree enumerates a rank band's tuples by dimension, whole, as
+itertools.combinations lists a cell several times faster than a
+per-slice generator.  cell_slices streams any such map as ascending
+(degree, cells, sparse columns) slices, which homology reads two adjacent
+degrees at a time, with no dense matrix or string; complex_from_cells
+holds the stream whole, build_chain_complex enumerates first.  A caller
+needing several complexes of one (family, n, k) enumerates once and
+slices the map.  cell_label is the one place a cell becomes text,
+"(m1,...,mr)", and only output that prints a cell calls it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .family import Family, UsageError, require_valid
-from .homology import ChainComplex
+from .homology import ChainComplex, Slice
 
 Pivots = tuple[int, ...]
 
@@ -117,30 +118,37 @@ def cells_by_degree(
     return dict(sorted(by_degree.items()))
 
 
-def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComplex:
-    """Cellular chain complex on exactly the given cells, degree -> pivots.
+def cell_slices(by_degree: Mapping[int, Sequence[Pivots]]) -> Iterator[Slice]:
+    """Cellular chain complex on exactly the given cells, degree -> pivots,
+    as ascending slices; a face is looked up in the slice one degree below
+    and dropped if absent, which makes a rank band compute relative homology.
 
-    A face that is not among the cells is dropped, which is what makes a
-    rank slice compute relative homology.
-
-    >>> complex_from_cells({2: [(2,)], 3: [(2, 1)]}).columns(3)
-    ({0: 1},)
-    >>> complex_from_cells({3: [(2, 1)]}).boundary_degrees()
-    []
+    >>> list(cell_slices({2: [(2,)], 3: [(2, 1)], 5: [(3, 1)]}))
+    [(2, [(2,)], None), (3, [(2, 1)], [{0: 1}]), (5, [(3, 1)], None)]
     """
-    boundaries = {}
     no_face: dict[int, int] = {}  # shared by every cell without a face
-    for p, cells in by_degree.items():
+    for p, cells in sorted(by_degree.items()):
         below = by_degree.get(p - 1)
         if not below:
+            yield p, cells, None
             continue
         row_of = dict(zip(below, range(len(below))))
         columns = []
         for pivots in cells:
             row = row_of.get(pivot_boundary(pivots))
             columns.append(no_face if row is None else {row: 1})
-        boundaries[p] = columns
-    return ChainComplex(by_degree, boundaries)
+        yield p, cells, columns
+
+
+def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComplex:
+    """The stream of cell_slices held whole, as a ChainComplex.
+
+    >>> complex_from_cells({2: [(2,)], 3: [(2, 1)]}).columns(3)
+    ({0: 1},)
+    >>> complex_from_cells({3: [(2, 1)]}).boundary_degrees()
+    []
+    """
+    return ChainComplex(by_degree, {p: c for p, _, c in cell_slices(by_degree)})
 
 
 def build_chain_complex(

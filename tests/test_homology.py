@@ -6,14 +6,15 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from multiaxial import homology
+from multiaxial import cli, homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.homology import (
@@ -22,7 +23,11 @@ from multiaxial.homology import (
     smith_normal_form,
     sparse_invariant_factors,
 )
-from multiaxial.l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
+from multiaxial.l_homology import (
+    reduced_l_homology_oracle,
+    relative_l_homology_oracle,
+    verify_collapse,
+)
 from multiaxial.orbit_cells import (
     CellFiltration,
     build_chain_complex,
@@ -31,6 +36,7 @@ from multiaxial.orbit_cells import (
     pivot_boundary,
 )
 from multiaxial.structure_set import reduced_l_homology, relative_l_homology
+from multiaxial.verification import run_verification
 
 
 def determinant(matrix):
@@ -306,6 +312,82 @@ def test_sparse_constructor_rejects_bad_input():
         ChainComplex({0: ["v", "w"], 1: ["e"]}, {1: [{True: 1}]})
     with pytest.raises(TypeError, match="row 'a' is not an int"):
         ChainComplex(gens, {1: [{"a": 1}]})
+
+
+# each bad input of test_sparse_constructor_rejects_bad_input, as a stream
+BAD_STREAMS = [
+    [(0, ["v"], None), (1, ["e"], [{0: 1}]), (2, ["f"], [{0: 1}])],
+    [(0, ["v"], None), (1, ["e"], [{1: 1}])],
+    [(0, ["v"], None), (1, ["e"], [{-1: 1}])],
+    [(0, ["v"], None), (1, ["e"], [{0: 1}, {}])],
+    [(0, ["v", "v"], None)],
+    [(0, ["a"], None), (1, ["b"], [{0: 0.0}])],
+    [(0, ["v"], None), (1, ["e"], [{0: True}])],
+    [(0.0, ["v"], None)],
+    [(-1, ["v"], None)],
+    [(0, ["v"], None), (1.0, ["e"], [{0: 1}]), (2, ["f"], None)],
+    [(0, ["v", "w"], None), (1, ["e"], [{True: 1}])],
+    [(0, ["v"], None), (1, ["e"], [{"a": 1}])],
+]
+
+
+def test_streaming_consumers_never_build_a_complex(monkeypatch, capsys):
+    refusals = []
+    for stream in BAD_STREAMS:
+        generators = {p: cells for p, cells, _ in stream}
+        boundaries = {p: columns for p, _, columns in stream}
+        with pytest.raises((TypeError, ValueError)) as refused:
+            ChainComplex(generators, boundaries)
+        refusals.append(refused.value)
+    n, k = 3, 6
+    argv = ["homology", "--family", "U", "--n", str(n), "--k", str(k)]
+    argv += ["--variant", "integral-all", "--format", "json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a ChainComplex was built")
+
+    monkeypatch.setattr(ChainComplex, "__init__", refuse)
+    for family in Family:
+        assert relative_l_homology_oracle(family, n, k) == relative_l_homology(
+            family, n, k
+        )
+        assert reduced_l_homology_oracle(family, n, k) == reduced_l_homology(
+            family, n, k
+        )
+        assert verify_collapse(family, n, k)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert run_verification(3, 6, 1).ok
+    # the stream refuses what the constructor refuses, in the same words
+    for stream, refusal in zip(BAD_STREAMS, refusals):
+        message = f"^{re.escape(str(refusal))}$"
+        with pytest.raises(type(refusal), match=message):
+            integral_homology(stream)
+    # and a stream that does not ascend, which a mapping cannot express
+    with pytest.raises(ValueError, match="^degree 0 does not ascend past degree 1$"):
+        integral_homology([(1, ["e"], None), (0, ["v"], None)])
+
+
+@pytest.mark.parametrize(
+    "family, n, k",
+    [(Family.COMPLEX, 7, 16), (Family.QUATERNIONIC, 6, 14)],
+    ids=["U(7,16)", "Sp(6,14)"],
+)
+def test_reduced_oracle_holds_the_enumeration_and_two_slices(family, n, k):
+    # the enumeration is held whole at about 100 B a cell; the boundaries
+    # stream two adjacent degrees at a time, where a whole complex with two
+    # copies of its columns peaked near 290 B a cell
+    cells = sum(comb(k, r) for r in range(1, n + 1))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        reduced_l_homology_oracle(family, n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cells < 150, f"{peak / cells:.0f} B a cell"
 
 
 def test_sparse_constructor_names_the_row_and_drops_zeros():

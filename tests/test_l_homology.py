@@ -21,7 +21,12 @@ from multiaxial.l_homology import (
     relative_l_homology_oracle,
     verify_collapse,
 )
-from multiaxial.orbit_cells import CellFiltration, build_chain_complex, cells_by_degree
+from multiaxial.orbit_cells import (
+    CellFiltration,
+    build_chain_complex,
+    cell_slices,
+    cells_by_degree,
+)
 from multiaxial.structure_set import (
     basepoint_correction,
     l_coefficient,
@@ -91,8 +96,11 @@ def test_oracles_eliminate_over_z_alone(monkeypatch, family):
 
     monkeypatch.setattr(homology, "sparse_invariant_factors", counting)
     n, k = 2, 5
-    complex_ = build_chain_complex(family, n, k)
-    boundaries = [complex_.columns(p) for p in complex_.boundary_degrees()]
+    boundaries = [
+        tuple(columns)
+        for _, _, columns in cell_slices(cells_by_degree(family, n, k))
+        if columns is not None and any(columns)
+    ]
     assert boundaries
     assert relative_l_homology_oracle(family, n, k) == relative_l_homology(
         family, n, k

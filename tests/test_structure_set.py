@@ -266,7 +266,7 @@ def test_closed_form_never_builds_the_oracle_route(monkeypatch):
 
     for module, names in (
         (grassmannian, ["enumerate_box_partitions"]),
-        (l_homology, ["build_chain_complex", "integral_homology"]),
+        (l_homology, ["cells_by_degree", "integral_homology"]),
     ):
         for name in names:
             monkeypatch.setattr(module, name, refuse)

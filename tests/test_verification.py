@@ -60,37 +60,45 @@ def counted(monkeypatch):
     return enumerations, eliminations, reports
 
 
-def _recording(monkeypatch, owner, name, made):
-    """Wrap owner.name so that every complex it returns lands in made."""
-    original = getattr(owner, name)
+def _recording(monkeypatch, streams):
+    """Wrap verification's cell_slices so that every stream it makes lands
+    in streams, slice by slice as it is read."""
+    original = verification.cell_slices
 
-    def wrapper(*args):
-        result = original(*args)
-        made.append(result)
-        return result
+    def wrapper(by_degree):
+        stream = []
+        streams.append(stream)
+        for piece in original(by_degree):
+            stream.append(piece)
+            yield piece
 
-    monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(verification, "cell_slices", wrapper)
+
+
+def _nonzero(columns):
+    return columns is not None and any(columns)
 
 
 def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     enumerations, eliminations, reports = counted
-    built = []
-    _recording(monkeypatch, verification, "complex_from_cells", built)
+    streams = []
+    _recording(monkeypatch, streams)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
     # one enumeration of the cells per point, and the full and rank-n
-    # complexes both built from it by complex_from_cells
+    # complexes both streamed from it by cell_slices
     assert enumerations == Counter(
         (family, n, k, None) for family in FAMILIES for n, k in GRID
     )
-    assert len(built) == 2 * len(FAMILIES) * len(GRID)
+    assert len(streams) == 2 * len(FAMILIES) * len(GRID)
     # every nonzero boundary of each of them is eliminated once, over Z,
     # and nothing else is
     assert eliminations == Counter(
-        _content(complex_.columns(p))
-        for complex_ in built
-        for p in complex_.boundary_degrees()
+        _content(columns)
+        for stream in streams
+        for _, _, columns in stream
+        if _nonzero(columns)
     )
 
     expected_specs = {
@@ -115,21 +123,23 @@ def test_nothing_is_kept_between_calls(counted):
 
 
 def test_both_complexes_equal_the_filtered_builds(monkeypatch):
-    built = []
-    _recording(monkeypatch, verification, "complex_from_cells", built)
+    streams = []
+    _recording(monkeypatch, streams)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
     points = [(family, n, k) for family in FAMILIES for n, k in GRID]
-    assert len(built) == 2 * len(points)
-    for (family, n, k), full, relative in zip(points, built[::2], built[1::2]):
-        for complex_, filtration in (
+    assert len(streams) == 2 * len(points)
+    for (family, n, k), full, relative in zip(points, streams[::2], streams[1::2]):
+        for stream, filtration in (
             (full, None),
             (relative, CellFiltration.exact(n)),
         ):
             reference = build_chain_complex(family, n, k, filtration)
-            assert complex_.degrees() == reference.degrees()
-            for p in reference.degrees():
-                assert complex_.generators(p) == reference.generators(p)
-                assert complex_.columns(p) == reference.columns(p)
+            assert [p for p, _, _ in stream] == reference.degrees()
+            for p, cells, columns in stream:
+                assert tuple(cells) == reference.generators(p)
+                assert _content(columns or [{}] * len(cells)) == _content(
+                    reference.columns(p)
+                )
 
 
 def _plant(monkeypatch, name, family, n, k, module=verification):
@@ -265,16 +275,14 @@ def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
     # a Z_2 in the full complex's homology, as a factor 2 where a unit was
     # would leave, is refused by read_reduced_l_homology
     n, k = 2, 4
-    target = build_chain_complex(family, n, k)
-    degree = min(target.boundary_degrees()) - 1
+    target = list(orbit_cells.cell_slices(orbit_cells.cells_by_degree(family, n, k)))
+    degree = min(p for p, _, columns in target if _nonzero(columns)) - 1
     original = verification.integral_homology
 
-    def wrong(complex_):
-        groups = original(complex_)
-        if complex_.degrees() == target.degrees() and all(
-            complex_.generators(p) == target.generators(p)
-            for p in target.degrees()
-        ):
+    def wrong(slices):
+        slices = list(slices)
+        groups = original(slices)
+        if [piece[:2] for piece in slices] == [piece[:2] for piece in target]:
             kept = groups.get(degree, FGAbelianGroup.trivial())
             groups[degree] = kept.direct_sum(FGAbelianGroup.with_two_torsion(0, 1))
         return groups
@@ -288,6 +296,37 @@ def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
         "the degreewise assembly needs torsion free input"
     )
     assert {params for _, params in failures} == {point}
+
+
+def test_an_empty_enumeration_fails_its_rows_and_the_grid_reports(
+    monkeypatch, capsys
+):
+    rows = len(verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES).results)
+    original = verification.cells_by_degree
+
+    def emptied(family, n, k, filtration=None):
+        if (family, n, k) == (Family.COMPLEX, 2, 4):
+            return {}
+        return original(family, n, k, filtration)
+
+    monkeypatch.setattr(verification, "cells_by_degree", emptied)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    assert len(summary.results) == rows
+    point = "family=U n=2 k=4"
+    failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
+    assert failures == {
+        ("cell-census", point): "empty enumeration, top degree -1 vs 11",
+        ("relative-closed-vs-oracle", point): "top degree must be nonnegative",
+        ("reduced-closed-vs-oracle", point): (
+            "orbit space should be connected with one basepoint class, "
+            "got rank None in degree 0"
+        ),
+    }
+    argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
+    out = capsys.readouterr().out
+    assert f"first failure: cell-census at {point}\n" in out
+    assert "  detail: empty enumeration, top degree -1 vs 11\n" in out
 
 
 @pytest.mark.parametrize(
