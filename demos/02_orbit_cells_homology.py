@@ -8,8 +8,8 @@ from multiaxial.family import Family
 from multiaxial.homology import integral_homology, smith_normal_form
 from multiaxial.orbit_cells import (
     CellFiltration,
-    build_chain_complex,
     cell_label,
+    cell_slices,
     cells_by_degree,
 )
 
@@ -23,32 +23,36 @@ C = Family.COMPLEX
 # cells_by_degree groups them by dimension and cell_label prints one.
 
 n, k = 2, 4
+cells = cells_by_degree(C, n, k)
 print(f"cells of the n={n}, k={k} orbit space:")
-for dim, cells in cells_by_degree(C, n, k).items():
-    for pivots in cells:
+for dim, cells_p in cells.items():
+    for pivots in cells_p:
         print(f"  {cell_label(pivots):>8}  rank {len(pivots)}  dim {dim}")
 
 # The chain complex has the cells as generators. The orbit space's
 # dimension is read off it as the degree of its top cell.
-cx = build_chain_complex(C, n, k)
-print("top dimension:", cx.degrees()[-1])
+print("top dimension:", max(cells))
 
-# Almost every boundary map vanishes. The only surviving face relation
-# drops a trailing pivot at position 1, with coefficient 1, so the chain
-# complex is very sparse and its homology is torsion free.
-# A boundary is stored as sparse columns, one row -> coefficient map per
-# generator, the row indexing the generators one degree down.
+# The complex is a stream of slices, one per degree: the degree, its
+# cells, and the boundary out of it as sparse columns, one row ->
+# coefficient map per cell, the row indexing the cells one degree down
+# (None when no cell there has a face). Almost every boundary map
+# vanishes. The only surviving face relation drops a trailing pivot at
+# position 1, with coefficient 1, so the complex is very sparse and its
+# homology is torsion free.
 print()
 print("nonzero boundary columns:")
-for p in cx.boundary_degrees():
-    faces = cx.generators(p - 1)
-    for cell, column in zip(cx.generators(p), cx.columns(p)):
+for p, cells_p, columns in cell_slices(cells):
+    for cell, column in zip(cells_p, columns or ()):
         for row, coeff in sorted(column.items()):
-            print(f"  d_{p} {cell_label(cell)} = {coeff} * {cell_label(faces[row])}")
+            face = cell_label(cells[p - 1][row])
+            print(f"  d_{p} {cell_label(cell)} = {coeff} * {face}")
 
+# integral_homology reads the stream two adjacent degrees at a time,
+# checking each slice as it comes.
 print()
 print("integral homology:")
-homology = integral_homology(cx)
+homology = integral_homology(cell_slices(cells))
 for degree, group in sorted(homology.items()):
     print(f"  H_{degree} = {group}")
 # Torsion free, so the Betti numbers over any field are these free ranks.
@@ -57,10 +61,10 @@ print("Betti numbers:", {p: group.free_rank for p, group in homology.items()})
 # Restricting to full-rank cells kills every boundary map outright. The
 # resulting groups are the relative homology of the orbit space against
 # its singular part, one Z per cell in its own degree.
-relative = build_chain_complex(C, n, k, CellFiltration.exact(n))
+relative = cells_by_degree(C, n, k, CellFiltration.exact(n))
 print()
 print("full-rank (relative) cell degrees:",
-      {p: relative.cell_count(p) for p in relative.degrees()})
+      {p: len(cells_p) for p, cells_p, _ in cell_slices(relative)})
 
 # The underlying integer kernel is general purpose. Invariant factors of
 # any integer matrix come out of the same routine the homology uses.

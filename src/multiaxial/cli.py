@@ -8,8 +8,9 @@ internal ValueError stays a traceback.
 
 JSON documents share one envelope: schema_version, tool, command, then
 the command specific payload.  Groups carry their torsion as
-[order, multiplicity] runs (schema 2), and export-complex its boundaries as
-stored, one list of [row, coeff] pairs per generator (schema 3).  Key order
+[order, multiplicity] runs (schema 2).  export-complex writes its complex
+degree by degree, as checked_slices yields the stream, each boundary one
+list of [row, coeff] pairs per generator (schema 3).  Key order
 is fixed and nothing in the output depends on wall clock, environment or
 hash seeds, so repeated runs are byte identical.
 """
@@ -21,14 +22,13 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import __version__
 from .family import Family, UsageError
-from .homology import integral_homology
+from .homology import checked_slices, integral_homology
 from .l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
-from .orbit_cells import (
-    CellFiltration, build_chain_complex, cell_label, cell_slices, cells_by_degree
-)
+from .orbit_cells import CellFiltration, cell_label, cell_slices, cells_by_degree
 from .structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -54,7 +54,9 @@ def _document(command: str, payload: dict) -> dict:
 def _render(value, out: list[str], pad: str):
     """Append value as json.dumps(indent=2) would write it, except that an
     array holding no object stays on one line, so a torsion run or a
-    boundary costs one line.  pad is a newline plus the current indent."""
+    boundary costs one line.  A generator is an array of objects, and out
+    goes to stdout after each of them, so the array is never held whole.
+    pad is a newline plus the current indent."""
     if type(value) is dict and value:
         inner = pad + "  "
         separator = "{"
@@ -63,14 +65,19 @@ def _render(value, out: list[str], pad: str):
             _render(item, out, inner)
             separator = ","
         out.append(pad + "}")
-    elif type(value) is list and any(type(item) is dict for item in value):
+    elif type(value) is GeneratorType or (
+        type(value) is list and any(type(item) is dict for item in value)
+    ):
         inner = pad + "  "
         separator = "["
         for item in value:
             out.append(separator + inner)
             _render(item, out, inner)
             separator = ","
-        out.append(pad + "]")
+            if type(value) is GeneratorType:
+                sys.stdout.write("".join(out))
+                out.clear()
+        out.append("[]" if separator == "[" else pad + "]")
     elif type(value) is int:
         out.append(str(value))  # most leaves; json.dumps costs more per call
     else:
@@ -229,15 +236,19 @@ def cmd_verify(args) -> int:
 def cmd_export_complex(args) -> int:
     family = Family.parse(args.family)
     filtration = CellFiltration(args.min_rank, args.max_rank)
-    complex_ = build_chain_complex(family, args.n, args.k, filtration)
-    degrees = [
+    cells = cells_by_degree(family, args.n, args.k, filtration)
+    # one entry per slice as checked_slices yields it, each written before
+    # the next is built
+    degrees = (
         {
             "degree": p,
-            "generators": [cell_label(cell) for cell in complex_.generators(p)],
-            "boundary": [sorted(column.items()) for column in complex_.columns(p)],
+            "generators": [cell_label(cell) for cell in cells_p],
+            "boundary": [
+                sorted(column.items()) for column in columns or [{}] * len(cells_p)
+            ],
         }
-        for p in complex_.degrees()
-    ]
+        for p, cells_p, columns in checked_slices(cell_slices(cells))
+    )
     payload = {
         "input": {
             "family": str(family),
@@ -246,8 +257,8 @@ def cmd_export_complex(args) -> int:
             "min_rank": args.min_rank,
             "max_rank": args.max_rank,
         },
-        "total_cells": complex_.total_cells(),
-        "euler_characteristic": complex_.euler_characteristic(),
+        "total_cells": sum(map(len, cells.values())),
+        "euler_characteristic": sum((-1) ** p * len(c) for p, c in cells.items()),
         "degrees": degrees,
     }
     if args.format == "json":
@@ -258,10 +269,11 @@ def cmd_export_complex(args) -> int:
         print(f"chain complex, family={family} n={args.n} k={args.k} {ranks}")
         for entry in degrees:
             gens = " ".join(entry["generators"])
-            print(f"  degree {entry['degree']}: {gens}")
+            lines = [f"  degree {entry['degree']}: {gens}"]
             for label, column in zip(entry["generators"], entry["boundary"]):
                 if column:
-                    print(f"    {label} -> {json.dumps(column)}")
+                    lines.append(f"    {label} -> {json.dumps(column)}")
+            print("\n".join(lines))
     return 0
 
 

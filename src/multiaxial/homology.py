@@ -12,12 +12,12 @@ nonzero column; it goes as one dense block to the Smith normal form, and
 for the orbit-space complexes it is empty.
 
 A complex is an ascending stream of (degree, generators, sparse columns)
-slices, and checked_slices is its one check.  integral_homology reads it
-holding two adjacent slices, as a degree's group needs only its two
-boundaries and d^2 only adjacent pairs, and eliminates each nonzero
-boundary once, over Z.  A ChainComplex is the stream held whole.  The
-dense smith_normal_form is also the reference that the sparse split is
-tested against on matrices with torsion.
+slices, never held whole, and checked_slices is its one check.
+integral_homology reads it holding two adjacent slices, as a degree's
+group needs only its two boundaries and d^2 only adjacent pairs, and
+eliminates each nonzero boundary once, over Z.  The dense
+smith_normal_form is also the reference that the sparse split is tested
+against on matrices with torsion.
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -41,7 +41,7 @@ from .abelian import FGAbelianGroup
 Matrix = Sequence[Sequence[int]]
 Column = Mapping[int, int]
 
-# the one stored column of a complex with no entries, shared and read only
+# the one empty column checked_slices yields, shared and read only
 _NO_ENTRIES: Column = MappingProxyType({})
 
 
@@ -240,7 +240,7 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
 
 
 def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
-    """Integral homology of a stream of slices (a ChainComplex is one),
+    """Integral homology of a stream of slices, any iterable of them,
     trivial degrees omitted, checked by checked_slices as it is read.
 
     A degree's free rank is its cell count minus the ranks of its two
@@ -267,69 +267,3 @@ def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
         held = p, len(cells), factors
     return result
 
-
-class ChainComplex:
-    """Finite free chain complex over Z: a stream of slices held whole.
-
-    generators maps a degree to its ordered generators, any distinct
-    hashable values; an orbit-space complex uses its cells' pivot tuples.
-    boundaries maps degree p to the boundary out of degree p as sparse
-    columns: one mapping per generator of degree p, from a row (the index
-    of a generator of degree p - 1) to its coefficient.  Zero coefficients
-    may be left out, and missing degrees or None are zero.  The degrees go
-    through checked_slices in ascending order, so a complex is checked as a
-    stream is; iterating over a complex gives that stream back.
-    """
-
-    def __init__(
-        self,
-        generators: Mapping[int, Sequence[Hashable]],
-        boundaries: Mapping[int, Sequence[Column]],
-    ):
-        # keys are checked before they are merged, where 1.0 would pass as 1
-        for p in chain(generators, boundaries):
-            if type(p) is not int:
-                _not_an_int(p, "degree")
-        self._generators: dict[int, tuple[Hashable, ...]] = {}
-        self._columns: dict[int, tuple[Column, ...]] = {}
-        degrees = sorted({*generators, *boundaries})
-        for p, cells, columns in checked_slices(
-            (p, generators.get(p, ()), boundaries.get(p)) for p in degrees
-        ):
-            if cells:
-                self._generators[p] = cells
-            if columns:
-                self._columns[p] = columns
-
-    def __iter__(self) -> Iterator[Slice]:
-        """The slices of the degrees holding cells, ascending."""
-        for p, cells in self._generators.items():
-            yield p, cells, self._columns.get(p)
-
-    def degrees(self) -> list[int]:
-        return sorted(self._generators)
-
-    def boundary_degrees(self) -> list[int]:
-        """Degrees whose outgoing boundary has a nonzero entry."""
-        return sorted(self._columns)
-
-    def generators(self, p: int) -> tuple[Hashable, ...]:
-        return self._generators.get(p, ())
-
-    def cell_count(self, p: int) -> int:
-        return len(self._generators.get(p, ()))
-
-    def total_cells(self) -> int:
-        return sum(len(v) for v in self._generators.values())
-
-    def columns(self, p: int) -> tuple[Column, ...]:
-        """Sparse columns of the boundary out of degree p; read only."""
-        stored = self._columns.get(p)
-        if stored is not None:
-            return stored
-        return (_NO_ENTRIES,) * self.cell_count(p)
-
-    def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** p * len(cells) for p, cells in self._generators.items()
-        )

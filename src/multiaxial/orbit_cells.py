@@ -19,9 +19,9 @@ not even the orbit space's dimension: that is the top cell's degree.
 cells_by_degree enumerates a rank band's tuples by dimension, whole, as
 itertools.combinations lists a cell several times faster than a
 per-slice generator.  cell_slices streams any such map as ascending
-(degree, cells, sparse columns) slices, which homology reads two adjacent
-degrees at a time, with no dense matrix or string; complex_from_cells
-holds the stream whole, build_chain_complex enumerates first.  A caller
+(degree, cells, sparse columns) slices, the package's one form of a
+chain complex, which homology reads and export-complex writes two
+adjacent degrees at a time, with no dense matrix or string.  A caller
 needing several complexes of one (family, n, k) enumerates once and
 slices the map.  cell_label is the one place a cell becomes text,
 "(m1,...,mr)", and only output that prints a cell calls it.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .family import Family, UsageError, require_valid
-from .homology import ChainComplex, Slice
+from .homology import Slice
 
 Pivots = tuple[int, ...]
 
@@ -139,25 +139,3 @@ def cell_slices(by_degree: Mapping[int, Sequence[Pivots]]) -> Iterator[Slice]:
             columns.append(no_face if row is None else {row: 1})
         yield p, cells, columns
 
-
-def complex_from_cells(by_degree: Mapping[int, Sequence[Pivots]]) -> ChainComplex:
-    """The stream of cell_slices held whole, as a ChainComplex.
-
-    >>> complex_from_cells({2: [(2,)], 3: [(2, 1)]}).columns(3)
-    ({0: 1},)
-    >>> complex_from_cells({3: [(2, 1)]}).boundary_degrees()
-    []
-    """
-    return ChainComplex(by_degree, {p: c for p, _, c in cell_slices(by_degree)})
-
-
-def build_chain_complex(
-    family: Family, n: int, k: int, filtration: CellFiltration | None = None
-) -> ChainComplex:
-    """Cellular chain complex of the filtered cell set.
-
-    >>> complex_ = build_chain_complex(Family.COMPLEX, 2, 2)
-    >>> complex_.generators(3), complex_.columns(3)
-    (((2, 1),), ({0: 1},))
-    """
-    return complex_from_cells(cells_by_degree(family, n, k, filtration))

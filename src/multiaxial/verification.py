@@ -35,7 +35,10 @@ place that makes a CheckResult.  Every detail names what its check saw,
 pass or fail.  Oracle homology that a read_* function refuses (torsion
 where the assembly needs none) fails its closed-vs-oracle check, with the
 reason as detail, instead of ending the run; so does a summand label
-naming no layer, in summand-layer-consistency.  Nothing is kept between
+naming no layer, in summand-layer-consistency.  A ValueError raised while
+a cell point computes its homology or a spec its reports (a rank gone
+negative, say) fails every row reading that value, with the message as
+detail, and the rest of the grid still reports.  Nothing is kept between
 calls, so a second call recomputes all of it.
 """
 
@@ -121,6 +124,21 @@ def _grid(max_n: int, max_k: int):
 
 def _degrees(degrees) -> str:
     return " ".join(map(str, sorted(degrees))) or "none"
+
+
+def _or_error(compute, *args):
+    """compute(*args), or the ValueError it raised, which _failed makes the
+    failure of each row reading the value."""
+    try:
+        return compute(*args)
+    except ValueError as error:
+        return error
+
+
+def _failed(value) -> tuple[bool, str] | None:
+    """The failed row of a check reading value, if value is a ValueError
+    that _or_error kept, with its message as detail; else None."""
+    return (False, str(value)) if isinstance(value, ValueError) else None
 
 
 def _closed_vs_oracle(
@@ -221,41 +239,47 @@ def _cell_checks(family: Family, n: int, k: int):
         one_residue_class(family, n, full_rank),
         f"full-rank cells in degrees {_degrees(full_rank)}",
     )
-    homology = integral_homology(cell_slices(cells))
-    relative_homology = integral_homology(cell_slices(full_rank))
-    yield "relative-closed-vs-oracle", _closed_vs_oracle(
-        relative_l_homology(family, n, k),
-        read_relative_l_homology,
-        relative_homology,
-        top,
+    homology = _or_error(integral_homology, cell_slices(cells))
+    relative = _or_error(integral_homology, cell_slices(full_rank))
+    yield "relative-closed-vs-oracle", _failed(relative) or _closed_vs_oracle(
+        relative_l_homology(family, n, k), read_relative_l_homology, relative, top
     )
-    yield "reduced-closed-vs-oracle", _closed_vs_oracle(
+    yield "reduced-closed-vs-oracle", _failed(homology) or _closed_vs_oracle(
         reduced_l_homology(family, n, k), read_reduced_l_homology, homology, top
     )
-    yield "collapse-certificate", (
+    yield "collapse-certificate", _failed(homology) or (
         read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
     )
 
 
 def _spec_checks(family: Family, n: int, k: int, j: int, report_of):
-    report = report_of(ActionSpec(family, n, k, j))
-    twice = report_of(ActionSpec(family, n, k + 2, j))
+    report = _or_error(report_of, ActionSpec(family, n, k, j))
+    twice = _or_error(report_of, ActionSpec(family, n, k + 2, j))
     rank_of = {f"stratum_pair({d})": n - d for d in range(n)} | {"free_stratum": 1}
-    labels = report.labels()
+    fail = _failed(report)  # every row reads the report
+    yield "summand-layer-consistency", fail or _layer_row(family, n, k, report, rank_of)
+    yield "branch-dispatch", fail or _branch_row(family, n, k, j, report, rank_of)
+    fail = fail or _failed(twice)
+    yield "suspension-monotone", fail or _suspension_row(k, report, twice)
+
+
+def _layer_row(family, n, k, report, rank_of) -> tuple[bool, str]:
     wrong = [
         summand.label
         for summand in report.summands
         if summand.group != _expected_layer(family, n, k, summand.label, rank_of)
     ]
-    yield "summand-layer-consistency", (
-        not wrong, " ".join(wrong) or f"on their layers: {' '.join(labels)}"
-    )
+    return not wrong, " ".join(wrong) or f"on their layers: {' '.join(report.labels())}"
+
+
+def _branch_row(family, n, k, j, report, rank_of) -> tuple[bool, str]:
     # the branch fixes the strata: ranks m <= n with m = k mod 2, top if
     # odd, and a basepoint if odd with j > 0 and a nonzero coefficient there
+    labels = report.labels()
     odd_gap = (k - n) % 2 == 1
     ranks = sorted(rank_of[label] for label in labels if label in rank_of)
     basepoint = odd_gap and j > 0 and not basepoint_correction(family, n, k).is_trivial
-    yield "branch-dispatch", (
+    return (
         report.branch == ("odd-gap" if odd_gap else "even-gap")
         and ("top" in labels) == odd_gap
         and ("basepoint" in labels) == basepoint
@@ -263,20 +287,20 @@ def _spec_checks(family: Family, n: int, k: int, j: int, report_of):
         f"{report.branch}, strata at ranks {_degrees(ranks)}"
         + (", basepoint" if "basepoint" in labels else ""),
     )
+
+
+def _suspension_row(k, report, twice) -> tuple[bool, str]:
     if suspension_embeds(report, twice):
-        yield "suspension-monotone", (True, f"{report.total} embeds in {twice.total}")
-    else:
-        # the rule goes summand by summand, so a summand alone fails it
-        # exactly when it is one that does not embed
-        missed = ", ".join(
-            f"{s.label} {s.group}"
-            for s in report.summands
-            if not suspension_embeds(replace(report, summands=(s,)), twice)
-        )
-        there = ", ".join(f"{s.label} {s.group}" for s in twice.summands)
-        yield "suspension-monotone", (
-            False, f"{missed} not embedded at k={k + 2}: {there}"
-        )
+        return True, f"{report.total} embeds in {twice.total}"
+    # the rule goes summand by summand, so a summand alone fails it exactly
+    # when it is one that does not embed
+    missed = ", ".join(
+        f"{s.label} {s.group}"
+        for s in report.summands
+        if not suspension_embeds(replace(report, summands=(s,)), twice)
+    )
+    there = ", ".join(f"{s.label} {s.group}" for s in twice.summands)
+    return False, f"{missed} not embedded at k={k + 2}: {there}"
 
 
 def run_verification(

@@ -24,7 +24,7 @@ import pytest
 
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.homology import (
-    ChainComplex,
+    checked_slices,
     integral_homology,
     smith_normal_form,
     sparse_invariant_factors,
@@ -33,11 +33,25 @@ from multiaxial.homology import (
 
 @dataclass(frozen=True)
 class Known:
-    """A complex and its homology: per degree, the cyclic orders of a
-    decomposition of H_p, 0 for Z and 1 for a trivial summand."""
+    """A complex, degree -> (generators, boundary columns), and its
+    homology: per degree, the cyclic orders of a decomposition of H_p, 0
+    for Z and 1 for a trivial summand."""
 
-    complex_: ChainComplex
+    complex_: dict
     orders: dict
+
+
+def checked(generators, boundaries):
+    """The complex with these generators and boundaries, by degree, as
+    checked_slices yields it; a degree with no boundary gets zero columns."""
+    slices = checked_slices(
+        (p, generators[p], boundaries.get(p)) for p in sorted(generators)
+    )
+    return {p: (cells, columns or ({},) * len(cells)) for p, cells, columns in slices}
+
+
+def stream(complex_):
+    return [(p, cells, columns) for p, (cells, columns) in complex_.items()]
 
 
 def unimodular(size, rng):
@@ -73,13 +87,13 @@ def two_term(a, b, diagonal, rng):
     ]
     rank = len(diagonal)
     return Known(
-        ChainComplex({0: range(b), 1: range(a)}, {1: columns}),
+        checked({0: range(b), 1: range(a)}, {1: columns}),
         {0: [0] * (b - rank) + list(diagonal), 1: [0] * (a - rank)},
     )
 
 
 def sphere(top):
-    return Known(ChainComplex({0: ["v"], top: ["e"]}, {}), {0: [0], top: [0]})
+    return Known(checked({0: ["v"], top: ["e"]}, {}), {0: [0], top: [0]})
 
 
 def tensor(left, right):
@@ -87,26 +101,27 @@ def tensor(left, right):
     for x of degree p, with its Kunneth homology."""
     a, b = left.complex_, right.complex_
     generators = {}
-    for p in a.degrees():
-        for q in b.degrees():
+    for p, (a_cells, _) in a.items():
+        for q, (b_cells, _) in b.items():
             generators.setdefault(p + q, []).extend(
-                (p, x, q, y) for x in a.generators(p) for y in b.generators(q)
+                (p, x, q, y) for x in a_cells for y in b_cells
             )
     row_of = {n: {g: r for r, g in enumerate(gs)} for n, gs in generators.items()}
-    position = {
-        (side, p): {g: i for i, g in enumerate(side.generators(p))}
-        for side in (a, b)
-        for p in side.degrees()
+    column_of = {
+        (side, p, g): column
+        for side, complex_ in enumerate((a, b))
+        for p, (cells, columns) in complex_.items()
+        for g, column in zip(cells, columns)
     }
     boundaries = {}
     for n, cells in generators.items():
         columns = []
         for p, x, q, y in cells:
             column = {}
-            for r, v in a.columns(p)[position[a, p][x]].items():
-                column[row_of[n - 1][p - 1, a.generators(p - 1)[r], q, y]] = v
-            for s, w in b.columns(q)[position[b, q][y]].items():
-                row = row_of[n - 1][p, x, q - 1, b.generators(q - 1)[s]]
+            for r, v in column_of[0, p, x].items():
+                column[row_of[n - 1][p - 1, a[p - 1][0][r], q, y]] = v
+            for s, w in column_of[1, q, y].items():
+                row = row_of[n - 1][p, x, q - 1, b[q - 1][0][s]]
                 column[row] = -w if p % 2 else w
             columns.append(column)
         boundaries[n] = columns
@@ -118,7 +133,7 @@ def tensor(left, right):
                     orders.setdefault(p + q, []).append(gcd(s, t))
                     if s and t:  # Tor of two finite cyclic groups
                         orders.setdefault(p + q + 1, []).append(gcd(s, t))
-    return Known(ChainComplex(generators, boundaries), orders)
+    return Known(checked(generators, boundaries), orders)
 
 
 def expected_homology(known):
@@ -128,29 +143,28 @@ def expected_homology(known):
 
 def dense_boundary(complex_, p):
     """The boundary out of degree p as a dense matrix, zeros included."""
-    columns = complex_.columns(p)
-    return [
-        [column.get(r, 0) for column in columns]
-        for r in range(complex_.cell_count(p - 1))
-    ]
+    columns = complex_[p][1]
+    rows = len(complex_[p - 1][0]) if p - 1 in complex_ else 0
+    return [[column.get(r, 0) for column in columns] for r in range(rows)]
 
 
 def shuffled(complex_, rng):
     """The same complex with each degree's generators in a random order."""
     generators = {}
-    for p in complex_.degrees():
-        generators[p] = list(complex_.generators(p))
+    for p, (cells, _) in complex_.items():
+        generators[p] = list(cells)
         rng.shuffle(generators[p])
     row_of = {p: {g: r for r, g in enumerate(gs)} for p, gs in generators.items()}
     boundaries = {}
-    for p in complex_.boundary_degrees():
-        old_rows = complex_.generators(p - 1)
-        column_of = dict(zip(complex_.generators(p), complex_.columns(p)))
-        boundaries[p] = [
-            {row_of[p - 1][old_rows[r]]: v for r, v in column_of[g].items()}
-            for g in generators[p]
-        ]
-    return ChainComplex(generators, boundaries)
+    for p, (cells, columns) in complex_.items():
+        if p - 1 in complex_:
+            old_rows = complex_[p - 1][0]
+            column_of = dict(zip(cells, columns))
+            boundaries[p] = [
+                {row_of[p - 1][old_rows[r]]: v for r, v in column_of[g].items()}
+                for g in generators[p]
+            ]
+    return checked(generators, boundaries)
 
 
 def products():
@@ -185,28 +199,22 @@ def test_known_torsion_through_every_route(factors):
     expected = expected_homology(known)
     assert any(g.torsion for g in expected.values())
 
-    assert integral_homology(complex_) == expected
+    assert integral_homology(stream(complex_)) == expected
 
-    sparse = {
-        p: sparse_invariant_factors(complex_.columns(p))
-        for p in complex_.boundary_degrees()
-    }
-    dense = {
-        p: smith_normal_form(dense_boundary(complex_, p))
-        for p in complex_.boundary_degrees()
-    }
+    sparse = {p: sparse_invariant_factors(c) for p, (_, c) in complex_.items()}
+    dense = {p: smith_normal_form(dense_boundary(complex_, p)) for p in complex_}
     assert dense == sparse
 
     copy = shuffled(complex_, random.Random(7))
-    assert any(copy.generators(p) != complex_.generators(p) for p in copy.degrees())
-    assert integral_homology(copy) == expected
+    assert any(copy[p][0] != complex_[p][0] for p in copy)
+    assert integral_homology(stream(copy)) == expected
 
 
 def test_kunneth_degree_zero_of_the_48_cell_product():
     # H_0 of a product is the tensor product of the factors' H_0:
     # (Z^2 + Z_2 + Z_6 + Z_12) (x) (Z^2 + Z_3 + Z_6)
     known = build(products()[0][1])
-    assert known.complex_.total_cells() == 48
-    assert integral_homology(known.complex_)[0] == FGAbelianGroup.from_orders(
+    assert sum(len(cells) for cells, _ in known.complex_.values()) == 48
+    assert integral_homology(stream(known.complex_))[0] == FGAbelianGroup.from_orders(
         [0] * 4 + [3, 6] * 2 + [2, 6, 12] * 2 + [1, 2, 3, 6, 3, 6]
     )

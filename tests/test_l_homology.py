@@ -23,7 +23,6 @@ from multiaxial.l_homology import (
 )
 from multiaxial.orbit_cells import (
     CellFiltration,
-    build_chain_complex,
     cell_slices,
     cells_by_degree,
 )
@@ -173,7 +172,7 @@ def test_collapse_examples():
 def test_collapse_reports_are_informative():
     # the certificate reads reduced homology: the basepoint's Z in degree 0
     # is dropped, and U(2) on 4 copies keeps only odd degrees
-    groups = homology.integral_homology(build_chain_complex(C, 2, 4))
+    groups = homology.integral_homology(cell_slices(cells_by_degree(C, 2, 4)))
     reduced = [p for p, g in groups.items() if p and not g.is_trivial]
     assert groups[0] == Z and reduced
     assert all(p % 2 == 1 for p in reduced)

@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from multiaxial.family import Family
+from multiaxial.homology import checked_slices
 from multiaxial.orbit_cells import (
     CellFiltration,
-    build_chain_complex,
+    cell_slices,
     cells_by_degree,
-    complex_from_cells,
     pivot_boundary,
 )
 from multiaxial.structure_set import orbit_space_dimension
@@ -86,35 +86,37 @@ def test_empty_filtration_band():
 
 
 def test_build_two_by_two_complex():
-    complex_ = build_chain_complex(C, 2, 2)
-    assert complex_.generators(0) == ((1,),)
-    assert complex_.generators(2) == ((2,),)
-    assert complex_.generators(3) == ((2, 1),)
-    assert complex_.columns(3) == ({0: 1},)
+    assert list(checked_slices(cell_slices(cells_by_degree(C, 2, 2)))) == [
+        (0, ((1,),), None),
+        (2, ((2,),), None),
+        (3, ((2, 1),), ({0: 1},)),
+    ]
 
 
 def test_generators_are_the_enumerated_cells():
     for family in (C, H):
         for n, k in SMALL:
             cells = cells_by_degree(family, n, k)
-            complex_ = complex_from_cells(cells)
-            for p, cells_p in cells.items():
-                assert complex_.generators(p) == tuple(cells_p)
+            slices = checked_slices(cell_slices(cells))
+            assert [(p, list(cells_p)) for p, cells_p, _ in slices] == list(
+                cells.items()
+            )
 
 
 def test_relative_complex_has_zero_boundaries():
-    complex_ = build_chain_complex(C, 2, 4, CellFiltration.exact(2))
-    for p in complex_.degrees():
-        assert not any(complex_.columns(p))
+    cells = cells_by_degree(C, 2, 4, CellFiltration.exact(2))
+    for _, _, columns in checked_slices(cell_slices(cells)):
+        assert columns is None
 
 
-def test_complex_from_cells_drops_faces_outside_the_cells():
+def test_cell_slices_drop_faces_outside_the_cells():
     cells = {2: [(2,)], 3: [(2, 1)], 5: [(3, 1)]}
-    assert complex_from_cells(cells).columns(3) == ({0: 1},)
+    assert list(cell_slices(cells))[1] == (3, [(2, 1)], [{0: 1}])
     del cells[2]
-    complex_ = complex_from_cells(cells)
-    assert complex_.degrees() == [3, 5]
-    assert complex_.boundary_degrees() == []
+    assert list(checked_slices(cell_slices(cells))) == [
+        (3, ((2, 1),), None),
+        (5, ((3, 1),), None),
+    ]
 
 
 @pytest.mark.parametrize("family", [C, H], ids=str)
@@ -127,10 +129,10 @@ def test_every_band_boundary_is_a_partial_matching(family):
         for k in range(n, 10):
             for lo, hi in itertools.combinations_with_replacement(range(1, n + 1), 2):
                 band = CellFiltration(lo, hi)
-                complex_ = complex_from_cells(cells_by_degree(family, n, k, band))
-                for p in complex_.boundary_degrees():
+                cells = cells_by_degree(family, n, k, band)
+                for p, _, columns in checked_slices(cell_slices(cells)):
                     used = set()
-                    for column in filter(None, complex_.columns(p)):
+                    for column in filter(None, columns or ()):
                         where = (n, k, lo, hi, p, column)
                         assert list(column.values()) == [1], where
                         assert not used & column.keys(), where
@@ -140,9 +142,7 @@ def test_every_band_boundary_is_a_partial_matching(family):
 
 
 def test_quaternionic_point():
-    complex_ = build_chain_complex(H, 1, 1)
-    assert complex_.degrees() == [0]
-    assert complex_.generators(0) == ((1,),)
+    assert list(cell_slices(cells_by_degree(H, 1, 1))) == [(0, [(1,)], None)]
 
 
 def test_exactly_one_zero_cell_and_top_dimension():

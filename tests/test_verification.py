@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from multiaxial import cli, homology, orbit_cells, structure_set, verification
+from multiaxial import (
+    cli, grassmannian, homology, orbit_cells, structure_set, verification
+)
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.orbit_cells import CellFiltration, build_chain_complex
+from multiaxial.orbit_cells import CellFiltration, cell_slices, cells_by_degree
 from multiaxial.structure_set import ActionSpec
 
 FAMILIES = (Family.COMPLEX, Family.QUATERNIONIC)
@@ -133,12 +135,12 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
             (full, None),
             (relative, CellFiltration.exact(n)),
         ):
-            reference = build_chain_complex(family, n, k, filtration)
-            assert [p for p, _, _ in stream] == reference.degrees()
-            for p, cells, columns in stream:
-                assert tuple(cells) == reference.generators(p)
+            reference = list(cell_slices(cells_by_degree(family, n, k, filtration)))
+            assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
+            for (_, cells, columns), (_, cells_r, columns_r) in zip(stream, reference):
+                assert tuple(cells) == tuple(cells_r)
                 assert _content(columns or [{}] * len(cells)) == _content(
-                    reference.columns(p)
+                    columns_r or [{}] * len(cells_r)
                 )
 
 
@@ -150,8 +152,8 @@ def _plant(monkeypatch, name, family, n, k, module=verification):
     point = (family, n, k)
     if name.startswith("read_"):
         filtration = CellFiltration.exact(n) if "relative" in name else None
-        complex_ = build_chain_complex(family, n, k, filtration)
-        point = (homology.integral_homology(complex_), complex_.degrees()[-1])
+        cells = cells_by_degree(family, n, k, filtration)
+        point = (homology.integral_homology(cell_slices(cells)), max(cells))
 
     def wrong(*args):
         group = original(*args)
@@ -327,6 +329,67 @@ def test_an_empty_enumeration_fails_its_rows_and_the_grid_reports(
     out = capsys.readouterr().out
     assert f"first failure: cell-census at {point}\n" in out
     assert "  detail: empty enumeration, top degree -1 vs 11\n" in out
+
+
+def _rows():
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    return [(r.check, r.params) for r in summary.results]
+
+
+def _negative_rank_rows(capsys, rows):
+    """(check, params) of each row failed by a negative free rank, once
+    every row of the grid is seen to report and verify to exit 4."""
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    assert [(r.check, r.params) for r in summary.results] == rows
+    argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
+    capsys.readouterr()
+    return {
+        (r.check, r.params)
+        for r in summary.results
+        if not r.ok and r.detail == "free rank must be nonnegative"
+    }
+
+
+def test_a_unit_counted_twice_fails_the_rows_reading_that_homology(
+    monkeypatch, capsys
+):
+    # one 1 too many in a boundary's invariant factors takes a free rank
+    # below zero while the full complex's homology is built; the rows
+    # reading it fail, and the relative complex, with no boundary, is fine
+    rows = _rows()
+    original = homology.sparse_invariant_factors
+
+    def unit_counted_twice(columns):
+        factors = original(columns)
+        return [1, *factors] if 1 in factors else factors
+
+    monkeypatch.setattr(homology, "sparse_invariant_factors", unit_counted_twice)
+    assert _negative_rank_rows(capsys, rows) == {
+        (check, f"family={family} n={n} k={k}")
+        for check in ("reduced-closed-vs-oracle", "collapse-certificate")
+        for family in FAMILIES
+        for n, k in GRID
+        if n >= 2
+    }
+
+
+def test_a_signed_count_zeroed_for_odd_k_fails_the_rows_reading_that_report(
+    monkeypatch, capsys
+):
+    # A, B = (0, 0) for one line in 1-space, so U(1,1)'s free stratum,
+    # one Z below that, has free rank -1 and its report is never built
+    rows = _rows()
+    original = grassmannian._signed_count
+    monkeypatch.setattr(
+        grassmannian, "_signed_count", lambda k, n: 0 if k % 2 else original(k, n)
+    )
+    assert _negative_rank_rows(capsys, rows) == {
+        (check, "family=U n=1 k=1 j=0")
+        for check in (
+            "summand-layer-consistency", "branch-dispatch", "suspension-monotone"
+        )
+    }
 
 
 @pytest.mark.parametrize(
