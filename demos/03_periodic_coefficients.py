@@ -6,13 +6,15 @@ Assembling homology with 4-periodic coefficients
 
 from multiaxial.family import Family
 from multiaxial.grassmannian import enumerate_box_partitions, grassmannian_betti
+from multiaxial.homology import integral_homology
 from multiaxial.l_homology import (
     assemble_l_homology,
     one_residue_class,
+    read_collapse,
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
-    verify_collapse,
 )
+from multiaxial.orbit_cells import cell_slices, cells_by_degree
 from multiaxial.structure_set import (
     l_coefficient,
     orbit_space_dimension,
@@ -58,7 +60,8 @@ for family, n, k in [(C, 2, 4), (C, 3, 5), (H, 2, 3)]:
 # one class mod 4 for Sp.
 print()
 for family, n, k in [(C, 2, 4), (H, 2, 3)]:
+    groups = integral_homology(cell_slices(cells_by_degree(family, n, k)))
     print(f"collapse certificate for {family}({n}), k={k}:",
-          verify_collapse(family, n, k))
+          read_collapse(family, n, groups))
 print("degrees 1, 3, 5 for U(2):", one_residue_class(C, 2, [1, 3, 5]))
 print("degrees 0, 2 for U(2):", one_residue_class(C, 2, [0, 2]))

@@ -20,9 +20,9 @@ through integral_homology two adjacent degrees at a time, and reads: a
 read_* function takes the integral homology, which it refuses if it has
 torsion, and the top cell's degree, since at k = n the top cell is
 matched and the top group is 0.  So the oracles eliminate over Z alone,
-and verify streams each complex once and hands its homology to every
-check.  The collapse check is a bool read
-the same way, through one_residue_class.
+and verify streams each complex once and reads each group once for all
+its checks.  The collapse check is a bool read the same way, through
+one_residue_class.
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup
     """Top-degree group of the pair (orbit space, next lower stratum),
     from the full-rank cell complex."""
     cells = cells_by_degree(family, n, k, CellFiltration.exact(n))
-    return read_relative_l_homology(
-        integral_homology(cell_slices(cells)), max(cells)
-    )
+    return read_l_homology(integral_homology(cell_slices(cells)), max(cells))
 
 
-def read_relative_l_homology(
+def read_l_homology(
     homology: Mapping[int, FGAbelianGroup], top: int
 ) -> FGAbelianGroup:
-    """The oracle's answer read off the integral homology of a full-rank
-    complex whose top cell is in degree top."""
+    """The group in degree top assembled from all torsion-free ranks: the
+    relative group of a full-rank complex, and of a full complex the
+    absolute one, the reduced group plus the basepoint's coefficient."""
     return assemble_l_homology(_torsion_free_ranks(homology), top)
 
 
@@ -98,13 +97,6 @@ def one_residue_class(family: Family, n: int, degrees: Iterable[int]) -> bool:
         return all(p % 2 == (n + 1) % 2 for p in degrees)
     Family.require(family)
     return len({p % 4 for p in degrees}) <= 1
-
-
-def verify_collapse(family: Family, n: int, k: int) -> bool:
-    """Whether the reduced homology of the full complex of (family, n, k)
-    sits in the degrees that one_residue_class allows."""
-    cells = cells_by_degree(family, n, k)
-    return read_collapse(family, n, integral_homology(cell_slices(cells)))
 
 
 def read_collapse(

@@ -17,7 +17,8 @@ With no trivial summand (j = 0) the deepest stratum of the even/odd branch
 for n odd/even is a free sphere quotient, and its summand is the structure
 set of that quotient, one Z below the homology count of lines in k-space,
 whose free rank is ceil(k/2) for U and k for Sp.  With j > 0 on the odd
-branch the basepoint contributes its coefficient group as an extra summand.
+branch the basepoint contributes the coefficient group of the top degree
+as an extra summand when that group is not 0, which is when n is odd.
 """
 
 from __future__ import annotations
@@ -79,11 +80,9 @@ def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
 
 
 def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
-    """Coefficient group sitting at the basepoint in the top degree.
-
-    Only meaningful when k - n is odd (the top degree is even then); the
-    even-gap case never consumes it and is rejected.
-    """
+    """Coefficient group at the basepoint in the top degree, whose parity is
+    that of n + 1, so 0 for even n (U(2, 3) has top degree 7).  Only
+    meaningful when k - n is odd; the even gap is rejected."""
     top = orbit_space_dimension(family, n, k)
     if (k - n) % 2 == 0:
         raise ValueError("basepoint correction applies only when k - n is odd")

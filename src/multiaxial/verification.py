@@ -22,21 +22,23 @@ serves the box and each family's box.  A cell point enumerates its cells
 once, whole, and streams the full and the rank-n complex (the full-rank
 slice, faces outside it dropped) through integral_homology once each,
 two adjacent degrees at a time; cell-census counts the enumeration
-itself, so an empty one fails it and both oracle reads.  A spec reads
-its report and the one at k + 2, each computed once per call.  The
-oracle's reads get only integral homology and the top cell's degree,
-never the closed top-degree formula, which cell-census compares with
-that degree.  The checks compare routes, not linear algebra: the
-elimination, its agreement with the dense Smith normal form and its
-independence of generator order are tier-1 tests.
+itself, so an empty one fails it and every oracle read.  Its relative,
+reduced and absolute reads go into one table keyed by (family, rank, k),
+and each structure-set summand is compared with a read there, never with
+the closed forms that built it.  A spec reads its report and the one at
+k + 2, each computed once per call.  The oracle's reads get only integral
+homology and the top cell's degree, never the closed top-degree formula,
+which cell-census compares with that degree.  The checks compare routes,
+not linear algebra: the elimination, its agreement with the dense Smith
+normal form and its independence of generator order are tier-1 tests.
 
 run_verification is the one consumer: it walks the grid and is the only
 place that makes a CheckResult.  Every detail names what its check saw,
 pass or fail.  Oracle homology that a read_* function refuses (torsion
-where the assembly needs none) fails its closed-vs-oracle check, with the
-reason as detail, instead of ending the run; so does a summand label
-naming no layer, in summand-layer-consistency.  A ValueError raised while
-a cell point computes its homology or a spec its reports (a rank gone
+where the assembly needs none) fails each row reading it, with the reason
+as detail, instead of ending the run; so does a summand label that no
+read places, in summand-closed-vs-oracle.  A ValueError raised while a
+cell point computes its homology or a spec its reports (a rank gone
 negative, say) fails every row reading that value, with the message as
 detail, and the rest of the grid still reports.  Nothing is kept between
 calls, so a second call recomputes all of it.
@@ -48,6 +50,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from itertools import zip_longest
 from math import comb
+from typing import NamedTuple
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError
@@ -63,13 +66,12 @@ from .homology import integral_homology
 from .l_homology import (
     one_residue_class,
     read_collapse,
+    read_l_homology,
     read_reduced_l_homology,
-    read_relative_l_homology,
 )
 from .orbit_cells import cell_slices, cells_by_degree
 from .structure_set import (
     ActionSpec,
-    basepoint_correction,
     compute_structure_set,
     orbit_space_dimension,
     reduced_l_homology,
@@ -127,8 +129,11 @@ def _degrees(degrees) -> str:
 
 
 def _or_error(compute, *args):
-    """compute(*args), or the ValueError it raised, which _failed makes the
-    failure of each row reading the value."""
+    """compute(*args), or the ValueError it raised or an argument already
+    is, which _failed makes the failure of each row reading the value."""
+    for arg in args:
+        if isinstance(arg, ValueError):
+            return arg
     try:
         return compute(*args)
     except ValueError as error:
@@ -141,17 +146,13 @@ def _failed(value) -> tuple[bool, str] | None:
     return (False, str(value)) if isinstance(value, ValueError) else None
 
 
-def _closed_vs_oracle(
-    closed: FGAbelianGroup, read, homology, top: int
-) -> tuple[bool, str]:
-    """Compare a closed-form group with the oracle's reading of chain-level
-    homology whose top cell is in degree top; homology that the reading
-    refuses fails the check."""
-    try:
-        oracle = read(homology, top)
-    except ValueError as refusal:
-        return False, str(refusal)
-    return closed == oracle, f"{closed} vs {oracle}"
+class _Reads(NamedTuple):
+    """The oracle's groups at one (family, rank, k), of the rank-n complex and
+    the full one without and with the basepoint, or the ValueError of each."""
+
+    relative: FGAbelianGroup | ValueError
+    reduced: FGAbelianGroup | ValueError
+    absolute: FGAbelianGroup | ValueError
 
 
 def _gaussian_binomials(max_n: int, max_k: int) -> dict[tuple[int, int], list]:
@@ -170,22 +171,6 @@ def _gaussian_binomials(max_n: int, max_k: int) -> dict[tuple[int, int], list]:
                 a + b for a, b in zip_longest(rows[m - 1], shifted, fillvalue=0)
             ]
     return table
-
-
-def _expected_layer(
-    family: Family, n: int, k: int, label: str, rank_of: dict[str, int]
-) -> FGAbelianGroup | None:
-    """The closed-form group a structure-set summand should carry, or None;
-    rank_of maps each stratum summand's label to its stratum's rank."""
-    if label == "top":
-        return reduced_l_homology(family, n, k)
-    if label == "basepoint":
-        return basepoint_correction(family, n, k)
-    if label == "free_stratum":
-        line = relative_l_homology(family, 1, k)
-        return FGAbelianGroup(line.free_rank - 1, line.torsion)
-    rank = rank_of.get(label)
-    return None if rank is None else relative_l_homology(family, rank, k)
 
 
 def _box_checks(n: int, k: int, partitions: list, gaussian: list):
@@ -214,7 +199,7 @@ def _family_box_checks(family: Family, n: int, k: int, partitions: list):
     )
 
 
-def _cell_checks(family: Family, n: int, k: int):
+def _cell_checks(family: Family, n: int, k: int, reads: dict):
     cells = cells_by_degree(family, n, k)
     full_rank = {}
     for p, cells_p in cells.items():
@@ -241,44 +226,67 @@ def _cell_checks(family: Family, n: int, k: int):
     )
     homology = _or_error(integral_homology, cell_slices(cells))
     relative = _or_error(integral_homology, cell_slices(full_rank))
-    yield "relative-closed-vs-oracle", _failed(relative) or _closed_vs_oracle(
-        relative_l_homology(family, n, k), read_relative_l_homology, relative, top
+    read = reads[family, n, k] = _Reads(
+        _or_error(read_l_homology, relative, top),
+        _or_error(read_reduced_l_homology, homology, top),
+        _or_error(read_l_homology, homology, top),
     )
-    yield "reduced-closed-vs-oracle", _failed(homology) or _closed_vs_oracle(
-        reduced_l_homology(family, n, k), read_reduced_l_homology, homology, top
-    )
+    for name, closed, oracle in (
+        ("relative-closed-vs-oracle", relative_l_homology(family, n, k), read.relative),
+        ("reduced-closed-vs-oracle", reduced_l_homology(family, n, k), read.reduced),
+    ):
+        yield name, _failed(oracle) or (closed == oracle, f"{closed} vs {oracle}")
     yield "collapse-certificate", _failed(homology) or (
         read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
     )
 
 
-def _spec_checks(family: Family, n: int, k: int, j: int, report_of):
+def _spec_checks(family: Family, n: int, k: int, j: int, report_of, reads: dict):
     report = _or_error(report_of, ActionSpec(family, n, k, j))
     twice = _or_error(report_of, ActionSpec(family, n, k + 2, j))
     rank_of = {f"stratum_pair({d})": n - d for d in range(n)} | {"free_stratum": 1}
+    # the read that places each label; top ⊕ basepoint's is the absolute one,
+    # as H_d(X; L) is the reduced group ⊕ L_d(point)
+    here = reads[family, n, k]
+    oracle = {label: reads[family, m, k].relative for label, m in rank_of.items()}
+    oracle["free_stratum"] = reads[family, 1, k].reduced
+    oracle["top"], oracle["top+basepoint"] = here.reduced, here.absolute
     fail = _failed(report)  # every row reads the report
-    yield "summand-layer-consistency", fail or _layer_row(family, n, k, report, rank_of)
-    yield "branch-dispatch", fail or _branch_row(family, n, k, j, report, rank_of)
+    yield "summand-closed-vs-oracle", fail or _summand_row(j, report, oracle)
+    yield "branch-dispatch", fail or _branch_row(n, k, j, report, rank_of, here)
     fail = fail or _failed(twice)
     yield "suspension-monotone", fail or _suspension_row(k, report, twice)
 
 
-def _layer_row(family, n, k, report, rank_of) -> tuple[bool, str]:
-    wrong = [
-        summand.label
-        for summand in report.summands
-        if summand.group != _expected_layer(family, n, k, summand.label, rank_of)
-    ]
-    return not wrong, " ".join(wrong) or f"on their layers: {' '.join(report.labels())}"
+def _summand_row(j, report, oracle) -> tuple[bool, str]:
+    labels = report.labels()
+    summands = [(s.label, s.group) for s in report.summands]
+    if j > 0 and "top" in labels and "basepoint" in labels:
+        extra = [group for label, group in summands if label == "basepoint"]
+        summands = [
+            ("top+basepoint", group.direct_sum(*extra)) if label == "top"
+            else (label, group)
+            for label, group in summands
+            if label != "basepoint"
+        ]
+    reads = [oracle.get(label) for label, _ in summands]  # None: no read places it
+    if fail := next(filter(None, map(_failed, reads)), None):
+        return fail
+    wrong = [label for (label, group), read in zip(summands, reads) if group != read]
+    return not wrong, " ".join(wrong) or f"as read: {' '.join(labels)}"
 
 
-def _branch_row(family, n, k, j, report, rank_of) -> tuple[bool, str]:
+def _branch_row(n, k, j, report, rank_of, here) -> tuple[bool, str]:
     # the branch fixes the strata: ranks m <= n with m = k mod 2, top if
-    # odd, and a basepoint if odd with j > 0 and a nonzero coefficient there
+    # odd, and a basepoint if odd with j > 0 and the absolute read there
+    # differing from the reduced one
     labels = report.labels()
     odd_gap = (k - n) % 2 == 1
     ranks = sorted(rank_of[label] for label in labels if label in rank_of)
-    basepoint = odd_gap and j > 0 and not basepoint_correction(family, n, k).is_trivial
+    basepoint = odd_gap and j > 0
+    if basepoint and (fail := _failed(here.absolute) or _failed(here.reduced)):
+        return fail
+    basepoint = basepoint and here.absolute != here.reduced
     return (
         report.branch == ("odd-gap" if odd_gap else "even-gap")
         and ("top" in labels) == odd_gap
@@ -347,9 +355,10 @@ def run_verification(
                 f"family={family} n={n} k={k}",
                 _family_box_checks(family, n, k, partitions),
             )
+    reads: dict[tuple[Family, int, int], _Reads] = {}
     for family in families:
         for n, k in _grid(max_n, max_k):
-            run(f"family={family} n={n} k={k}", _cell_checks(family, n, k))
+            run(f"family={family} n={n} k={k}", _cell_checks(family, n, k, reads))
     # each report is computed once: the one at k + 2 is also a base later
     report_of = cache(compute_structure_set)
     for family in families:
@@ -357,6 +366,6 @@ def run_verification(
             for j in range(0, max_j + 1):
                 run(
                     f"family={family} n={n} k={k} j={j}",
-                    _spec_checks(family, n, k, j, report_of),
+                    _spec_checks(family, n, k, j, report_of, reads),
                 )
     return VerificationSummary(tuple(results))

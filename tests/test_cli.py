@@ -483,7 +483,7 @@ verification grid: n<=4 k<=8 j<=2 families=U,Sp
   relative-closed-vs-oracle: 52 passed, 0 failed  [ok]
   reduced-closed-vs-oracle: 52 passed, 0 failed  [ok]
   collapse-certificate: 52 passed, 0 failed  [ok]
-  summand-layer-consistency: 156 passed, 0 failed  [ok]
+  summand-closed-vs-oracle: 156 passed, 0 failed  [ok]
   branch-dispatch: 156 passed, 0 failed  [ok]
   suspension-monotone: 156 passed, 0 failed  [ok]
 total: 880 passed, 0 failed
@@ -500,7 +500,7 @@ verification grid: n<=6 k<=12 j<=2 families=U,Sp
   relative-closed-vs-oracle: 114 passed, 0 failed  [ok]
   reduced-closed-vs-oracle: 114 passed, 0 failed  [ok]
   collapse-certificate: 114 passed, 0 failed  [ok]
-  summand-layer-consistency: 342 passed, 0 failed  [ok]
+  summand-closed-vs-oracle: 342 passed, 0 failed  [ok]
   branch-dispatch: 342 passed, 0 failed  [ok]
   suspension-monotone: 342 passed, 0 failed  [ok]
 total: 1932 passed, 0 failed

@@ -20,15 +20,11 @@ MAX_N, MAX_K, MAX_J = 3, 6, 1
 GRID = [(n, k) for n in range(1, MAX_N + 1) for k in range(n, MAX_K + 1)]
 
 
-def _counting(monkeypatch, calls, module, name, key):
-    """Patch one counting wrapper over module.name wherever the package
-    binds it, so a call reached through any other module is counted too."""
+def _everywhere(monkeypatch, module, name, make):
+    """Patch make(module.name) over module.name wherever the package binds
+    it, so a call reached through any other module sees it too."""
     original = getattr(module, name)
-
-    def wrapper(*args):
-        calls[key(*args)] += 1
-        return original(*args)
-
+    replacement = make(original)
     bindings = [
         (other, attr)
         for other_name, other in list(sys.modules.items())
@@ -37,7 +33,21 @@ def _counting(monkeypatch, calls, module, name, key):
         if value is original
     ]
     for other, attr in bindings:
-        monkeypatch.setattr(other, attr, wrapper)
+        monkeypatch.setattr(other, attr, replacement)
+
+
+def _counting(monkeypatch, calls, module, name, key):
+    """Patch one counting wrapper over module.name wherever the package
+    binds it, so a call reached through any other module is counted too."""
+
+    def make(original):
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return original(*args)
+
+        return wrapper
+
+    _everywhere(monkeypatch, module, name, make)
 
 
 def _content(columns):
@@ -147,11 +157,13 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
 def _plant(monkeypatch, name, family, n, k, module=verification):
     """Make module's binding of name answer one more Z_2 at one
     (family, n, k) and the right answer everywhere else.  A read_* function
-    sees the point only as the homology and top degree of its complex."""
+    sees the point only as the homology and top degree of its complex:
+    read_l_homology is planted at the rank-n complex, the others at the
+    full one."""
     original = getattr(module, name)
     point = (family, n, k)
     if name.startswith("read_"):
-        filtration = CellFiltration.exact(n) if "relative" in name else None
+        filtration = CellFiltration.exact(n) if name == "read_l_homology" else None
         cells = cells_by_degree(family, n, k, filtration)
         point = (homology.integral_homology(cell_slices(cells)), max(cells))
 
@@ -173,7 +185,7 @@ def _plant(monkeypatch, name, family, n, k, module=verification):
         ("reduced_l_homology", "reduced-closed-vs-oracle", 2, 4),
         ("read_reduced_l_homology", "reduced-closed-vs-oracle", 2, 4),
         ("relative_l_homology", "relative-closed-vs-oracle", 3, 4),
-        ("read_relative_l_homology", "relative-closed-vs-oracle", 3, 4),
+        ("read_l_homology", "relative-closed-vs-oracle", 3, 4),
     ],
 )
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -190,15 +202,15 @@ def test_a_wrong_group_on_either_side_fails_exactly_its_check(
 def test_a_wrong_summand_group_fails_the_layer_check_at_its_point(
     monkeypatch, family
 ):
-    # the report's total is still the sum of its summands, so the layer
-    # check sees the planted group only by comparing it with the closed form
+    # the report's total is still the sum of its summands, so the summand
+    # check sees the planted group only by comparing it with the oracle
     n, k = 2, 5
     _plant(monkeypatch, "reduced_l_homology", family, n, k, structure_set)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = [
         r.params
         for r in summary.results
-        if r.check == "summand-layer-consistency" and not r.ok
+        if r.check == "summand-closed-vs-oracle" and not r.ok
     ]
     assert failures == [
         f"family={family} n={n} k={k} j={j}" for j in range(MAX_J + 1)
@@ -225,13 +237,13 @@ def test_a_label_naming_no_layer_fails_the_layer_check_at_its_spec(
     failures = {
         r.params: r.detail
         for r in summary.results
-        if r.check == "summand-layer-consistency" and not r.ok
+        if r.check == "summand-closed-vs-oracle" and not r.ok
     }
     assert failures == {"family=U n=2 k=2 j=0": label}
     code = cli.main(["verify", "--max-n", "2", "--max-k", "4", "--max-j", "0"])
     assert code == 4
     assert capsys.readouterr().out.splitlines()[-2:] == [
-        "first failure: summand-layer-consistency at family=U n=2 k=2 j=0",
+        "first failure: summand-closed-vs-oracle at family=U n=2 k=2 j=0",
         f"  detail: {label}",
     ]
 
@@ -268,6 +280,64 @@ def test_a_report_missing_a_summand_fails_branch_dispatch_at_its_spec(
     failures = [(r.check, r.params, r.detail) for r in summary.results if not r.ok]
     params = f"family=U n={planted.n} k={planted.k} j={planted.j}"
     assert failures == [("branch-dispatch", params, detail)]
+
+
+def _basepoint_two_degrees_up(original):
+    def mutant(family, n, k):
+        original(family, n, k)  # still refuses the even gap
+        top = structure_set.orbit_space_dimension(family, n, k)
+        return structure_set.l_coefficient(top + 2)
+
+    return mutant
+
+
+def _z2_in_degrees_0_mod_4(original):
+    def mutant(q):
+        if q >= 0 and q % 4 == 0:
+            return FGAbelianGroup.with_two_torsion(0, 1)
+        return original(q)
+
+    return mutant
+
+
+def _basepoint_on_the_even_gap(original):
+    def mutant(spec):
+        report = original(spec)
+        if report.branch != "even-gap" or report.spec.j == 0:
+            return report
+        family, n, k = report.spec.family, report.spec.n, report.spec.k
+        group = structure_set.l_coefficient(
+            structure_set.orbit_space_dimension(family, n, k)
+        )
+        basepoint = structure_set.Summand("basepoint", group, "the basepoint")
+        return replace(report, summands=(*report.summands, basepoint))
+
+    return mutant
+
+
+# The closed form's two corrections and its coefficient table each have a
+# second route only through the oracle's reads of the summands; each mutant
+# is seen by the closed route and the report alike.
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("basepoint_correction", _basepoint_two_degrees_up),
+        ("l_coefficient", _z2_in_degrees_0_mod_4),
+        ("compute_structure_set", _basepoint_on_the_even_gap),
+    ],
+    ids=["basepoint-two-degrees-up", "z2-in-degrees-0-mod-4", "even-gap-basepoint"],
+)
+def test_a_wrong_correction_fails_the_summand_row_without_a_traceback(
+    monkeypatch, capsys, name, make
+):
+    _everywhere(monkeypatch, structure_set, name, make)
+    summary = verification.run_verification(6, 12, 2, FAMILIES)
+    passed, failed = summary.by_check()["summand-closed-vs-oracle"]
+    assert failed > 0
+    assert cli.main(["verify", "--max-n", "6", "--max-k", "12", "--max-j", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert f"summand-closed-vs-oracle: {passed} passed, {failed} failed  [FAIL]" in out
+    assert err == ""
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -323,6 +393,19 @@ def test_an_empty_enumeration_fails_its_rows_and_the_grid_reports(
             "orbit space should be connected with one basepoint class, "
             "got rank None in degree 0"
         ),
+        # the specs whose stratum pair reads the relative group of U(2,4)
+        ("summand-closed-vs-oracle", "family=U n=2 k=4 j=0"): (
+            "top degree must be nonnegative"
+        ),
+        ("summand-closed-vs-oracle", "family=U n=2 k=4 j=1"): (
+            "top degree must be nonnegative"
+        ),
+        ("summand-closed-vs-oracle", "family=U n=3 k=4 j=0"): (
+            "top degree must be nonnegative"
+        ),
+        ("summand-closed-vs-oracle", "family=U n=3 k=4 j=1"): (
+            "top degree must be nonnegative"
+        ),
     }
     argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
     assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
@@ -356,7 +439,10 @@ def test_a_unit_counted_twice_fails_the_rows_reading_that_homology(
 ):
     # one 1 too many in a boundary's invariant factors takes a free rank
     # below zero while the full complex's homology is built; the rows
-    # reading it fail, and the relative complex, with no boundary, is fine
+    # reading it fail, and the relative complex, with no boundary, is fine.
+    # Of the specs, top reads it on the odd gap, and so does
+    # branch-dispatch's basepoint test there at j > 0.
+    odd_gap = [(2, 3), (2, 5), (3, 4), (3, 6)]
     rows = _rows()
     original = homology.sparse_invariant_factors
 
@@ -371,6 +457,15 @@ def test_a_unit_counted_twice_fails_the_rows_reading_that_homology(
         for family in FAMILIES
         for n, k in GRID
         if n >= 2
+    } | {
+        ("summand-closed-vs-oracle", f"family={family} n={n} k={k} j={j}")
+        for family in FAMILIES
+        for n, k in odd_gap
+        for j in (0, 1)
+    } | {
+        ("branch-dispatch", f"family={family} n={n} k={k} j=1")
+        for family in FAMILIES
+        for n, k in odd_gap
     }
 
 
@@ -387,7 +482,7 @@ def test_a_signed_count_zeroed_for_odd_k_fails_the_rows_reading_that_report(
     assert _negative_rank_rows(capsys, rows) == {
         (check, "family=U n=1 k=1 j=0")
         for check in (
-            "summand-layer-consistency", "branch-dispatch", "suspension-monotone"
+            "summand-closed-vs-oracle", "branch-dispatch", "suspension-monotone"
         )
     }
 
