@@ -6,12 +6,7 @@ Cells of the orbit space and their homology
 
 from multiaxial.family import Family
 from multiaxial.homology import integral_homology, smith_normal_form
-from multiaxial.orbit_cells import (
-    CellFiltration,
-    cell_label,
-    cell_slices,
-    cells_by_degree,
-)
+from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_degree
 
 C = Family.COMPLEX
 
@@ -58,10 +53,11 @@ for degree, group in sorted(homology.items()):
 # Torsion free, so the Betti numbers over any field are these free ranks.
 print("Betti numbers:", {p: group.free_rank for p, group in homology.items()})
 
-# Restricting to full-rank cells kills every boundary map outright. The
-# resulting groups are the relative homology of the orbit space against
-# its singular part, one Z per cell in its own degree.
-relative = cells_by_degree(C, n, k, CellFiltration.exact(n))
+# A band of ranks is a range: range(n, n + 1) keeps the full-rank cells
+# only, which kills every boundary map outright. The resulting groups are
+# the relative homology of the orbit space against its singular part, one
+# Z per cell in its own degree.
+relative = cells_by_degree(C, n, k, range(n, n + 1))
 print()
 print("full-rank (relative) cell degrees:",
       {p: len(cells_p) for p, cells_p, _ in cell_slices(relative)})

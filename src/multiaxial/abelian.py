@@ -123,7 +123,7 @@ class FGAbelianGroup:
 
     @classmethod
     def with_two_torsion(cls, free_rank: int, two_rank: int) -> "FGAbelianGroup":
-        """Z^free_rank ⊕ Z_2^two_rank, the shape every assembly produces.
+        """Z^free_rank ⊕ Z_2^two_rank, the shape every closed form produces.
 
         >>> print(FGAbelianGroup.with_two_torsion(3, 5))
         Z^3 ⊕ Z_2^5

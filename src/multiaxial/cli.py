@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 4 a verification or agreement
 failure, 141 stdout closed early (a shell's code for SIGPIPE; stderr
-stays empty).  Exit 2 is argparse's own errors plus UsageError, which the
-library raises where it checks each input; nothing else maps to it, so an
-internal ValueError stays a traceback.
+stays empty).  Exit 2 is argparse's errors and UsageError, raised where
+the library checks each input and by export-complex on an inverted rank
+band; nothing else maps to it: an internal ValueError stays a traceback.
 
 JSON documents share one envelope: schema_version, tool, command, then
 the command specific payload.  Groups carry their torsion as
@@ -28,7 +28,7 @@ from . import __version__
 from .family import Family, UsageError
 from .homology import checked_slices, integral_homology
 from .l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
-from .orbit_cells import CellFiltration, cell_label, cell_slices, cells_by_degree
+from .orbit_cells import cell_label, cell_slices, cells_by_degree
 from .structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -235,8 +235,12 @@ def cmd_verify(args) -> int:
 
 def cmd_export_complex(args) -> int:
     family = Family.parse(args.family)
-    filtration = CellFiltration(args.min_rank, args.max_rank)
-    cells = cells_by_degree(family, args.n, args.k, filtration)
+    low = 1 if args.min_rank is None else args.min_rank
+    high = args.n if args.max_rank is None else args.max_rank
+    if None not in (args.min_rank, args.max_rank) and low > high:
+        raise UsageError("min_rank must not exceed max_rank")
+    band = range(max(1, low), min(args.n, high) + 1)  # clamped to 1..n
+    cells = cells_by_degree(family, args.n, args.k, band)
     # one entry per slice as checked_slices yields it, each written before
     # the next is built
     degrees = (
@@ -264,7 +268,6 @@ def cmd_export_complex(args) -> int:
     if args.format == "json":
         _emit(_document("export-complex", payload))
     else:
-        band = filtration.rank_range(args.n)
         ranks = f"ranks {band[0]}..{band[-1]}" if band else "ranks none"
         print(f"chain complex, family={family} n={args.n} k={args.k} {ranks}")
         for entry in degrees:

@@ -11,11 +11,12 @@ degree d is assembled degreewise from ordinary Betti numbers:
 The assembly needs torsion-free integral homology, and for that the
 universal coefficient theorem makes the mod 2 Betti numbers equal to the
 integral ranks (Hatcher, Algebraic Topology, Thm. 3A.3), so one rank map
-serves both parts.
+serves both parts.  The assembly builds its group itself, not through
+the closed route's with_two_torsion, so a fault there shows as a mismatch.
 
 This is the oracle route; structure_set holds the closed forms, and only
-the tests and verify compare the two.  Each oracle enumerates its cells
-whole, the cheapest listing (see orbit_cells), streams their complex
+the tests and verify compare the two.  Each oracle enumerates its band
+of ranks whole (see orbit_cells), 1..n or n alone, streams its complex
 through integral_homology two adjacent degrees at a time, and reads: a
 read_* function takes the integral homology, which it refuses if it has
 torsion, and the top cell's degree, since at k = n the top cell is
@@ -32,7 +33,7 @@ from typing import Iterable, Mapping
 from .abelian import FGAbelianGroup
 from .family import Family
 from .homology import integral_homology
-from .orbit_cells import CellFiltration, cell_slices, cells_by_degree
+from .orbit_cells import cell_slices, cells_by_degree
 
 
 def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
@@ -43,15 +44,17 @@ def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
     """
     if d < 0:
         raise ValueError("top degree must be nonnegative")
-    free = sum(betti.get(d - q, 0) for q in range(0, d + 1, 4))
-    two_torsion = sum(betti.get(d - q, 0) for q in range(2, d + 1, 4))
-    return FGAbelianGroup.with_two_torsion(free, two_torsion)
+    towers = [0] * 4  # ranks in degrees 0..d, summed by (d - p) mod 4
+    for p, rank in betti.items():
+        if 0 <= p <= d:
+            towers[(d - p) % 4] += rank
+    return FGAbelianGroup(towers[0], ((2, towers[2]),) if towers[2] else ())
 
 
 def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Top-degree group of the pair (orbit space, next lower stratum),
     from the full-rank cell complex."""
-    cells = cells_by_degree(family, n, k, CellFiltration.exact(n))
+    cells = cells_by_degree(family, n, k, range(n, n + 1))
     return read_l_homology(integral_homology(cell_slices(cells)), max(cells))
 
 

@@ -16,24 +16,24 @@ attaching map is degree zero on cells.  That single rule, pivot_boundary,
 is the whole differential, and nothing here comes from the closed form,
 not even the orbit space's dimension: that is the top cell's degree.
 
-cells_by_degree enumerates a rank band's tuples by dimension, whole, as
+A rank band is a range of ranks, and cells_by_degree is the one place a
+band becomes cells: the whole orbit space, the rank-n stratum pair or an
+exported band.  It enumerates the band's tuples by dimension, whole, as
 itertools.combinations lists a cell several times faster than a
 per-slice generator.  cell_slices streams any such map as ascending
 (degree, cells, sparse columns) slices, the package's one form of a
 chain complex, which homology reads and export-complex writes two
-adjacent degrees at a time, with no dense matrix or string.  A caller
-needing several complexes of one (family, n, k) enumerates once and
-slices the map.  cell_label is the one place a cell becomes text,
-"(m1,...,mr)", and only output that prints a cell calls it.
+adjacent degrees at a time, with no dense matrix or string.  cell_label
+is the one place a cell becomes text, "(m1,...,mr)", and only output
+that prints a cell calls it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .family import Family, UsageError, require_valid
+from .family import Family, require_valid
 from .homology import Slice
 
 Pivots = tuple[int, ...]
@@ -57,50 +57,22 @@ def pivot_boundary(pivots: Pivots) -> Pivots | None:
     return None
 
 
-@dataclass(frozen=True)
-class CellFiltration:
-    """Restriction of the cell set to a band of ranks.
-
-    None means unbounded on that side; bounds are clamped to [1, n] at
-    enumeration time, so a band lying outside the ambient ranks just
-    selects nothing.
-    """
-
-    min_rank: int | None = None
-    max_rank: int | None = None
-
-    def __post_init__(self):
-        for bound in (self.min_rank, self.max_rank):
-            if bound is not None and type(bound) is not int:
-                raise TypeError(f"rank bounds must be ints or None, got {bound!r}")
-        if (
-            self.min_rank is not None
-            and self.max_rank is not None
-            and self.min_rank > self.max_rank
-        ):
-            raise UsageError("min_rank must not exceed max_rank")
-
-    @classmethod
-    def exact(cls, rank: int) -> "CellFiltration":
-        return cls(rank, rank)
-
-    def rank_range(self, n: int) -> range:
-        lo = 1 if self.min_rank is None else max(1, self.min_rank)
-        hi = n if self.max_rank is None else min(n, self.max_rank)
-        return range(lo, hi + 1)
-
-
 def cells_by_degree(
-    family: Family, n: int, k: int, filtration: CellFiltration | None = None
+    family: Family, n: int, k: int, ranks: range | None = None
 ) -> dict[int, list[Pivots]]:
-    """Pivot tuples of the filtered cell set by dimension, both ascending.
+    """Pivot tuples of the given ranks by dimension, both ascending.  None
+    means every rank, range(1, n + 1); a rank outside 1..n selects nothing.
 
     >>> cells_by_degree(Family.COMPLEX, 2, 2)
     {0: [(1,)], 2: [(2,)], 3: [(2, 1)]}
+    >>> cells_by_degree(Family.COMPLEX, 2, 2, range(2, 9))
+    {3: [(2, 1)]}
     """
     require_valid(n, k)
-    if filtration is None:
-        filtration = CellFiltration()
+    if ranks is None:
+        ranks = range(1, n + 1)
+    elif type(ranks) is not range:
+        raise TypeError(f"ranks must be a range, got {ranks!r}")
     # dimension a*sum(pivots) - b*rank - 1
     if family is Family.COMPLEX:
         a, b = 2, 1
@@ -109,7 +81,7 @@ def cells_by_degree(
     else:
         Family.require(family)
     by_degree: dict[int, list[Pivots]] = {}
-    for r in filtration.rank_range(n):
+    for r in filter(ranks.__contains__, range(1, n + 1)):
         offset = -b * r - 1
         for pivots in itertools.combinations(range(k, 0, -1), r):
             by_degree.setdefault(a * sum(pivots) + offset, []).append(pivots)

@@ -18,19 +18,20 @@ Each scope is one generator: the (n, k) box, that box for each family, the
 (family, n, k) cell point and the (family, n, k, j) spec.  It computes its
 shared data once, as plain locals, and yields (name, (ok, detail)) in
 output order, skipping a check that does not apply.  One listing of a box
-serves the box and each family's box.  A cell point enumerates its cells
-once, whole, and streams the full and the rank-n complex (the full-rank
-slice, faces outside it dropped) through integral_homology once each,
-two adjacent degrees at a time; cell-census counts the enumeration
-itself, so an empty one fails it and every oracle read.  Its relative,
-reduced and absolute reads go into one table keyed by (family, rank, k),
-and each structure-set summand is compared with a read there, never with
-the closed forms that built it.  A spec reads its report and the one at
-k + 2, each computed once per call.  The oracle's reads get only integral
-homology and the top cell's degree, never the closed top-degree formula,
-which cell-census compares with that degree.  The checks compare routes,
-not linear algebra: the elimination, its agreement with the dense Smith
-normal form and its independence of generator order are tier-1 tests.
+serves the box and each family's box.  A cell point enumerates the full
+complex and the rank-n one (the band range(n, n + 1), faces outside it
+dropped) once each, as the oracles do, and streams each through
+integral_homology once, two adjacent degrees at a time; cell-census
+counts the full enumeration itself, so an empty one fails it and every
+oracle read.  Its relative, reduced and absolute reads go into one table
+keyed by (family, rank, k), and each structure-set summand is compared
+with a read there, never with the closed forms that built it.  A spec
+reads its report and the one at k + 2, each computed once per call.  The
+oracle's reads get only integral homology and the top cell's degree,
+never the closed top-degree formula, which cell-census compares with
+that degree.  The checks compare routes, not linear algebra: the
+elimination, its agreement with the dense Smith normal form and its
+independence of generator order are tier-1 tests.
 
 run_verification is the one consumer: it walks the grid and is the only
 place that makes a CheckResult.  Every detail names what its check saw,
@@ -201,11 +202,7 @@ def _family_box_checks(family: Family, n: int, k: int, partitions: list):
 
 def _cell_checks(family: Family, n: int, k: int, reads: dict):
     cells = cells_by_degree(family, n, k)
-    full_rank = {}
-    for p, cells_p in cells.items():
-        slice_p = [pivots for pivots in cells_p if len(pivots) == n]
-        if slice_p:
-            full_rank[p] = slice_p
+    full_rank = cells_by_degree(family, n, k, range(n, n + 1))
     total_cells = sum(map(len, cells.values()))
     counted = f"{total_cells} cells" if cells else "empty enumeration"
     full_rank_interior = sum(

@@ -12,9 +12,7 @@ import pytest
 from multiaxial import cli, grassmannian
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family, UsageError, require_valid
-from multiaxial.orbit_cells import (
-    CellFiltration, cell_label, cell_slices, cells_by_degree
-)
+from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_degree
 from multiaxial.structure_set import ActionSpec, compute_structure_set
 from multiaxial.verification import (
     CheckResult,
@@ -256,14 +254,13 @@ def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
         lambda: require_valid(0, 2),
         lambda: grassmannian.enumerate_box_partitions(0, 2),
         lambda: ActionSpec(Family.COMPLEX, -1, 2),
-        lambda: CellFiltration(3, 1),
         lambda: run_verification(0, 8, 2),
         lambda: run_verification(1, 1, -1),
         lambda: run_verification(1, 1, 0, (Family.COMPLEX, Family.COMPLEX)),
         lambda: run_verification(1, 1, 0, families=()),
     ],
     ids=[
-        "family", "require_valid", "box_partitions", "action_spec", "cell_filtration",
+        "family", "require_valid", "box_partitions", "action_spec",
         "grid_bounds", "grid_max_j", "grid_families", "grid_no_families",
     ],
 )
@@ -345,8 +342,9 @@ def test_export_complex_reads_back_as_the_built_complex(
         "--k", str(k), *band,
     )
     assert code == 0
-    filtration = CellFiltration(doc["input"]["min_rank"], doc["input"]["max_rank"])
-    cells = cells_by_degree(Family.parse(family), n, k, filtration)
+    low, high = doc["input"]["min_rank"], doc["input"]["max_rank"]
+    band = range(1 if low is None else low, (n if high is None else high) + 1)
+    cells = cells_by_degree(Family.parse(family), n, k, band)
     stream = list(cell_slices(cells))
     assert [entry["degree"] for entry in doc["degrees"]] == [p for p, _, _ in stream]
     for entry, (_, cells_p, columns) in zip(doc["degrees"], stream):

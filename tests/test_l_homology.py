@@ -20,11 +20,7 @@ from multiaxial.l_homology import (
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
 )
-from multiaxial.orbit_cells import (
-    CellFiltration,
-    cell_slices,
-    cells_by_degree,
-)
+from multiaxial.orbit_cells import cell_slices, cells_by_degree
 from multiaxial.structure_set import (
     basepoint_correction,
     l_coefficient,
@@ -261,15 +257,13 @@ def test_a_rank_or_copy_count_that_is_not_an_int_is_refused(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: CellFiltration(1.5, 2),
-        lambda: CellFiltration(True, 2),
         lambda: l_coefficient(2.0),
         lambda: l_coefficient(True),
         lambda: enumerate_box_partitions(True, 2),
     ],
-    ids=["float_bound", "bool_bound", "float_q", "bool_q", "bool_box_n"],
+    ids=["float_q", "bool_q", "bool_box_n"],
 )
 def test_a_bound_or_degree_that_is_not_an_int_is_refused(call):
-    # each of these used to answer: 1.5 as a bound, True as 1, 2.0 as 2
+    # each of these used to answer: 2.0 as 2, True as 1
     with pytest.raises(TypeError, match="must be"):
         call()

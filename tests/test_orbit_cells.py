@@ -1,12 +1,12 @@
 import itertools
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from multiaxial.family import Family
 from multiaxial.homology import checked_slices
 from multiaxial.orbit_cells import (
-    CellFiltration,
     cell_slices,
     cells_by_degree,
     pivot_boundary,
@@ -53,7 +53,7 @@ def test_enumerate_two_by_two():
 
 
 def test_enumerate_rank_two_slice():
-    assert cells_by_degree(C, 2, 4, CellFiltration.exact(2)) == {
+    assert cells_by_degree(C, 2, 4, range(2, 3)) == {
         3: [(2, 1)],
         5: [(3, 1)],
         7: [(3, 2), (4, 1)],
@@ -80,9 +80,43 @@ def test_enumeration_count_and_domain():
 
 
 def test_empty_filtration_band():
-    assert cells_by_degree(C, 2, 4, CellFiltration(3, None)) == {}
-    with pytest.raises(ValueError):
-        CellFiltration(3, 2)
+    assert cells_by_degree(C, 2, 4, range(3, 5)) == {}
+    assert cells_by_degree(C, 2, 4, range(2, 2)) == {}
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_a_band_reaching_outside_one_to_n_selects_nothing_there(family):
+    # no rank-0 cell: the empty tuple would sit in degree -1
+    for k in range(2, 7):
+        only = {r: cells_by_degree(family, 2, k, range(r, r + 1)) for r in (1, 2)}
+        assert cells_by_degree(family, 2, k, range(0, 2)) == only[1]
+        assert cells_by_degree(family, 2, k, range(-4, 2)) == only[1]
+        assert cells_by_degree(family, 2, k, range(3, 9)) == {}
+        assert cells_by_degree(family, 2, k, range(0, 1)) == {}
+        assert cells_by_degree(family, 2, k, range(0, 9)) == cells_by_degree(
+            family, 2, k
+        )
+        # a range is its members, in any step or direction
+        assert cells_by_degree(family, 2, k, range(2, -1, -1)) == cells_by_degree(
+            family, 2, k
+        )
+        assert cells_by_degree(family, 2, k, range(0, 9, 2)) == only[2]
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [
+        (2, 2),
+        [2],
+        {2},
+        2,
+        SimpleNamespace(min_rank=2, max_rank=2, rank_range=lambda n: range(2, 3)),
+    ],
+    ids=["tuple", "list", "set", "int", "filtration_like"],
+)
+def test_a_band_that_is_not_a_range_is_refused(ranks):
+    with pytest.raises(TypeError, match="ranks must be a range"):
+        cells_by_degree(C, 2, 4, ranks)
 
 
 def test_build_two_by_two_complex():
@@ -104,7 +138,7 @@ def test_generators_are_the_enumerated_cells():
 
 
 def test_relative_complex_has_zero_boundaries():
-    cells = cells_by_degree(C, 2, 4, CellFiltration.exact(2))
+    cells = cells_by_degree(C, 2, 4, range(2, 3))
     for _, _, columns in checked_slices(cell_slices(cells)):
         assert columns is None
 
@@ -128,8 +162,7 @@ def test_every_band_boundary_is_a_partial_matching(family):
     for n in range(1, 6):
         for k in range(n, 10):
             for lo, hi in itertools.combinations_with_replacement(range(1, n + 1), 2):
-                band = CellFiltration(lo, hi)
-                cells = cells_by_degree(family, n, k, band)
+                cells = cells_by_degree(family, n, k, range(lo, hi + 1))
                 for p, _, columns in checked_slices(cell_slices(cells)):
                     used = set()
                     for column in filter(None, columns or ()):
@@ -156,7 +189,7 @@ def test_exactly_one_zero_cell_and_top_dimension():
 def test_full_rank_interior_count():
     for family in (C, H):
         for n, k in SMALL:
-            cells = cells_by_degree(family, n, k, CellFiltration.exact(n))
+            cells = cells_by_degree(family, n, k, range(n, n + 1))
             interior = [
                 pivots
                 for cells_p in cells.values()
@@ -168,10 +201,10 @@ def test_full_rank_interior_count():
 
 def test_full_rank_dimension_parities():
     for n, k in SMALL:
-        for p in cells_by_degree(C, n, k, CellFiltration.exact(n)):
+        for p in cells_by_degree(C, n, k, range(n, n + 1)):
             assert p % 2 == (n + 1) % 2
         residues = {
-            p % 4 for p in cells_by_degree(H, n, k, CellFiltration.exact(n))
+            p % 4 for p in cells_by_degree(H, n, k, range(n, n + 1))
         }
         assert len(residues) == 1
 

@@ -12,7 +12,7 @@ from multiaxial import (
 )
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.orbit_cells import CellFiltration, cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_slices, cells_by_degree
 from multiaxial.structure_set import ActionSpec
 
 FAMILIES = (Family.COMPLEX, Family.QUATERNIONIC)
@@ -21,17 +21,18 @@ GRID = [(n, k) for n in range(1, MAX_N + 1) for k in range(n, MAX_K + 1)]
 
 
 def _everywhere(monkeypatch, module, name, make):
-    """Patch make(module.name) over module.name wherever the package binds
-    it, so a call reached through any other module sees it too."""
+    """Patch make(module.name) over module.name, and wherever the package
+    binds it, so a call reached through any other module sees it too.
+    module may be a class, whose attribute every caller reads there."""
     original = getattr(module, name)
     replacement = make(original)
-    bindings = [
+    bindings = {(module, name)} | {
         (other, attr)
         for other_name, other in list(sys.modules.items())
         if other_name.startswith("multiaxial")
         for attr, value in vars(other).items()
         if value is original
-    ]
+    }
     for other, attr in bindings:
         monkeypatch.setattr(other, attr, replacement)
 
@@ -59,7 +60,7 @@ def counted(monkeypatch):
     enumerations, eliminations, reports = Counter(), Counter(), Counter()
     _counting(
         monkeypatch, enumerations, orbit_cells, "cells_by_degree",
-        lambda family, n, k, filtration=None: (family, n, k, filtration),
+        lambda family, n, k, ranks=None: (family, n, k, ranks),
     )
     _counting(
         monkeypatch, eliminations, homology, "sparse_invariant_factors",
@@ -98,10 +99,13 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
-    # one enumeration of the cells per point, and the full and rank-n
-    # complexes both streamed from it by cell_slices
+    # one enumeration of each complex per point, the full one and the
+    # rank-n band, each streamed by cell_slices
     assert enumerations == Counter(
-        (family, n, k, None) for family in FAMILIES for n, k in GRID
+        (family, n, k, ranks)
+        for family in FAMILIES
+        for n, k in GRID
+        for ranks in (None, range(n, n + 1))
     )
     assert len(streams) == 2 * len(FAMILIES) * len(GRID)
     # every nonzero boundary of each of them is eliminated once, over Z,
@@ -141,11 +145,8 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
     points = [(family, n, k) for family in FAMILIES for n, k in GRID]
     assert len(streams) == 2 * len(points)
     for (family, n, k), full, relative in zip(points, streams[::2], streams[1::2]):
-        for stream, filtration in (
-            (full, None),
-            (relative, CellFiltration.exact(n)),
-        ):
-            reference = list(cell_slices(cells_by_degree(family, n, k, filtration)))
+        for stream, ranks in ((full, None), (relative, range(n, n + 1))):
+            reference = list(cell_slices(cells_by_degree(family, n, k, ranks)))
             assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
             for (_, cells, columns), (_, cells_r, columns_r) in zip(stream, reference):
                 assert tuple(cells) == tuple(cells_r)
@@ -163,8 +164,8 @@ def _plant(monkeypatch, name, family, n, k, module=verification):
     original = getattr(module, name)
     point = (family, n, k)
     if name.startswith("read_"):
-        filtration = CellFiltration.exact(n) if name == "read_l_homology" else None
-        cells = cells_by_degree(family, n, k, filtration)
+        ranks = range(n, n + 1) if name == "read_l_homology" else None
+        cells = cells_by_degree(family, n, k, ranks)
         point = (homology.integral_homology(cell_slices(cells)), max(cells))
 
     def wrong(*args):
@@ -340,6 +341,32 @@ def test_a_wrong_correction_fails_the_summand_row_without_a_traceback(
     assert err == ""
 
 
+def _single_z2_dropped(original):
+    def mutant(free_rank, two_rank):
+        return original(free_rank, two_rank if two_rank > 1 else 0)
+
+    return mutant
+
+
+# with_two_torsion builds the closed route's groups only: the oracle's
+# assembly builds its own, so a fault in it is a disagreement of routes
+def test_a_fault_in_the_closed_constructor_fails_the_closed_vs_oracle_rows(
+    monkeypatch, capsys
+):
+    _everywhere(monkeypatch, FGAbelianGroup, "with_two_torsion", _single_z2_dropped)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    rows = summary.by_check()
+    for check in (
+        "relative-closed-vs-oracle",
+        "reduced-closed-vs-oracle",
+        "summand-closed-vs-oracle",
+    ):
+        assert rows[check][1] > 0, check
+    argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
     monkeypatch, family
@@ -376,10 +403,10 @@ def test_an_empty_enumeration_fails_its_rows_and_the_grid_reports(
     rows = len(verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES).results)
     original = verification.cells_by_degree
 
-    def emptied(family, n, k, filtration=None):
+    def emptied(family, n, k, ranks=None):
         if (family, n, k) == (Family.COMPLEX, 2, 4):
             return {}
-        return original(family, n, k, filtration)
+        return original(family, n, k, ranks)
 
     monkeypatch.setattr(verification, "cells_by_degree", emptied)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
