@@ -14,15 +14,16 @@ C = Family.COMPLEX
 # representation has one cell per strictly decreasing pivot tuple
 # (m_1 > ... > m_r >= 1) with m_1 <= k and r <= n. The tuple records the
 # pivot columns of a row-echelon representative, r being the matrix rank.
-# The tuple itself is the cell, and the chain complex's generator;
-# cells_by_degree groups them by dimension and cell_label prints one.
+# A cell is an int with bit m - 1 set for each pivot m, and is the chain
+# complex's generator: the rank is its bit count. cells_by_degree groups
+# the cells by dimension and cell_label prints one as its pivot tuple.
 
 n, k = 2, 4
 cells = cells_by_degree(C, n, k)
 print(f"cells of the n={n}, k={k} orbit space:")
 for dim, cells_p in cells.items():
-    for pivots in cells_p:
-        print(f"  {cell_label(pivots):>8}  rank {len(pivots)}  dim {dim}")
+    for cell in cells_p:
+        print(f"  {cell_label(cell):>8}  rank {cell.bit_count()}  dim {dim}")
 
 # The chain complex has the cells as generators. The orbit space's
 # dimension is read off it as the degree of its top cell.
@@ -33,8 +34,9 @@ print("top dimension:", max(cells))
 # coefficient map per cell, the row indexing the cells one degree down
 # (None when no cell there has a face). Almost every boundary map
 # vanishes. The only surviving face relation drops a trailing pivot at
-# position 1, with coefficient 1, so the complex is very sparse and its
-# homology is torsion free.
+# position 1, bit 0, so the face of an odd cell c other than 1 is c - 1,
+# with coefficient 1. The complex is very sparse and its homology is
+# torsion free.
 print()
 print("nonzero boundary columns:")
 for p, cells_p, columns in cell_slices(cells):

@@ -3,24 +3,26 @@ oracle route's model, which homology and l_homology reduce and assemble.
 
 Orbits of unit k-tuples of vectors in n-space are indexed by pivot tuples:
 strictly decreasing pivot positions (m_1 > ... > m_r >= 1 with m_1 <= k
-and r <= n), the rank r being the dimension of the span.  A plain tuple is
-the package's only representation of a cell.  The cell over a tuple has
-dimension
+and r <= n), the rank r being the dimension of the span.  A cell is an int
+mask with bit m - 1 set for each pivot m, the package's only representation
+of one; numeric order of the masks is the lexicographic order of the
+descending tuples (Knuth, TAOCP 4A, 7.2.1.3).  The cell has dimension
 
     2*sum(m) - r - 1      over the complex numbers,
     4*sum(m) - 3*r - 1    over the quaternions.
 
 The degree drops by exactly one when the last pivot equals 1, and removing
 that pivot gives the unique boundary cell, with coefficient +1; every other
-attaching map is degree zero on cells.  That single rule, pivot_boundary,
-is the whole differential, and nothing here comes from the closed form,
-not even the orbit space's dimension: that is the top cell's degree.
+attaching map is degree zero on cells.  On masks that single rule is the
+whole differential: an odd cell other than 1 has the face cell - 1.  Nothing
+here comes from the closed form, not even the orbit space's dimension:
+that is the top cell's degree.
 
 A rank band is a range of ranks, and cells_by_degree is the one place a
 band becomes cells: the whole orbit space, the rank-n stratum pair or an
-exported band.  It enumerates the band's tuples by dimension, whole, as
-itertools.combinations lists a cell several times faster than a
-per-slice generator.  cell_slices streams any such map as ascending
+exported band.  It builds the band's masks by dimension, whole, adding one
+pivot at a time to every mask of one rank lower, so each list grows in
+order at C speed.  cell_slices streams any such map as ascending
 (degree, cells, sparse columns) slices, the package's one form of a
 chain complex, which homology reads and export-complex writes two
 adjacent degrees at a time, with no dense matrix or string.  cell_label
@@ -30,43 +32,32 @@ that prints a cell calls it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Mapping, Sequence
 
 from .family import Family, require_valid
 from .homology import Slice
 
-Pivots = tuple[int, ...]
 
+def cell_label(cell: int) -> str:
+    """The printed name of a cell, its pivots from the highest down.
 
-def cell_label(pivots: Pivots) -> str:
-    """The printed name of a cell.
-
-    >>> cell_label((3, 1))
+    >>> cell_label(0b101)
     '(3,1)'
     """
+    pivots = (m for m in range(cell.bit_length(), 0, -1) if cell >> (m - 1) & 1)
     return "(" + ",".join(map(str, pivots)) + ")"
-
-
-def pivot_boundary(pivots: Pivots) -> Pivots | None:
-    """The one face of the cell over a pivot tuple, with coefficient +1: the
-    tuple without its last pivot when that is 1 and the rank is >= 2, else
-    None."""
-    if len(pivots) >= 2 and pivots[-1] == 1:
-        return pivots[:-1]
-    return None
 
 
 def cells_by_degree(
     family: Family, n: int, k: int, ranks: range | None = None
-) -> dict[int, list[Pivots]]:
-    """Pivot tuples of the given ranks by dimension, both ascending.  None
-    means every rank, range(1, n + 1); a rank outside 1..n selects nothing.
+) -> dict[int, list[int]]:
+    """Cells of the given ranks by dimension, both ascending.  None means
+    every rank, range(1, n + 1); a rank outside 1..n selects nothing.
 
     >>> cells_by_degree(Family.COMPLEX, 2, 2)
-    {0: [(1,)], 2: [(2,)], 3: [(2, 1)]}
+    {0: [1], 2: [2], 3: [3]}
     >>> cells_by_degree(Family.COMPLEX, 2, 2, range(2, 9))
-    {3: [(2, 1)]}
+    {3: [3]}
     """
     require_valid(n, k)
     if ranks is None:
@@ -80,23 +71,36 @@ def cells_by_degree(
         a, b = 4, 3
     else:
         Family.require(family)
-    by_degree: dict[int, list[Pivots]] = {}
-    for r in filter(ranks.__contains__, range(1, n + 1)):
-        offset = -b * r - 1
-        for pivots in itertools.combinations(range(k, 0, -1), r):
-            by_degree.setdefault(a * sum(pivots) + offset, []).append(pivots)
-    for cells in by_degree.values():
-        cells.sort()
+    wanted = list(filter(ranks.__contains__, range(1, n + 1)))
+    low, top = min(wanted, default=1), max(wanted, default=0)
+    # grown[r]: the masks of rank r with pivots <= m by dimension + 1; pivot
+    # m's bit is above each of them, so appending keeps every list ascending.
+    # Rank r stops growing once the k - m pivots to come cannot lift it to low.
+    grown: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(top)]
+    for m in range(1, k + 1):
+        bit, weight = 1 << (m - 1), a * m - b
+        for r in range(min(m, top), max(1, low - k + m) - 1, -1):
+            into = grown[r]
+            for s, masks in grown[r - 1].items():
+                into.setdefault(s + weight, []).extend(map(bit.__or__, masks))
+    by_degree: dict[int, list[int]] = {}
+    for r in wanted:
+        while grown[r]:  # popped, so no list is held twice
+            s, masks = grown[r].popitem()
+            cells = by_degree.setdefault(s - 1, masks)
+            if cells is not masks:
+                cells += masks
+                cells.sort()  # merges the ascending runs of two ranks
     return dict(sorted(by_degree.items()))
 
 
-def cell_slices(by_degree: Mapping[int, Sequence[Pivots]]) -> Iterator[Slice]:
-    """Cellular chain complex on exactly the given cells, degree -> pivots,
+def cell_slices(by_degree: Mapping[int, Sequence[int]]) -> Iterator[Slice]:
+    """Cellular chain complex on exactly the given cells, degree -> masks,
     as ascending slices; a face is looked up in the slice one degree below
     and dropped if absent, which makes a rank band compute relative homology.
 
-    >>> list(cell_slices({2: [(2,)], 3: [(2, 1)], 5: [(3, 1)]}))
-    [(2, [(2,)], None), (3, [(2, 1)], [{0: 1}]), (5, [(3, 1)], None)]
+    >>> list(cell_slices({2: [0b10], 3: [0b11], 5: [0b101]}))
+    [(2, [2], None), (3, [3], [{0: 1}]), (5, [5], None)]
     """
     no_face: dict[int, int] = {}  # shared by every cell without a face
     for p, cells in sorted(by_degree.items()):
@@ -106,8 +110,8 @@ def cell_slices(by_degree: Mapping[int, Sequence[Pivots]]) -> Iterator[Slice]:
             continue
         row_of = dict(zip(below, range(len(below))))
         columns = []
-        for pivots in cells:
-            row = row_of.get(pivot_boundary(pivots))
+        for cell in cells:
+            # mask 0 is no cell, so cell 1 finds no face
+            row = row_of.get(cell - 1) if cell & 1 else None
             columns.append(no_face if row is None else {row: 1})
         yield p, cells, columns
-

@@ -205,8 +205,9 @@ def _cell_checks(family: Family, n: int, k: int, reads: dict):
     full_rank = cells_by_degree(family, n, k, range(n, n + 1))
     total_cells = sum(map(len, cells.values()))
     counted = f"{total_cells} cells" if cells else "empty enumeration"
+    # an interior cell's last pivot is not 1: its mask is even
     full_rank_interior = sum(
-        pivots[-1] > 1 for slice_p in full_rank.values() for pivots in slice_p
+        not cell & 1 for slice_p in full_rank.values() for cell in slice_p
     )
     top = max(cells, default=-1)  # the oracle's top degree; d is the closed route's
     d = orbit_space_dimension(family, n, k)

@@ -29,11 +29,7 @@ from multiaxial.l_homology import (
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
 )
-from multiaxial.orbit_cells import (
-    cell_slices,
-    cells_by_degree,
-    pivot_boundary,
-)
+from multiaxial.orbit_cells import cell_slices, cells_by_degree
 from multiaxial.structure_set import reduced_l_homology, relative_l_homology
 
 
@@ -386,11 +382,16 @@ def _export(form):
     ],
 )
 def test_reduced_oracle_holds_the_enumeration_and_two_slices(run, family, n, k):
-    # the enumeration is held whole at about 100 B a cell; the boundaries
-    # stream two adjacent degrees at a time, and export-complex writes each
-    # degree as it comes, where a whole complex with two copies of its
-    # columns peaked near 290 B a cell, and a whole export near 450
+    # the enumeration is held whole, an int mask and a list slot per cell,
+    # about 40 B a cell, and these peak at 48 to 60 B where pivot tuples
+    # peaked at 100 to 110; the boundaries stream two adjacent degrees at a
+    # time, and export-complex writes each degree as it comes, where a
+    # whole complex with two copies of its columns peaked near 290 B a
+    # cell, and a whole export near 450
     cells = sum(comb(k, r) for r in range(1, n + 1))
+    # a tiny run first pays what is paid once, such as the locale module
+    # that argparse's first parser imports, which is not a cost per cell
+    run(family, 2, 3)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -398,7 +399,7 @@ def test_reduced_oracle_holds_the_enumeration_and_two_slices(run, family, n, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / cells < 150, f"{peak / cells:.0f} B a cell"
+    assert peak / cells < 64, f"{peak / cells:.1f} B a cell"
 
 
 def test_sparse_constructor_names_the_row_and_drops_zeros():
@@ -495,9 +496,22 @@ def test_torsion_complex():
 
 
 def test_homology_is_generator_order_invariant():
+    # the reference faces: pivot tuples from itertools.combinations, each
+    # mapped to its mask, bit m - 1 set for each pivot m
+    def mask(pivots):
+        return sum(1 << (m - 1) for m in pivots)
+
+    pivots_of = {
+        mask(pivots): pivots
+        for r in range(1, 4)
+        for pivots in itertools.combinations(range(5, 0, -1), r)
+    }
     rng = random.Random(7)
     for family in Family:
         cells = cells_by_degree(family, 3, 5)
+        assert sorted(c for cells_p in cells.values() for c in cells_p) == sorted(
+            pivots_of
+        )
         reference = integral_homology(cell_slices(cells))
         for _ in range(3):
             shuffled_cells = {}
@@ -510,8 +524,9 @@ def test_homology_is_generator_order_invariant():
                 faces = shuffled_cells.get(p - 1, [])
                 for cell, column in zip(cells_p, columns or [{}] * len(cells_p)):
                     boundary = {faces[r]: v for r, v in column.items()}
-                    face = pivot_boundary(cell)
-                    assert boundary == ({} if face is None else {face: 1})
+                    pivots = pivots_of[cell]
+                    has_face = len(pivots) >= 2 and pivots[-1] == 1
+                    assert boundary == ({mask(pivots[:-1]): 1} if has_face else {})
             assert integral_homology(cell_slices(shuffled_cells)) == reference, family
 
 

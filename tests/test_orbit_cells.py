@@ -6,11 +6,7 @@ import pytest
 
 from multiaxial.family import Family
 from multiaxial.homology import checked_slices
-from multiaxial.orbit_cells import (
-    cell_slices,
-    cells_by_degree,
-    pivot_boundary,
-)
+from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_degree
 from multiaxial.structure_set import orbit_space_dimension
 
 C = Family.COMPLEX
@@ -18,11 +14,50 @@ H = Family.QUATERNIONIC
 SMALL = [(n, k) for n in range(1, 4) for k in range(n, 7)]
 
 
+# the reference model: pivot tuples from itertools.combinations, placed by
+# the dimension formula, and the mask of each tuple
+def M(*pivots):
+    """The cell over a pivot tuple: bit m - 1 set for each pivot m."""
+    return sum(1 << (m - 1) for m in pivots)
+
+
+def pivots_of(cell):
+    return tuple(m for m in range(cell.bit_length(), 0, -1) if cell >> (m - 1) & 1)
+
+
+def reference_tuples(family, n, k, ranks=None):
+    """Pivot tuples by dimension, both ascending, tuples in lex order."""
+    a, b = {C: (2, 1), H: (4, 3)}[family]
+    by_degree = {}
+    for r in range(1, n + 1):
+        if ranks is None or r in ranks:
+            for pivots in itertools.combinations(range(k, 0, -1), r):
+                by_degree.setdefault(a * sum(pivots) - b * r - 1, []).append(pivots)
+    return {p: sorted(by_degree[p]) for p in sorted(by_degree)}
+
+
+def reference(family, n, k, ranks=None):
+    return {
+        p: [M(*pivots) for pivots in tuples]
+        for p, tuples in reference_tuples(family, n, k, ranks).items()
+    }
+
+
+def reference_face(pivots):
+    """The one face of the cell over a tuple: the tuple without its last
+    pivot when that is 1 and the rank is >= 2, else None."""
+    return pivots[:-1] if len(pivots) >= 2 and pivots[-1] == 1 else None
+
+
 def test_every_cell_is_a_strictly_decreasing_pivot_tuple():
     for family in (C, H):
         for n, k in SMALL:
-            for cells in cells_by_degree(family, n, k).values():
-                for pivots in cells:
+            cells = cells_by_degree(family, n, k)
+            assert cells == reference(family, n, k)
+            for cells_p in cells.values():
+                for cell in cells_p:
+                    pivots = pivots_of(cell)
+                    assert M(*pivots) == cell
                     assert 1 <= len(pivots) <= n
                     assert k >= pivots[0]
                     assert pivots[-1] >= 1
@@ -30,42 +65,54 @@ def test_every_cell_is_a_strictly_decreasing_pivot_tuple():
 
 
 def test_dimension_examples():
-    assert cells_by_degree(C, 2, 2)[3] == [(2, 1)]
-    assert cells_by_degree(H, 2, 2)[5] == [(2, 1)]
-    assert cells_by_degree(H, 1, 3)[8] == [(3,)]
-    assert cells_by_degree(C, 1, 1) == {0: [(1,)]}
-    assert cells_by_degree(H, 1, 1) == {0: [(1,)]}
+    assert cells_by_degree(C, 2, 2)[3] == [M(2, 1)]
+    assert cells_by_degree(H, 2, 2)[5] == [M(2, 1)]
+    assert cells_by_degree(H, 1, 3)[8] == [M(3)]
+    assert cells_by_degree(C, 1, 1) == {0: [M(1)]}
+    assert cells_by_degree(H, 1, 1) == {0: [M(1)]}
+
+
+def face_column(cell, below):
+    """The boundary column of cell over the slice below, degrees 0 and 1."""
+    return list(cell_slices({0: below, 1: [cell]}))[1][2][0]
 
 
 def test_boundary_examples():
-    assert pivot_boundary((2, 1)) == (2,)
-    assert pivot_boundary((3, 2)) is None
-    assert pivot_boundary((1,)) is None
-    assert pivot_boundary((4, 2, 1)) == (4, 2)
+    assert face_column(M(2, 1), [M(2)]) == {0: 1}
+    assert face_column(M(4, 2, 1), [M(3, 2), M(4, 2)]) == {1: 1}
+    # mask - 1 is (3, 1) and (2, 1) here, but neither is a face: the last
+    # pivot is not 1
+    assert face_column(M(3, 2), [M(3, 1)]) == {}
+    assert face_column(M(3), [M(2, 1)]) == {}
+    assert face_column(M(1), [M(2)]) == {}
 
 
 def test_enumerate_sphere():
-    assert cells_by_degree(C, 1, 2) == {0: [(1,)], 2: [(2,)]}
+    assert cells_by_degree(C, 1, 2) == {0: [M(1)], 2: [M(2)]}
 
 
 def test_enumerate_two_by_two():
-    assert cells_by_degree(C, 2, 2) == {0: [(1,)], 2: [(2,)], 3: [(2, 1)]}
+    assert cells_by_degree(C, 2, 2) == {0: [M(1)], 2: [M(2)], 3: [M(2, 1)]}
 
 
 def test_enumerate_rank_two_slice():
     assert cells_by_degree(C, 2, 4, range(2, 3)) == {
-        3: [(2, 1)],
-        5: [(3, 1)],
-        7: [(3, 2), (4, 1)],
-        9: [(4, 2)],
-        11: [(4, 3)],
+        3: [M(2, 1)],
+        5: [M(3, 1)],
+        7: [M(3, 2), M(4, 1)],
+        9: [M(4, 2)],
+        11: [M(4, 3)],
     }
 
 
 def test_enumeration_order_is_dimension_then_lex():
     cells = cells_by_degree(C, 3, 5)
-    keys = [(p, pivots) for p, cells_p in cells.items() for pivots in cells_p]
+    keys = [(p, pivots_of(cell)) for p, cells_p in cells.items() for cell in cells_p]
     assert keys == sorted(keys)
+    # numeric order of the masks is the lexicographic order of the tuples
+    assert [cell for cells_p in cells.values() for cell in cells_p] == [
+        M(*pivots) for _, pivots in keys
+    ]
 
 
 def test_enumeration_count_and_domain():
@@ -121,9 +168,9 @@ def test_a_band_that_is_not_a_range_is_refused(ranks):
 
 def test_build_two_by_two_complex():
     assert list(checked_slices(cell_slices(cells_by_degree(C, 2, 2)))) == [
-        (0, ((1,),), None),
-        (2, ((2,),), None),
-        (3, ((2, 1),), ({0: 1},)),
+        (0, (M(1),), None),
+        (2, (M(2),), None),
+        (3, (M(2, 1),), ({0: 1},)),
     ]
 
 
@@ -144,12 +191,12 @@ def test_relative_complex_has_zero_boundaries():
 
 
 def test_cell_slices_drop_faces_outside_the_cells():
-    cells = {2: [(2,)], 3: [(2, 1)], 5: [(3, 1)]}
-    assert list(cell_slices(cells))[1] == (3, [(2, 1)], [{0: 1}])
+    cells = {2: [M(2)], 3: [M(2, 1)], 5: [M(3, 1)]}
+    assert list(cell_slices(cells))[1] == (3, [M(2, 1)], [{0: 1}])
     del cells[2]
     assert list(checked_slices(cell_slices(cells))) == [
-        (3, ((2, 1),), None),
-        (5, ((3, 1),), None),
+        (3, (M(2, 1),), None),
+        (5, (M(3, 1),), None),
     ]
 
 
@@ -175,14 +222,14 @@ def test_every_band_boundary_is_a_partial_matching(family):
 
 
 def test_quaternionic_point():
-    assert list(cell_slices(cells_by_degree(H, 1, 1))) == [(0, [(1,)], None)]
+    assert list(cell_slices(cells_by_degree(H, 1, 1))) == [(0, [M(1)], None)]
 
 
 def test_exactly_one_zero_cell_and_top_dimension():
     for family in (C, H):
         for n, k in SMALL:
             cells = cells_by_degree(family, n, k)
-            assert cells[0] == [(1,)]
+            assert cells[0] == [M(1)]
             assert max(cells) == orbit_space_dimension(family, n, k)
 
 
@@ -191,10 +238,10 @@ def test_full_rank_interior_count():
         for n, k in SMALL:
             cells = cells_by_degree(family, n, k, range(n, n + 1))
             interior = [
-                pivots
+                cell
                 for cells_p in cells.values()
-                for pivots in cells_p
-                if pivots[-1] > 1
+                for cell in cells_p
+                if pivots_of(cell)[-1] > 1
             ]
             assert len(interior) == comb(k - 1, n)
 
@@ -214,3 +261,42 @@ def test_orbit_space_dimension_examples():
     assert max(cells_by_degree(C, 2, 4)) == 11
     assert max(cells_by_degree(H, 2, 3)) == 13
     assert max(cells_by_degree(C, 1, 1)) == 0
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_masks_faces_and_labels_match_the_pivot_tuples(family):
+    # every band, empty and reaching outside 1..n included: the masks and
+    # their order in each degree, each face and each label are those of the
+    # reference tuples
+    for n in range(1, 6):
+        for k in range(n, 10):
+            tuples = reference_tuples(family, n, k)
+            for lo in range(0, n + 2):
+                for hi in range(lo - 1, n + 2):
+                    ranks = range(lo, hi + 1)
+                    band = {
+                        p: [pivots for pivots in tuples_p if len(pivots) in ranks]
+                        for p, tuples_p in tuples.items()
+                    }
+                    band = {p: tuples_p for p, tuples_p in band.items() if tuples_p}
+                    cells = cells_by_degree(family, n, k, ranks)
+                    where = (n, k, lo, hi)
+                    assert cells == {
+                        p: [M(*pivots) for pivots in tuples_p]
+                        for p, tuples_p in band.items()
+                    }, where
+                    for p, cells_p, columns in cell_slices(cells):
+                        below = band.get(p - 1, [])
+                        for pivots, cell, column in zip(
+                            band[p], cells_p, columns or [{}] * len(cells_p)
+                        ):
+                            assert cell_label(cell) == (
+                                "(" + ",".join(map(str, pivots)) + ")"
+                            ), where
+                            face = reference_face(pivots)
+                            expected = (
+                                {below.index(face): 1} if face in below else {}
+                            )
+                            assert column == expected, (where, pivots)
+                            if expected:
+                                assert cells[p - 1][below.index(face)] == cell - 1
