@@ -210,7 +210,7 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                     f"expected {len(cells)}"
                 )
             # one pass over each nonzero column: row type and range, coefficient
-            # type, zeros dropped, then its composite with the boundary before
+            # type, zeros dropped, then d^2 if a face it reads has a boundary
             copies = [_NO_ENTRIES] * len(cells)
             for j, column in compress(enumerate(columns), columns):
                 copy = {}
@@ -226,7 +226,7 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                         _not_an_int(v, "coefficient")
                     if v:
                         copy[r] = v
-                if copy and lower:
+                if copy and lower and any(map(lower.__getitem__, copy)):
                     composite: dict[int, int] = {}
                     for r, v in copy.items():
                         for s, w in lower[r].items():

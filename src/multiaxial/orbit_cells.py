@@ -18,16 +18,17 @@ whole differential: an odd cell other than 1 has the face cell - 1.  Nothing
 here comes from the closed form, not even the orbit space's dimension:
 that is the top cell's degree.
 
-A rank band is a range of ranks, and cells_by_degree is the one place a
-band becomes cells: the whole orbit space, the rank-n stratum pair or an
-exported band.  It builds the band's masks by dimension, whole, adding one
-pivot at a time to every mask of one rank lower, so each list grows in
-order at C speed.  cell_slices streams any such map as ascending
-(degree, cells, sparse columns) slices, the package's one form of a
-chain complex, which homology reads and export-complex writes two
-adjacent degrees at a time, with no dense matrix or string.  cell_label
-is the one place a cell becomes text, "(m1,...,mr)", and only output
-that prints a cell calls it.
+A rank band is a range of ranks, and cells_by_rank is the one place a
+band becomes cells.  It builds each rank's masks by dimension, whole,
+adding one pivot at a time to every mask of one rank lower, so each list
+grows in order at C speed.  The strata nest: rank m of one growth is the
+rank-m stratum pair of every (family, n >= m, k), and merge_rank adds
+ranks up to the whole orbit space or any band, as cells_by_degree does.
+cell_slices streams any such map as ascending (degree, cells, sparse
+columns) slices, the package's one form of a chain complex, which
+homology reads and export-complex writes two adjacent degrees at a time,
+with no dense matrix or string.  cell_label is the one place a cell
+becomes text, "(m1,...,mr)", and only output that prints a cell calls it.
 """
 
 from __future__ import annotations
@@ -48,16 +49,14 @@ def cell_label(cell: int) -> str:
     return "(" + ",".join(map(str, pivots)) + ")"
 
 
-def cells_by_degree(
+def cells_by_rank(
     family: Family, n: int, k: int, ranks: range | None = None
-) -> dict[int, list[int]]:
-    """Cells of the given ranks by dimension, both ascending.  None means
-    every rank, range(1, n + 1); a rank outside 1..n selects nothing.
+) -> dict[int, dict[int, list[int]]]:
+    """Cells of the given ranks by rank, then by dimension, all ascending.
+    None means every rank, range(1, n + 1); a rank outside 1..n selects none.
 
-    >>> cells_by_degree(Family.COMPLEX, 2, 2)
-    {0: [1], 2: [2], 3: [3]}
-    >>> cells_by_degree(Family.COMPLEX, 2, 2, range(2, 9))
-    {3: [3]}
+    >>> cells_by_rank(Family.COMPLEX, 2, 3)
+    {1: {0: [1], 2: [2], 4: [4]}, 2: {3: [3], 5: [5], 7: [6]}}
     """
     require_valid(n, k)
     if ranks is None:
@@ -73,24 +72,46 @@ def cells_by_degree(
         Family.require(family)
     wanted = list(filter(ranks.__contains__, range(1, n + 1)))
     low, top = min(wanted, default=1), max(wanted, default=0)
-    # grown[r]: the masks of rank r with pivots <= m by dimension + 1; pivot
-    # m's bit is above each of them, so appending keeps every list ascending.
-    # Rank r stops growing once the k - m pivots to come cannot lift it to low.
-    grown: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(top)]
+    # grown[r]: the masks of rank r with pivots <= m by dimension (rank 0's
+    # in -1); pivot m's bit is above each, so appending keeps every list
+    # ascending.  Rank r stops growing once the k - m pivots to come cannot
+    # lift it to low.
+    grown: list[dict[int, list[int]]] = [{-1: [0]}] + [{} for _ in range(top)]
     for m in range(1, k + 1):
         bit, weight = 1 << (m - 1), a * m - b
         for r in range(min(m, top), max(1, low - k + m) - 1, -1):
             into = grown[r]
-            for s, masks in grown[r - 1].items():
-                into.setdefault(s + weight, []).extend(map(bit.__or__, masks))
+            for p, masks in grown[r - 1].items():
+                into.setdefault(p + weight, []).extend(map(bit.__or__, masks))
+    return {r: grown[r] for r in wanted}
+
+
+def merge_rank(
+    by_degree: dict[int, list[int]], cells: Mapping[int, list[int]]
+) -> None:
+    """Add one rank's cells, dimension -> ascending masks, to by_degree,
+    changing no list in place, so cells stays as it was."""
+    for p, masks in cells.items():
+        if p in by_degree:
+            masks = by_degree[p] + masks
+            masks.sort()  # merges the ascending runs of two ranks
+        by_degree[p] = masks
+
+
+def cells_by_degree(
+    family: Family, n: int, k: int, ranks: range | None = None
+) -> dict[int, list[int]]:
+    """Cells of the given ranks by dimension, both ascending.
+
+    >>> cells_by_degree(Family.COMPLEX, 2, 2)
+    {0: [1], 2: [2], 3: [3]}
+    >>> cells_by_degree(Family.COMPLEX, 2, 2, range(2, 9))
+    {3: [3]}
+    """
+    by_rank = cells_by_rank(family, n, k, ranks)
     by_degree: dict[int, list[int]] = {}
-    for r in wanted:
-        while grown[r]:  # popped, so no list is held twice
-            s, masks = grown[r].popitem()
-            cells = by_degree.setdefault(s - 1, masks)
-            if cells is not masks:
-                cells += masks
-                cells.sort()  # merges the ascending runs of two ranks
+    while by_rank:  # popped, so no rank's lists outlive their merge
+        merge_rank(by_degree, by_rank.popitem()[1])
     return dict(sorted(by_degree.items()))
 
 

@@ -18,18 +18,19 @@ Each scope is one generator: the (n, k) box, that box for each family, the
 (family, n, k) cell point and the (family, n, k, j) spec.  It computes its
 shared data once, as plain locals, and yields (name, (ok, detail)) in
 output order, skipping a check that does not apply.  One listing of a box
-serves the box and each family's box.  A cell point enumerates the full
-complex and the rank-n one (the band range(n, n + 1), faces outside it
-dropped) once each, as the oracles do, and streams each through
-integral_homology once, two adjacent degrees at a time; cell-census
-counts the full enumeration itself, so an empty one fails it and every
-oracle read.  Its relative, reduced and absolute reads go into one table
-keyed by (family, rank, k), and each structure-set summand is compared
-with a read there, never with the closed forms that built it.  A spec
-reads its report and the one at k + 2, each computed once per call.  The
-oracle's reads get only integral homology and the top cell's degree,
-never the closed top-degree formula, which cell-census compares with
-that degree.  The checks compare routes, not linear algebra: the
+serves the box and each family's box.  Cell points are computed by
+(family, k) column from one cells_by_rank growth, and reported in grid
+order: a point's full complex merges ranks 1..n, its rank-n complex
+(faces outside the band dropped) is rank n's map, and each streams
+through integral_homology once, two adjacent degrees at a time;
+cell-census counts the full complex itself, so an empty one fails it and
+every oracle read.  Its relative, reduced and absolute reads go into one
+table keyed by (family, rank, k), and each structure-set summand is
+compared with a read there, never with the closed forms that built it.
+A spec reads its report and the one at k + 2, each computed once per
+call.  The oracle's reads get only integral homology and the top cell's
+degree, never the closed top-degree formula, which cell-census compares
+with that degree.  The checks compare routes, not linear algebra: the
 elimination, its agreement with the dense Smith normal form and its
 independence of generator order are tier-1 tests.
 
@@ -70,7 +71,7 @@ from .l_homology import (
     read_l_homology,
     read_reduced_l_homology,
 )
-from .orbit_cells import cell_slices, cells_by_degree
+from .orbit_cells import cell_slices, cells_by_rank, merge_rank
 from .structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -200,9 +201,7 @@ def _family_box_checks(family: Family, n: int, k: int, partitions: list):
     )
 
 
-def _cell_checks(family: Family, n: int, k: int, reads: dict):
-    cells = cells_by_degree(family, n, k)
-    full_rank = cells_by_degree(family, n, k, range(n, n + 1))
+def _cell_checks(family: Family, n: int, k: int, cells, full_rank, reads: dict):
     total_cells = sum(map(len, cells.values()))
     counted = f"{total_cells} cells" if cells else "empty enumeration"
     # an interior cell's last pivot is not 1: its mask is even
@@ -237,6 +236,18 @@ def _cell_checks(family: Family, n: int, k: int, reads: dict):
     yield "collapse-certificate", _failed(homology) or (
         read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
     )
+
+
+def _cell_columns(families, max_n: int, max_k: int, reads: dict):
+    """((family, n, k), rows) of each cell point, from one growth to rank
+    min(max_n, k) per (family, k) column."""
+    for family in families:
+        for k in range(1, max_k + 1):
+            cells: dict[int, list[int]] = {}
+            for n, full_rank in cells_by_rank(family, min(max_n, k), k).items():
+                merge_rank(cells, full_rank)
+                checks = _cell_checks(family, n, k, cells, full_rank, reads)
+                yield (family, n, k), list(checks)
 
 
 def _spec_checks(family: Family, n: int, k: int, j: int, report_of, reads: dict):
@@ -354,9 +365,10 @@ def run_verification(
                 _family_box_checks(family, n, k, partitions),
             )
     reads: dict[tuple[Family, int, int], _Reads] = {}
+    cell_rows = dict(_cell_columns(families, max_n, max_k, reads))
     for family in families:
         for n, k in _grid(max_n, max_k):
-            run(f"family={family} n={n} k={k}", _cell_checks(family, n, k, reads))
+            run(f"family={family} n={n} k={k}", cell_rows.pop((family, n, k)))
     # each report is computed once: the one at k + 2 is also a base later
     report_of = cache(compute_structure_set)
     for family in families:

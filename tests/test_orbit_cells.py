@@ -6,7 +6,13 @@ import pytest
 
 from multiaxial.family import Family
 from multiaxial.homology import checked_slices
-from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_degree
+from multiaxial.orbit_cells import (
+    cell_label,
+    cell_slices,
+    cells_by_degree,
+    cells_by_rank,
+    merge_rank,
+)
 from multiaxial.structure_set import orbit_space_dimension
 
 C = Family.COMPLEX
@@ -300,3 +306,30 @@ def test_masks_faces_and_labels_match_the_pivot_tuples(family):
                             assert column == expected, (where, pivots)
                             if expected:
                                 assert cells[p - 1][below.index(face)] == cell - 1
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_one_column_of_ranks_merges_into_every_band(family):
+    # one growth of (family, k) up to rank 5 serves every n <= 5: merging
+    # its ranks gives each band, rank n alone is the rank-n band, and the
+    # merges change none of its lists
+    for k in range(1, 10):
+        column = cells_by_rank(family, min(5, k), k)
+        assert list(column) == list(range(1, min(5, k) + 1))
+        for cells in column.values():
+            for masks in cells.values():
+                assert masks == sorted(set(masks)), (k, masks)
+        before = {r: {p: list(masks) for p, masks in cells.items()}
+                  for r, cells in column.items()}
+        for n in range(1, min(5, k) + 1):
+            assert column[n] == cells_by_degree(family, n, k, range(n, n + 1))
+            for lo in range(0, n + 2):
+                for hi in range(lo - 1, n + 2):
+                    ranks = range(lo, hi + 1)
+                    merged = {}
+                    for r in filter(ranks.__contains__, range(1, n + 1)):
+                        merge_rank(merged, column[r])
+                    assert sorted(merged.items()) == list(
+                        cells_by_degree(family, n, k, ranks).items()
+                    ), (n, k, lo, hi)
+        assert column == before

@@ -59,7 +59,7 @@ def _content(columns):
 def counted(monkeypatch):
     enumerations, eliminations, reports = Counter(), Counter(), Counter()
     _counting(
-        monkeypatch, enumerations, orbit_cells, "cells_by_degree",
+        monkeypatch, enumerations, orbit_cells, "cells_by_rank",
         lambda family, n, k, ranks=None: (family, n, k, ranks),
     )
     _counting(
@@ -99,13 +99,12 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
-    # one enumeration of each complex per point, the full one and the
-    # rank-n band, each streamed by cell_slices
+    # one growth per (family, k) column, of every rank its points reach;
+    # each point streams its full complex and its rank-n band
     assert enumerations == Counter(
-        (family, n, k, ranks)
+        (family, min(MAX_N, k), k, None)
         for family in FAMILIES
-        for n, k in GRID
-        for ranks in (None, range(n, n + 1))
+        for k in range(1, MAX_K + 1)
     )
     assert len(streams) == 2 * len(FAMILIES) * len(GRID)
     # every nonzero boundary of each of them is eliminated once, over Z,
@@ -139,12 +138,23 @@ def test_nothing_is_kept_between_calls(counted):
 
 
 def test_both_complexes_equal_the_filtered_builds(monkeypatch):
-    streams = []
+    streams, first_stream = [], {}
     _recording(monkeypatch, streams)
+    original = verification._cell_checks
+
+    def at_point(family, n, k, *rest):
+        # the streams a point makes while its checks run are its own
+        first_stream[family, n, k] = len(streams)
+        yield from original(family, n, k, *rest)
+
+    monkeypatch.setattr(verification, "_cell_checks", at_point)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
     points = [(family, n, k) for family in FAMILIES for n, k in GRID]
+    assert sorted(first_stream.values()) == list(range(0, 2 * len(points), 2))
     assert len(streams) == 2 * len(points)
-    for (family, n, k), full, relative in zip(points, streams[::2], streams[1::2]):
+    for family, n, k in points:
+        first = first_stream[family, n, k]
+        full, relative = streams[first : first + 2]
         for stream, ranks in ((full, None), (relative, range(n, n + 1))):
             reference = list(cell_slices(cells_by_degree(family, n, k, ranks)))
             assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
@@ -197,6 +207,24 @@ def test_a_wrong_group_on_either_side_fails_exactly_its_check(
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = [(r.check, r.params) for r in summary.results if not r.ok]
     assert failures == [(check, f"family={family} n={n} k={k}")]
+
+
+def test_rows_keep_grid_order_though_columns_compute_them(monkeypatch, capsys):
+    # the k = 3 column computes U(2,3) before the k = 5 column reaches
+    # U(1,5), but the grid, n before k, reports U(1,5) first
+    _plant(monkeypatch, "reduced_l_homology", Family.COMPLEX, 2, 3)
+    _plant(monkeypatch, "reduced_l_homology", Family.COMPLEX, 1, 5)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = [(r.check, r.params) for r in summary.results if not r.ok]
+    assert failures == [
+        ("reduced-closed-vs-oracle", "family=U n=1 k=5"),
+        ("reduced-closed-vs-oracle", "family=U n=2 k=3"),
+    ]
+    assert summary.first_failure().params == "family=U n=1 k=5"
+    argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
+    out = capsys.readouterr().out
+    assert "first failure: reduced-closed-vs-oracle at family=U n=1 k=5\n" in out
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
@@ -401,14 +429,15 @@ def test_an_empty_enumeration_fails_its_rows_and_the_grid_reports(
     monkeypatch, capsys
 ):
     rows = len(verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES).results)
-    original = verification.cells_by_degree
+    original = verification._cell_checks
 
-    def emptied(family, n, k, ranks=None):
+    def emptied(family, n, k, cells, *rest):
+        # the full complex alone: its rank-n band is still there
         if (family, n, k) == (Family.COMPLEX, 2, 4):
-            return {}
-        return original(family, n, k, ranks)
+            cells = {}
+        return original(family, n, k, cells, *rest)
 
-    monkeypatch.setattr(verification, "cells_by_degree", emptied)
+    monkeypatch.setattr(verification, "_cell_checks", emptied)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert len(summary.results) == rows
     point = "family=U n=2 k=4"
