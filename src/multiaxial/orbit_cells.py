@@ -72,10 +72,9 @@ def cells_by_rank(
         Family.require(family)
     wanted = list(filter(ranks.__contains__, range(1, n + 1)))
     low, top = min(wanted, default=1), max(wanted, default=0)
-    # grown[r]: the masks of rank r with pivots <= m by dimension (rank 0's
-    # in -1); pivot m's bit is above each, so appending keeps every list
-    # ascending.  Rank r stops growing once the k - m pivots to come cannot
-    # lift it to low.
+    # grown[r]: rank r's masks with pivots <= m by dimension (rank 0's in -1);
+    # pivot m's bit is above each, so appending keeps every list ascending.
+    # Rank r stops growing once the k - m pivots to come cannot lift it to low.
     grown: list[dict[int, list[int]]] = [{-1: [0]}] + [{} for _ in range(top)]
     for m in range(1, k + 1):
         bit, weight = 1 << (m - 1), a * m - b
@@ -86,9 +85,7 @@ def cells_by_rank(
     return {r: grown[r] for r in wanted}
 
 
-def merge_rank(
-    by_degree: dict[int, list[int]], cells: Mapping[int, list[int]]
-) -> None:
+def merge_rank(by_degree: dict[int, list[int]], cells: Mapping) -> None:
     """Add one rank's cells, dimension -> ascending masks, to by_degree,
     changing no list in place, so cells stays as it was."""
     for p, masks in cells.items():
