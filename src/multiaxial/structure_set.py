@@ -89,7 +89,7 @@ def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:
     return l_coefficient(top)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionSpec:
     """k copies of the defining representation plus j trivial ones."""
 
@@ -129,14 +129,14 @@ def normalize(spec: ActionSpec) -> ActionSpec:
     return replace(spec, n=spec.k) if spec.k < spec.n else spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summand:
     label: str
     group: FGAbelianGroup
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionReport:
     """Labeled summands of a structure set.  The total is their direct sum,
     made here once and never passed in, so the two cannot disagree."""

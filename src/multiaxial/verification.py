@@ -81,7 +81,7 @@ from .structure_set import (
     suspension_embeds,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     check: str
     params: str
@@ -89,7 +89,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationSummary:
     results: tuple[CheckResult, ...]
 

@@ -221,3 +221,75 @@ def test_large_prime_orders_are_never_factored():
     assert not z_p.embeds_in(FGAbelianGroup.with_two_torsion(0, 5))
     assert FGAbelianGroup.from_orders([p, p, 2]) == z_p.direct_sum(z_2p)
     assert time.perf_counter() - started < 0.5
+
+
+def factor_at(chain, i):
+    """The i-th largest factor of a run-length chain, 1 past its end."""
+    for order, count in reversed(chain):
+        if i <= count:
+            return order
+        i -= count
+    return 1
+
+
+def positional_embeds(mine, theirs):
+    """Reference embedding test: position by position from the largest
+    factor, checked at every run end of both chains, where either factor
+    may change."""
+    ends = set()
+    for chain in (mine.torsion, theirs.torsion):
+        end = 0
+        for _, count in reversed(chain):
+            end += count
+            ends.add(end)
+    return mine.free_rank <= theirs.free_rank and all(
+        factor_at(theirs.torsion, i) % factor_at(mine.torsion, i) == 0
+        for i in ends
+    )
+
+
+multiplicities = st.one_of(
+    st.integers(1, 4), st.integers(1, 10**15), st.just(10**15)
+)
+
+
+@st.composite
+def run_chains(draw):
+    """A divisibility chain of up to four runs, multiplicities up to 10**15."""
+    chain, order = [], 1
+    for step in draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=4)):
+        order *= step
+        chain.append((order, draw(multiplicities)))
+    return FGAbelianGroup(draw(st.integers(0, 3)), tuple(chain))
+
+
+@st.composite
+def embedding_pairs(draw):
+    """(self, other): other unrelated, equal, a bottom or top slice of self
+    with its own free rank, self with one multiplicity moved by up to 3 (so
+    other's factor can change inside a run of self), or a sum containing
+    self."""
+    mine = draw(run_chains())
+    runs = mine.torsion
+    free = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(["moved", "slice", "sum", "equal", "apart"]))
+    if shape == "moved" and runs:
+        i = draw(st.integers(0, len(runs) - 1))
+        shift = draw(st.sampled_from([-3, -2, -1, 1, 2]))
+        runs = runs[:i] + ((runs[i][0], max(1, runs[i][1] + shift)),) + runs[i + 1:]
+        return mine, FGAbelianGroup(free, runs)
+    if shape == "slice":
+        cut = draw(st.integers(0, len(runs)))
+        return mine, FGAbelianGroup(free, draw(st.sampled_from([runs[:cut], runs[cut:]])))
+    if shape == "sum":
+        return mine, mine.direct_sum(draw(run_chains()))
+    if shape == "equal":
+        return mine, mine
+    return mine, draw(run_chains())
+
+
+@given(embedding_pairs())
+def test_embeds_in_matches_positional_reference(pair):
+    mine, theirs = pair
+    assert mine.embeds_in(theirs) == positional_embeds(mine, theirs)
+    assert theirs.embeds_in(mine) == positional_embeds(theirs, mine)
