@@ -4,31 +4,33 @@ Partitions in a box and their parity split
 
 """
 
+import itertools
+from collections import Counter
 from math import comb
 
 from multiaxial.family import Family
-from multiaxial.grassmannian import (
-    count_A_B,
-    count_a_b,
-    enumerate_box_partitions,
-    grassmannian_betti,
-)
+from multiaxial.grassmannian import count_A_B, count_a_b
 
 # A partition in an n x w box is a weakly increasing tuple of n entries,
 # each between 0 and w. These index the Schubert cells of the Grassmannian
 # of n-planes in (n + w)-space, one cell of real dimension 2 * sum(mu) per
-# partition mu.
+# partition mu. The package never lists them; here the box is listed to
+# show what its counts count.
 
 n, w = 2, 3
-partitions = enumerate_box_partitions(n, w)
+partitions = list(itertools.combinations_with_replacement(range(w + 1), n))
 print(f"partitions in a {n} x {w} box:")
 for mu in partitions:
     print(f"  {mu}  weight {sum(mu)}")
 print(f"count = {len(partitions)}, expected C({n + w},{n}) = {comb(n + w, n)}")
+even = sum(1 for mu in partitions if sum(mu) % 2 == 0)
+print(f"even weight {even}, odd weight {len(partitions) - even}:",
+      count_A_B(n, n + w))
 
 # The weight parity splits the count in two. For the group computations
 # the even-weight cells each contribute a Z and the odd-weight cells a Z_2,
-# so the pair (A, B) below is the whole answer in compressed form.
+# so the pair (A, B) below is the whole answer in compressed form. It comes
+# from a closed form, without listing the box.
 print()
 for k in range(2, 7):
     a, b = count_A_B(2, k)
@@ -48,9 +50,10 @@ print("reduced counts at n=2, k=5:")
 print("  complex     ", count_a_b(2, 5, Family.COMPLEX))
 print("  quaternionic", count_a_b(2, 5, Family.QUATERNIONIC))
 
-# Betti numbers come from the same enumeration, graded by 2 * weight.
+# Betti numbers come from the same listing, graded by 2 * weight.
 print()
-betti = grassmannian_betti(enumerate_box_partitions(2, 2))
+box = itertools.combinations_with_replacement(range(3), 2)  # the 2 x 2 box
+betti = dict(sorted(Counter(2 * sum(mu) for mu in box).items()))
 print("Betti numbers of G(2,4):", betti)
 print("Poincare polynomial:",
       " + ".join(f"{r}t^{d}" if r > 1 else f"t^{d}" for d, r in betti.items()))

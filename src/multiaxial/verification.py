@@ -8,62 +8,51 @@ another check or tier-1 already proves is not checked again:
     boundary rank in two degrees that both hold cells, and tier-1 pins it;
   - the rank-n complex's empty boundary: full-rank-dimension-parity
     leaves no two of its cells in adjacent degrees;
-  - a + b = C(k - 1, n) and, on the odd gap, where k*n is even, the
-    complex count_a_b equal to count_A_B(n, k - 1): the family's parity
-    row splits the inner box, the (n, k - 1) box that partition-enumeration
-    sizes and whose own parity row splits it alike.
+  - the parity counts and their transpose symmetry: tier-1 compares
+    count_A_B and each family's count_a_b with a listing of the box, and
+    the relative and reduced rows compare the groups built from them with
+    the oracle's at every cell point of the grid.
 The CLI verify subcommand and the acceptance tests both run through here.
 
-Each scope is one generator: the (n, k) box, that box for each family, the
-(family, n, k) cell point and the (family, n, k, j) spec.  It computes its
-shared data once, as plain locals, and yields (name, (ok, detail)) in
-output order, skipping a check that does not apply.  One listing of a box
-serves the box and each family's box.  Cell points are computed by
-(family, k) column from one cells_by_rank growth, and reported in grid
-order: a point's full complex merges ranks 1..n, its rank-n complex
-(faces outside the band dropped) is rank n's map, and each streams
+Each scope is one generator: the (family, n, k) cell point and the
+(family, n, k, j) spec.  It computes its shared data once, as plain
+locals, and yields (name, (ok, detail)) in output order.  Cell points are
+computed by (family, k) column from one cells_by_rank growth, and reported
+in grid order: a point's full complex merges ranks 1..n, its rank-n
+complex (faces outside the band dropped) is rank n's map, and each streams
 through integral_homology once, two adjacent degrees at a time;
 cell-census counts the full complex itself, so an empty one fails it and
 every oracle read.  Its relative, reduced and absolute reads go into one
 table keyed by (family, rank, k), and each structure-set summand is
-compared with a read there, never with the closed forms that built it.
-A spec reads its report and the one at k + 2, each computed once per
-call.  The oracle's reads get only integral homology and the top cell's
-degree, never the closed top-degree formula, which cell-census compares
-with that degree.  The checks compare routes, not linear algebra: the
-elimination, its agreement with the dense Smith normal form and its
-independence of generator order are tier-1 tests.
+compared with a read there, never with the closed forms that built it.  A
+spec reads its report and the one at k + 2, each computed once per call.
+The oracle's reads get only integral homology and the top cell's degree,
+never the closed top-degree formula, which cell-census compares with that
+degree.  The checks compare routes, not linear algebra: the elimination,
+its agreement with the dense Smith normal form and its independence of
+generator order are tier-1 tests.
 
 run_verification is the one consumer: it walks the grid and is the only
 place that makes a CheckResult.  Every detail names what its check saw,
 pass or fail.  Oracle homology that a read_* function refuses (torsion
 where the assembly needs none) fails each row reading it, with the reason
-as detail, instead of ending the run; so does a summand label that no
-read places, in summand-closed-vs-oracle.  A ValueError raised while a
-cell point computes its homology or a spec its reports (a rank gone
-negative, say) fails every row reading that value, with the message as
-detail, and the rest of the grid still reports.  Nothing is kept between
-calls, so a second call recomputes all of it.
+as detail, instead of ending the run; so does a summand label that no read
+places, in summand-closed-vs-oracle.  A ValueError raised while a cell
+point computes its closed or oracle groups or a spec its reports (a rank
+gone negative, say) fails every row reading that value, with the message
+as detail, and the rest of the grid still reports.  Nothing is kept
+between calls, so a second call recomputes all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import zip_longest
 from math import comb
 from typing import NamedTuple
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError
-from .grassmannian import (
-    count_A_B,
-    count_A_B_oracle,
-    count_a_b,
-    count_a_b_oracle,
-    enumerate_box_partitions,
-    grassmannian_betti,
-)
 from .homology import integral_homology
 from .l_homology import (
     one_residue_class,
@@ -157,50 +146,6 @@ class _Reads(NamedTuple):
     absolute: FGAbelianGroup | ValueError
 
 
-def _gaussian_binomials(max_n: int, max_k: int) -> dict[tuple[int, int], list]:
-    """(k, n) -> coefficients of [k choose n]_q, constant term first, for
-    every n <= max_n and k <= max_k, from one sweep of the q-Pascal rule
-    [k, n] = [k-1, n-1] + q^n [k-1, n], so the Schubert cells of each
-    weight are counted without listing them."""
-    table = {}
-    rows = [[1]] + [[] for _ in range(max_n)]  # [k, m] for m = 0..max_n
-    for k in range(max_k + 1):
-        for m, row in enumerate(rows):
-            table[k, m] = row
-        for m in range(max_n, 0, -1):  # rows[m - 1] still holds this k
-            shifted = [0] * m + rows[m] if rows[m] else []
-            rows[m] = [
-                a + b for a, b in zip_longest(rows[m - 1], shifted, fillvalue=0)
-            ]
-    return table
-
-
-def _box_checks(n: int, k: int, partitions: list, gaussian: list):
-    yield "partition-enumeration", (
-        partitions == sorted(set(partitions)) and len(partitions) == comb(k, n),
-        f"{len(partitions)} partitions",
-    )
-    a_b = tuple(count_A_B(n, k))
-    listed = tuple(count_A_B_oracle(partitions))
-    yield "parity-count-formula-vs-enumeration", (
-        a_b == listed, f"A,B formula {a_b} vs listed {listed}"
-    )
-    if k > n:
-        transpose = tuple(count_A_B(k - n, k))
-        yield "transpose-duality", (a_b == transpose, f"{a_b} vs {transpose}")
-    betti = grassmannian_betti(partitions)
-    expected = {2 * i: c for i, c in enumerate(gaussian)}
-    yield "betti-total", (betti == expected, f"{betti} vs {expected}")
-
-
-def _family_box_checks(family: Family, n: int, k: int, partitions: list):
-    reduced = count_a_b(n, k, family)
-    listed = count_a_b_oracle(n, k, family, partitions)
-    yield "parity-count-formula-vs-enumeration", (
-        reduced == listed, f"a,b formula {tuple(reduced)} vs listed {tuple(listed)}"
-    )
-
-
 def _cell_checks(family: Family, n: int, k: int, cells, full_rank, reads: dict):
     total_cells = sum(map(len, cells.values()))
     counted = f"{total_cells} cells" if cells else "empty enumeration"
@@ -228,11 +173,14 @@ def _cell_checks(family: Family, n: int, k: int, cells, full_rank, reads: dict):
         _or_error(read_reduced_l_homology, homology, top),
         _or_error(read_l_homology, homology, top),
     )
-    for name, closed, oracle in (
-        ("relative-closed-vs-oracle", relative_l_homology(family, n, k), read.relative),
-        ("reduced-closed-vs-oracle", reduced_l_homology(family, n, k), read.reduced),
+    for name, route, oracle in (
+        ("relative-closed-vs-oracle", relative_l_homology, read.relative),
+        ("reduced-closed-vs-oracle", reduced_l_homology, read.reduced),
     ):
-        yield name, _failed(oracle) or (closed == oracle, f"{closed} vs {oracle}")
+        closed = _or_error(route, family, n, k)
+        yield name, _failed(closed) or _failed(oracle) or (
+            closed == oracle, f"{closed} vs {oracle}"
+        )
     yield "collapse-certificate", _failed(homology) or (
         read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
     )
@@ -355,15 +303,6 @@ def run_verification(
         for name, (ok, detail) in checks:
             results.append(CheckResult(name, params, ok, detail))
 
-    gaussian_binomials = _gaussian_binomials(max_n, max_k)
-    for n, k in _grid(max_n, max_k):
-        partitions = enumerate_box_partitions(n, k - n)
-        run(f"n={n} k={k}", _box_checks(n, k, partitions, gaussian_binomials[k, n]))
-        for family in families:
-            run(
-                f"family={family} n={n} k={k}",
-                _family_box_checks(family, n, k, partitions),
-            )
     reads: dict[tuple[Family, int, int], _Reads] = {}
     cell_rows = dict(_cell_columns(families, max_n, max_k, reads))
     for family in families:

@@ -9,7 +9,7 @@ from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
-from multiaxial import cli, grassmannian
+from multiaxial import cli
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family, UsageError, require_valid
 from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_degree
@@ -252,7 +252,6 @@ def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
     [
         lambda: Family.parse("X"),
         lambda: require_valid(0, 2),
-        lambda: grassmannian.enumerate_box_partitions(0, 2),
         lambda: ActionSpec(Family.COMPLEX, -1, 2),
         lambda: run_verification(0, 8, 2),
         lambda: run_verification(1, 1, -1),
@@ -260,7 +259,7 @@ def test_verify_grid_is_refused_with_the_library_message(capsys, argv, message):
         lambda: run_verification(1, 1, 0, families=()),
     ],
     ids=[
-        "family", "require_valid", "box_partitions", "action_spec",
+        "family", "require_valid", "action_spec",
         "grid_bounds", "grid_max_j", "grid_families", "grid_no_families",
     ],
 )
@@ -468,14 +467,10 @@ def test_patched_commands_take_effect_on_a_reused_parser(capsys, monkeypatch):
     assert code == 4 and "fake-check" in out
 
 
-# the whole verify report over grids of 880 and 1,932 checks; a change
+# the whole verify report over grids of 728 and 1,596 checks; a change
 # to any check's name, order or count shows here
 VERIFY_4_8_2 = """\
 verification grid: n<=4 k<=8 j<=2 families=U,Sp
-  partition-enumeration: 26 passed, 0 failed  [ok]
-  parity-count-formula-vs-enumeration: 78 passed, 0 failed  [ok]
-  betti-total: 26 passed, 0 failed  [ok]
-  transpose-duality: 22 passed, 0 failed  [ok]
   cell-census: 52 passed, 0 failed  [ok]
   full-rank-dimension-parity: 52 passed, 0 failed  [ok]
   relative-closed-vs-oracle: 52 passed, 0 failed  [ok]
@@ -484,15 +479,11 @@ verification grid: n<=4 k<=8 j<=2 families=U,Sp
   summand-closed-vs-oracle: 156 passed, 0 failed  [ok]
   branch-dispatch: 156 passed, 0 failed  [ok]
   suspension-monotone: 156 passed, 0 failed  [ok]
-total: 880 passed, 0 failed
+total: 728 passed, 0 failed
 """
 
 VERIFY_6_12_2 = """\
 verification grid: n<=6 k<=12 j<=2 families=U,Sp
-  partition-enumeration: 57 passed, 0 failed  [ok]
-  parity-count-formula-vs-enumeration: 171 passed, 0 failed  [ok]
-  betti-total: 57 passed, 0 failed  [ok]
-  transpose-duality: 51 passed, 0 failed  [ok]
   cell-census: 114 passed, 0 failed  [ok]
   full-rank-dimension-parity: 114 passed, 0 failed  [ok]
   relative-closed-vs-oracle: 114 passed, 0 failed  [ok]
@@ -501,7 +492,7 @@ verification grid: n<=6 k<=12 j<=2 families=U,Sp
   summand-closed-vs-oracle: 342 passed, 0 failed  [ok]
   branch-dispatch: 342 passed, 0 failed  [ok]
   suspension-monotone: 342 passed, 0 failed  [ok]
-total: 1932 passed, 0 failed
+total: 1596 passed, 0 failed
 """
 
 

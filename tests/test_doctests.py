@@ -76,6 +76,33 @@ def test_every_parameter_is_read():
     assert not unread, unread
 
 
+def test_every_module_level_name_is_read():
+    # a function or class that nothing in the package loads by name is dead
+    # code, such as a helper left behind when its last caller was deleted;
+    # a name read only inside its own def or class does not count
+    package = pathlib.Path(abelian.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, definitions)
+        and not any(
+            isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)
+            and n.id == node.name
+            and not (other == name and node.lineno <= n.lineno <= node.end_lineno)
+            for other, other_tree in trees.items()
+            for n in ast.walk(other_tree)
+        )
+    ]
+    assert not unread, unread
+
+
 def test_acceptance_passes_in_optimized_mode():
     # python -O strips the package's assert statements; pytest rewrites the
     # test file's own asserts, so every criterion is still checked

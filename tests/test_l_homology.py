@@ -5,12 +5,7 @@ import pytest
 from multiaxial import homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.grassmannian import (
-    count_A_B,
-    count_a_b,
-    count_a_b_oracle,
-    enumerate_box_partitions,
-)
+from multiaxial.grassmannian import count_A_B, count_a_b
 from multiaxial.l_homology import (
     _torsion_free_ranks,
     assemble_l_homology,
@@ -222,7 +217,7 @@ def test_one_residue_class(family, n, degrees, holds):
     "call",
     [
         lambda: count_a_b(2, 5, "U"),
-        lambda: count_a_b_oracle(2, 5, "U", [(0, 0)]),
+        lambda: relative_l_homology_oracle("U", 2, 5),
         lambda: relative_l_homology("U", 2, 5),
         lambda: read_collapse("U", 2, {}),
         lambda: cells_by_degree("U", 2, 5),
@@ -259,9 +254,8 @@ def test_a_rank_or_copy_count_that_is_not_an_int_is_refused(call):
     [
         lambda: l_coefficient(2.0),
         lambda: l_coefficient(True),
-        lambda: enumerate_box_partitions(True, 2),
     ],
-    ids=["float_q", "bool_q", "bool_box_n"],
+    ids=["float_q", "bool_q"],
 )
 def test_a_bound_or_degree_that_is_not_an_int_is_refused(call):
     # each of these used to answer: 2.0 as 2, True as 1

@@ -4,6 +4,7 @@ cross-checks still catch a wrong answer on either side."""
 import sys
 from collections import Counter
 from dataclasses import replace
+from math import comb
 
 import pytest
 
@@ -395,6 +396,34 @@ def test_a_fault_in_the_closed_constructor_fails_the_closed_vs_oracle_rows(
     assert capsys.readouterr().err == ""
 
 
+def _zero_branch_dropped(original):
+    def mutant(k, n):
+        return comb(k // 2, n // 2)
+
+    return mutant
+
+
+# the parity counts then go wrong where even minus odd is 0, at the
+# complex points (n, k) with k even and n odd and the reduced ones with k
+# odd and n odd, which no report reads; one of them asks for Z_2^-1, and
+# its row fails with the message while the rest of the grid reports
+def test_a_fault_that_stops_a_closed_group_fails_its_rows_without_a_traceback(
+    monkeypatch, capsys
+):
+    _everywhere(monkeypatch, grassmannian, "_signed_count", _zero_branch_dropped)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
+    assert failures[("reduced-closed-vs-oracle", "family=U n=1 k=1")] == (
+        "multiplicity -1 of Z_2 is not >= 1"
+    )
+    assert {check for check, _ in failures} == {
+        "relative-closed-vs-oracle", "reduced-closed-vs-oracle"
+    }
+    argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=str)
 def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
     monkeypatch, family
@@ -543,6 +572,17 @@ def test_a_signed_count_zeroed_for_odd_k_fails_the_rows_reading_that_report(
     }
 
 
+def _build_nothing(monkeypatch):
+    """Make the first thing verify builds, a cell column or a report, fail
+    the test, so a refused grid is seen to build nothing."""
+
+    def boom(*args):
+        raise AssertionError("a refused grid must build nothing")
+
+    for name in ("cells_by_rank", "compute_structure_set"):
+        monkeypatch.setattr(verification, name, boom)
+
+
 @pytest.mark.parametrize(
     "grid",
     [
@@ -554,20 +594,14 @@ def test_a_signed_count_zeroed_for_odd_k_fails_the_rows_reading_that_report(
     ],
 )
 def test_a_bad_grid_is_refused_before_any_check(monkeypatch, grid):
-    def boom(*args):
-        raise AssertionError("a refused grid must build nothing")
-
-    monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
+    _build_nothing(monkeypatch)
     with pytest.raises(ValueError):
         verification.run_verification(*grid)
 
 
 def test_a_family_that_is_not_a_family_is_refused_before_any_check(monkeypatch):
     # a str would otherwise run as U in some checks and as Sp in others
-    def boom(*args):
-        raise AssertionError("a refused grid must build nothing")
-
-    monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
+    _build_nothing(monkeypatch)
     with pytest.raises(TypeError, match="'U' is not a Family"):
         verification.run_verification(2, 4, 0, families=("U",))
 
@@ -575,10 +609,7 @@ def test_a_family_that_is_not_a_family_is_refused_before_any_check(monkeypatch):
 @pytest.mark.parametrize("grid", [(True, 2, 0), (2, 3, 0.5)])
 def test_a_bound_that_is_not_an_int_is_refused_before_any_check(monkeypatch, grid):
     # True would run as 1, and 0.5 would end in a bare TypeError from range
-    def boom(*args):
-        raise AssertionError("a refused grid must build nothing")
-
-    monkeypatch.setattr(verification, "enumerate_box_partitions", boom)
+    _build_nothing(monkeypatch)
     with pytest.raises(TypeError, match="must be ints"):
         verification.run_verification(*grid)
 
