@@ -9,7 +9,8 @@ from collections import Counter
 from math import comb
 
 from multiaxial.family import Family
-from multiaxial.grassmannian import count_A_B, count_a_b
+from multiaxial.grassmannian import count_A_B
+from multiaxial.structure_set import reduced_l_homology
 
 # A partition in an n x w box is a weakly increasing tuple of n entries,
 # each between 0 and w. These index the Schubert cells of the Grassmannian
@@ -42,13 +43,19 @@ print()
 print("transpose check on a 2 x 3 box vs a 3 x 2 box:")
 print(" ", count_A_B(2, 5), "vs", count_A_B(3, 5))
 
-# The one-smaller box governs the reduced (based) variant. In the
-# quaternionic family all cells land in degrees divisible by 4, so the odd
-# count is always zero there.
+# The box one column smaller governs the reduced (based) variant: its
+# cells are the partitions above that stay below column w, so the reduced
+# group is the relative one at k - 1. The paper offsets the complex parity
+# by k * n, which never changes the split. In the quaternionic family all
+# cells land in degrees divisible by 4, so each one gives a Z.
 print()
-print("reduced counts at n=2, k=5:")
-print("  complex     ", count_a_b(2, 5, Family.COMPLEX))
-print("  quaternionic", count_a_b(2, 5, Family.QUATERNIONIC))
+k = n + w
+inner = [mu for mu in partitions if mu[-1] < w]
+odd = sum(1 for mu in inner if (sum(mu) + k * n) % 2)
+print(f"reduced group at n={n}, k={k}, from the listed {n} x {w - 1} box:")
+print(f"  {len(inner)} partitions, even {len(inner) - odd}, odd {odd}")
+print("  complex     ", reduced_l_homology(Family.COMPLEX, n, k))
+print("  quaternionic", reduced_l_homology(Family.QUATERNIONIC, n, k))
 
 # Betti numbers come from the same listing, graded by 2 * weight.
 print()

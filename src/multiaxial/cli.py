@@ -355,7 +355,9 @@ def main(argv=None) -> int:
         _parser.error(str(exc))
     except BrokenPipeError:
         # the reader is gone: the rest goes to devnull, not to a shutdown error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     finally:
         if lift:

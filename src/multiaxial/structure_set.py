@@ -28,7 +28,7 @@ from math import comb
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError, require_valid
-from .grassmannian import count_A_B, count_a_b
+from .grassmannian import count_A_B
 
 
 def l_coefficient(q: int) -> FGAbelianGroup:
@@ -74,9 +74,19 @@ def relative_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
 
 
 def reduced_l_homology(family: Family, n: int, k: int) -> FGAbelianGroup:
-    """Top-degree group of the orbit space with the basepoint removed,
-    from the one-column-smaller box counts."""
-    return FGAbelianGroup.with_two_torsion(*count_a_b(n, k, family))
+    """Top-degree group of the orbit space with the basepoint removed.
+
+    It counts the box partitions that stay below column k - n, the n by
+    (k - n - 1) box, so it is the relative group of n-planes in
+    (k - 1)-space, and 0 at k = n, where that box is empty.  The paper
+    offsets the complex parity by k*n; when k*n is odd, n is odd and k - 1
+    even, so even minus odd is 0 and the offset changes nothing.
+    """
+    require_valid(n, k)
+    if k == n:
+        Family.require(family)
+        return FGAbelianGroup.trivial()
+    return relative_l_homology(family, n, k - 1)
 
 
 def basepoint_correction(family: Family, n: int, k: int) -> FGAbelianGroup:

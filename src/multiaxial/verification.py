@@ -9,9 +9,9 @@ another check or tier-1 already proves is not checked again:
   - the rank-n complex's empty boundary: full-rank-dimension-parity
     leaves no two of its cells in adjacent degrees;
   - the parity counts and their transpose symmetry: tier-1 compares
-    count_A_B and each family's count_a_b with a listing of the box, and
-    the relative and reduced rows compare the groups built from them with
-    the oracle's at every cell point of the grid.
+    count_A_B and each family's reduced group with a listing of the box,
+    and the relative and reduced rows compare the groups built from them
+    with the oracle's at every cell point of the grid.
 The CLI verify subcommand and the acceptance tests both run through here.
 
 Each scope is one generator: the (family, n, k) cell point and the

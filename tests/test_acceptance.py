@@ -19,7 +19,7 @@ import pytest
 
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.grassmannian import count_A_B, count_a_b
+from multiaxial.grassmannian import count_A_B
 from multiaxial.l_homology import assemble_l_homology
 from multiaxial.structure_set import (
     ActionSpec,
@@ -28,6 +28,7 @@ from multiaxial.structure_set import (
     relative_l_homology,
 )
 from multiaxial.verification import run_verification
+from test_grassmannian import listed_counts, two_ranks
 
 COMPLEX_GRID = [(n, k) for n in range(1, 5) for k in range(n, 9)]
 QUATERNIONIC_GRID = [(n, k) for n in range(1, 4) for k in range(n, 7)]
@@ -95,15 +96,17 @@ def test_criterion_1_relative_closed_form_matches_oracle(sweep):
 
 def test_criterion_2_reduced_closed_form_matches_oracle(sweep):
     with criterion(2, "complex reduced group equals oracle, with odd-gap shift") as info:
+        # the reference is the listed inner box, parity offset by k*n
         odd_gap = [(n, k) for n, k in COMPLEX_GRID if (k - n) % 2 == 1]
         for n, k in odd_gap:
-            assert count_a_b(n, k, Family.COMPLEX) == count_A_B(n, k - 1), (n, k)
+            _, listed = listed_counts(n, k, Family.COMPLEX)
+            assert reduced_l_homology(Family.COMPLEX, n, k) == listed, (n, k)
         passed_at(
             sweep,
             "reduced-closed-vs-oracle",
             family_points(Family.COMPLEX, COMPLEX_GRID),
         )
-        info["note"] = f"shift identity asserted at {len(odd_gap)} odd-gap points"
+        info["note"] = f"listed inner box matched at {len(odd_gap)} odd-gap points"
 
 
 def test_criterion_3_quaternionic_binomial_ranks(sweep):
@@ -154,7 +157,8 @@ def test_criterion_5_counting_identities(sweep):
         ):
             for n, k in grid:
                 assert sum(count_A_B(n, k)) == comb(k, n), (family, n, k)
-                assert sum(count_a_b(n, k, family)) == comb(k - 1, n)
+                reduced = reduced_l_homology(family, n, k)
+                assert sum(two_ranks(reduced)) == comb(k - 1, n), (family, n, k)
         for n, k in COMPLEX_GRID:
             if k > n:
                 assert count_A_B(n, k).even_count == count_A_B(k - n, k).even_count

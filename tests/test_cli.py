@@ -434,6 +434,25 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(args):
     assert (done.returncode, done.stderr) == (141, b"")
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_a_closed_stdout_in_process_leaves_no_descriptor_open():
+    # main is also called in process, so each closed pipe it sends to
+    # devnull must leave the count of open descriptors where it was
+    args = ["export-complex", "--family", "U", "--n", "6", "--k", "14",
+            "--format", "json"]
+    before = len(os.listdir("/proc/self/fd"))
+    codes = []
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream, redirect_stdout(stream):
+            codes.append(cli.main(args))
+    assert codes == [141] * 3
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_parser_is_built_once_and_carries_no_state(capsys, monkeypatch):
     built = []
     original = cli.build_parser

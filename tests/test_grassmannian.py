@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.grassmannian import count_A_B, count_a_b
+from multiaxial.grassmannian import count_A_B
+from multiaxial.structure_set import reduced_l_homology
 
 
 def brute_force_partitions(n, bound):
@@ -32,14 +34,24 @@ def parity_split(partitions, offset=0):
 
 
 def listed_counts(n, k, family):
-    """count_A_B(n, k) and count_a_b(n, k, family) by listing the box: the
-    reduced counts split the part of it that stays below column k - n, with
-    the complex parity offset by k*n and every quaternionic cell even."""
+    """count_A_B(n, k) and reduced_l_homology(family, n, k) by listing the
+    box: the reduced group has a Z per even and a Z_2 per odd cell of the
+    part of it that stays below column k - n, with the complex parity
+    offset by k*n, as the paper states it, and every quaternionic cell
+    even."""
     box = box_partitions(n, k - n)
     inner = [mu for mu in box if mu[-1] < k - n]
     if family is Family.COMPLEX:
-        return parity_split(box), parity_split(inner, k * n)
-    return parity_split(box), (len(inner), 0)
+        reduced = parity_split(inner, k * n)
+    else:
+        reduced = len(inner), 0
+    return parity_split(box), FGAbelianGroup.with_two_torsion(*reduced)
+
+
+def two_ranks(group):
+    """(free rank, number of Z_2) of a group whose torsion is all Z_2."""
+    assert all(order == 2 for order, _ in group.torsion), group
+    return group.free_rank, sum(count for _, count in group.torsion)
 
 
 def test_enumeration_matches_brute_force():
@@ -56,17 +68,22 @@ def test_count_A_B_examples():
     assert tuple(count_A_B(1, 3)) == (2, 1)
 
 
-def test_count_a_b_examples():
-    assert tuple(count_a_b(2, 2, Family.COMPLEX)) == (0, 0)
-    assert tuple(count_a_b(1, 2, Family.COMPLEX)) == (1, 0)
-    assert tuple(count_a_b(1, 2, Family.QUATERNIONIC)) == (1, 0)
+def test_reduced_group_examples():
+    # at k = n the box one column smaller is empty, in both families
+    for family in Family:
+        for n in range(1, 5):
+            assert reduced_l_homology(family, n, n) == FGAbelianGroup.trivial()
+        assert reduced_l_homology(family, 1, 2) == FGAbelianGroup.free(1)
+    expected = FGAbelianGroup.with_two_torsion(4, 2)
+    assert reduced_l_homology(Family.COMPLEX, 2, 5) == expected
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         count_A_B(3, 2)
-    with pytest.raises(ValueError):
-        count_a_b(3, 2, Family.COMPLEX)
+    for family in Family:
+        with pytest.raises(ValueError):
+            reduced_l_homology(family, 3, 2)
 
 
 def test_counting_identities_up_to_nine():
@@ -74,12 +91,11 @@ def test_counting_identities_up_to_nine():
         for k in range(n, 10):
             a, b = count_A_B(n, k)
             assert a + b == comb(k, n)
-            ra, rb = count_a_b(n, k, Family.COMPLEX)
-            assert ra + rb == comb(k - 1, n)
-            qa, qb = count_a_b(n, k, Family.QUATERNIONIC)
-            assert (qa, qb) == (comb(k - 1, n), 0)
+            reduced = reduced_l_homology(Family.COMPLEX, n, k)
+            assert sum(two_ranks(reduced)) == comb(k - 1, n)
+            quaternionic = reduced_l_homology(Family.QUATERNIONIC, n, k)
+            assert quaternionic == FGAbelianGroup.free(comb(k - 1, n))
             if k > n:
-                assert (ra, rb) == tuple(count_A_B(n, k - 1))
                 assert (a, b) == tuple(count_A_B(k - n, k))
 
 
@@ -95,7 +111,9 @@ def test_parity_split_matches_brute_force(n, gap):
 @given(st.integers(1, 16), st.integers(0, 15), st.sampled_from(list(Family)))
 def test_formula_counts_match_enumeration(n, gap, family):
     k = min(n + gap, 16)
-    assert (count_A_B(n, k), count_a_b(n, k, family)) == listed_counts(n, k, family)
+    assert (count_A_B(n, k), reduced_l_homology(family, n, k)) == listed_counts(
+        n, k, family
+    )
 
 
 def test_formula_counts_at_large_sizes():
@@ -103,6 +121,9 @@ def test_formula_counts_at_large_sizes():
     a, b = count_A_B(200, 450)
     assert a + b == comb(450, 200)
     assert a - b == comb(225, 100)
-    ra, rb = count_a_b(200, 450, Family.COMPLEX)
-    assert ra + rb == comb(449, 200)
-    assert (ra, rb) == tuple(count_A_B(200, 449))
+    # the reduced split by the paper's offset k*n: even at (200, 450), so
+    # [449 choose 200] at q = -1; odd at (201, 451), where that is 0
+    ra, rb = two_ranks(reduced_l_homology(Family.COMPLEX, 200, 450))
+    assert (ra + rb, ra - rb) == (comb(449, 200), comb(224, 100))
+    ra, rb = two_ranks(reduced_l_homology(Family.COMPLEX, 201, 451))
+    assert (ra + rb, ra - rb) == (comb(450, 201), 0)

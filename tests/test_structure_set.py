@@ -296,7 +296,7 @@ def test_oracle_route_never_reads_the_closed_form(monkeypatch):
         for n, k in points
     }
     for module in (grassmannian, structure_set):
-        for name in ("count_A_B", "count_a_b", "comb"):
+        for name in ("count_A_B", "comb"):
             monkeypatch.setattr(module, name, refuse)
     # the oracle reads its top degree from its own cells, not the formula
     monkeypatch.setattr(structure_set, "orbit_space_dimension", refuse)
@@ -374,6 +374,8 @@ def test_the_two_route_closures_meet_only_in_the_shared_vocabulary():
     # the parity counts reach everything else through the groups they build
     counted = {name for name, imported in imports.items() if "grassmannian" in imported}
     assert counted == {"structure_set"}, counted
+    # grassmannian counts boxes and structure_set picks each family's box
+    assert not hasattr(grassmannian, "Family")
     both = {
         name
         for name, imported in imports.items()

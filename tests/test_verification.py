@@ -4,7 +4,6 @@ cross-checks still catch a wrong answer on either side."""
 import sys
 from collections import Counter
 from dataclasses import replace
-from math import comb
 
 import pytest
 
@@ -396,26 +395,33 @@ def test_a_fault_in_the_closed_constructor_fails_the_closed_vs_oracle_rows(
     assert capsys.readouterr().err == ""
 
 
-def _zero_branch_dropped(original):
-    def mutant(k, n):
-        return comb(k // 2, n // 2)
+def _odd_gap_odd_count_negated(original):
+    def mutant(n, k):
+        count = original(n, k)
+        if (k - n) % 2 == 0:
+            return count
+        return count._replace(odd_count=-count.odd_count)
 
     return mutant
 
 
-# the parity counts then go wrong where even minus odd is 0, at the
-# complex points (n, k) with k even and n odd and the reduced ones with k
-# odd and n odd, which no report reads; one of them asks for Z_2^-1, and
-# its row fails with the message while the rest of the grid reports
+# the complex counts then ask for Z_2^-1 at every odd gap k - n, which no
+# report reads: a summand reads the relative group at even gaps only, and
+# the reduced group at odd gaps, where its box one column smaller has an
+# even gap; so only the relative and reduced rows fail, each with the
+# message, while the rest of the grid reports
 def test_a_fault_that_stops_a_closed_group_fails_its_rows_without_a_traceback(
     monkeypatch, capsys
 ):
-    _everywhere(monkeypatch, grassmannian, "_signed_count", _zero_branch_dropped)
+    _everywhere(monkeypatch, grassmannian, "count_A_B", _odd_gap_odd_count_negated)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
-    assert failures[("reduced-closed-vs-oracle", "family=U n=1 k=1")] == (
-        "multiplicity -1 of Z_2 is not >= 1"
-    )
+    for check, k in (
+        ("relative-closed-vs-oracle", 2), ("reduced-closed-vs-oracle", 3)
+    ):
+        assert failures[(check, f"family=U n=1 k={k}")] == (
+            "multiplicity -1 of Z_2 is not >= 1"
+        )
     assert {check for check, _ in failures} == {
         "relative-closed-vs-oracle", "reduced-closed-vs-oracle"
     }
