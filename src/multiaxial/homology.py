@@ -1,23 +1,15 @@
 """Exact integer chain complexes and their homology.
 
-A boundary is stored as sparse columns, one row -> coefficient map per
-generator holding only the nonzero entries.  Integral homology first splits
-off every column with a +-1 entry alone in its row: such a pivot needs no
-update at all, since the Schur complement of a pivot only changes the
-columns with an entry in the pivot row.  In an orbit-space complex every
-nonzero column has such a unit, a free face with exactly one coface, the
-elementary collapse of coreduction (Mrozek and Batko, Discrete Comput.
-Geom. 41, 2009).  The residual is whatever the split leaves, every other
-nonzero column; it goes as one dense block to the Smith normal form, and
-for the orbit-space complexes it is empty.
-
 A complex is an ascending stream of (degree, generators, sparse columns)
-slices, never held whole, and checked_slices is its one check.
-integral_homology reads it holding two adjacent slices, as a degree's
-group needs only its two boundaries and d^2 only adjacent pairs, and
-eliminates each nonzero boundary once, over Z.  The dense
-smith_normal_form is also the reference that the sparse split is tested
-against on matrices with torsion.
+slices, never held whole, and checked_slices is its one check.  split_units
+drops each column holding a +-1 alone in its row, as the Schur complement of
+that pivot changes no other column; in an orbit-space complex every nonzero
+column has one, a free face with one coface (coreduction, Mrozek and Batko,
+DCG 41, 2009).  The rest goes as one block to smith_normal_form, also the
+split's reference in tier-1.  FilteredHomology reads a stream once, each
+generator at a step, for the homology of every nested subcomplex F_s and of
+F_s over F_(s-1) (Zomorodian and Carlsson, DCG 33, 2005); integral_homology
+is its one-step case.
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -32,9 +24,11 @@ Bounding it is an open ROADMAP item.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, compress
+from operator import add
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .abelian import FGAbelianGroup
 
@@ -136,26 +130,35 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
 
 
 def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
-    """smith_normal_form of a matrix given as sparse columns.
-
-    Pivoting on a unit u at (r, c) is unimodular and leaves [u] plus the
-    Schur complement A - A[:, c] u^-1 A[r, :], which only changes the
-    columns that have an entry in row r.  So the rows are counted first,
-    over all entries, and a column holding a unit that is the only entry of
-    its row is counted as a factor 1 and dropped, with no update.  The other
-    isolated units stay isolated, since dropping a column adds no entry to
-    any row.  Every column left goes, as dense rows without the zero rows,
-    to the dense Smith normal form.
+    """smith_normal_form of a matrix given as sparse columns: split_units,
+    then smith_normal_form of what it leaves, as rows without the zero rows.
 
     >>> sparse_invariant_factors([{0: 2, 1: 6}, {0: 4, 1: 8}])
     [2, 4]
     >>> sparse_invariant_factors([{0: 1, 1: 2}, {}, {1: 3}])
     [1, 3]
     """
+    units, rest = split_units(columns)
+    factors = [1] * units
+    if rest:
+        rows = sorted({r for column in rest for r in column})
+        factors += smith_normal_form(
+            [[column.get(r, 0) for column in rest] for r in rows]
+        )
+    return factors
+
+
+def split_units(
+    columns: Sequence[Column], over: Iterable[Column] | None = None
+) -> tuple[int, list[Column]]:
+    """The isolated-unit split: how many nonzero columns hold a unit alone
+    in its row of over (these columns if None), and every other nonzero
+    column.  Pivoting on such a unit is unimodular and leaves a factor 1 and
+    the other columns as they were, their isolated units still isolated."""
     # a plain dict: on boundaries of a few columns a Counter's set-up costs
     # more than the counting
     uses: dict[int, int] = {}
-    for r in chain.from_iterable(columns):
+    for r in chain.from_iterable(columns if over is None else over):
         uses[r] = uses.get(r, 0) + 1
     units = 0
     rest: list[Column] = []
@@ -168,13 +171,7 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
                 break
         else:
             rest.append(column)
-    factors = [1] * units
-    if rest:
-        rows = sorted({r for column in rest for r in column})
-        factors += smith_normal_form(
-            [[column.get(r, 0) for column in rest] for r in rows]
-        )
-    return factors
+    return units, rest
 
 
 Slice = tuple[int, Sequence[Hashable], "Sequence[Column] | None"]
@@ -239,31 +236,103 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
         below, rows, lower = p, len(cells), kept
 
 
+class FilteredHomology:
+    """H(F_s) and H(F_s, F_(s-1)) at each step s of a filtered complex.
+
+    step maps a generator to its int step, None every one to 0, and F_s
+    holds the generators at steps <= s, so a face after its coface is
+    refused with a ValueError.  Each column goes once through split_units
+    over its whole boundary, as a unit alone in its row there is alone in
+    every F_s; what it leaves at steps <= s goes to sparse_invariant_factors
+    for F_s, and the band at s keeps the entries whose face is at s too.  A
+    step whose groups cannot be built keeps the ValueError for its reads.
+
+    >>> cells = [(0, "v", None), (1, "ab", [{0: 2}, {}]), (2, "f", [{1: 1}])]
+    >>> steps = FilteredHomology(cells, {"v": 0, "a": 0, "b": 1, "f": 1}.get)
+    >>> print(steps.absolute(0)[0], steps.absolute(1)[0], steps.relative(1))
+    Z_2 Z_2 {}
+    """
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, slices: Iterable[Slice], step: Callable | None = None):
+        at: dict[int, dict] = {}  # step -> degree -> [cells, units, rest, band] it adds
+        ranks: dict[int, list] = {}  # degree -> [cells, units, rest] of F_s
+        below: list[int] = []  # the steps of the slice before
+        for p, cells, columns in checked_slices(slices):
+            if step is None:  # one step: no step per cell, no band and no sweep
+                ranks[p] = [len(cells), *(split_units(columns) if columns else (0, ()))]
+                continue
+            ranks[p] = [0, 0, []]
+            steps = list(map(step, cells))
+            for t in set(steps):
+                if type(t) is not int:
+                    _not_an_int(t, "step")
+                at.setdefault(t, {})[p] = [steps.count(t), 0, [], []]
+            by_step: dict[int, list[Column]] = {}
+            for t, column in compress(zip(steps, columns or ()), columns or ()):
+                by_step.setdefault(t, []).append(column)
+                face = max(map(below.__getitem__, column))
+                if face > t:
+                    raise ValueError(f"a step {t} generator has a later face")
+                if face == t:
+                    band = {r: v for r, v in column.items() if below[r] == t}
+                    at[t][p][3].append(band)
+            for t, group in by_step.items():
+                at[t][p][1:3] = split_units(group, columns)
+            below = steps
+        # step -> (absolute, relative); with one step F_0 is its own band
+        self._groups = {0: (_homology(ranks),) * 2} if step is None else {}
+        for s in sorted(at):  # F_s: each degree's counts up to s
+            for p, entry in at[s].items():
+                ranks[p][:] = map(add, ranks[p], entry[:3])
+            band = {p: (c, 0, b) for p, (c, _, _, b) in at[s].items()}
+            self._groups[s] = _homology(ranks), _homology(band)
+
+    def absolute(self, s: int) -> dict[int, FGAbelianGroup]:
+        """H(F_s), trivial degrees omitted."""
+        below = [t for t in self._groups if t <= s]
+        return self._read(max(below), 0) if below else {}
+
+    def relative(self, s: int) -> dict[int, FGAbelianGroup]:
+        """H(F_s, F_(s-1)), trivial degrees omitted."""
+        return self._read(s, 1) if s in self._groups else {}
+
+    def _read(self, s: int, which: int) -> dict[int, FGAbelianGroup]:
+        if isinstance(groups := self._groups[s][which], ValueError):
+            raise groups
+        return dict(groups)
+
+
+def _homology(ranks: Mapping[int, Sequence]) -> dict[int, FGAbelianGroup] | ValueError:
+    """Homology from each degree's cells, and units and other columns of its
+    boundary, degrees ascending; or the ValueError of a negative rank."""
+    try:
+        factors = {p: sparse_invariant_factors(r[2]) for p, r in ranks.items() if r[2]}
+        result = {}
+        for p, (cells, units, _) in ranks.items():
+            into = factors.get(p + 1, ())  # the incoming boundary's factors
+            free = cells - units - len(factors.get(p, ())) - len(into)
+            free -= ranks.get(p + 1, (0, 0))[1]
+            if into and into[-1] > 1:
+                torsion = FGAbelianGroup.from_orders(into).torsion
+                result[p] = FGAbelianGroup(free, torsion)
+            elif free:
+                result[p] = _free(free)
+        return result
+    except ValueError as error:
+        return error
+
+
+# groups are values, so one Z^r serves every degree that has it
+_free = cache(FGAbelianGroup.free)
+
+
 def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
     """Integral homology of a stream of slices, any iterable of them,
-    trivial degrees omitted, checked by checked_slices as it is read.
-
-    A degree's free rank is its cell count minus the ranks of its two
-    boundaries, each eliminated once by sparse_invariant_factors, and its
-    torsion the incoming one's invariant factors.
+    trivial degrees omitted: FilteredHomology with one step.
 
     >>> print(integral_homology([(0, ["v"], None), (1, ["e"], [{0: 2}])])[0])
     Z_2
     """
-    result = {}
-    held = None  # (degree, cell count, factors of its outgoing boundary)
-    # a last slice of degree None is adjacent to nothing and closes the top
-    for p, cells, columns in chain(checked_slices(slices), [(None, (), None)]):
-        factors = sparse_invariant_factors(columns) if columns else []
-        if held is not None:
-            q, count, outgoing = held
-            incoming = factors if p == q + 1 else []
-            free = count - len(outgoing) - len(incoming)
-            if incoming and incoming[-1] > 1:
-                torsion = FGAbelianGroup.from_orders(incoming).torsion
-                result[q] = FGAbelianGroup(free, torsion)
-            elif free:
-                result[q] = FGAbelianGroup(free, ())
-        held = p, len(cells), factors
-    return result
-
+    return FilteredHomology(slices).absolute(0)

@@ -26,8 +26,8 @@ rank-m stratum pair of every (family, n >= m, k), and merge_rank adds
 ranks up to the whole orbit space or any band, as cells_by_degree does.
 cell_slices streams any such map as ascending (degree, cells, sparse
 columns) slices, the package's one form of a chain complex, which
-homology reads and export-complex writes two adjacent degrees at a time,
-with no dense matrix or string.  cell_label is the one place a cell
+homology reads and export-complex writes once, a slice at a time, with
+no dense matrix or string.  cell_label is the one place a cell
 becomes text, "(m1,...,mr)", and only output that prints a cell calls it.
 """
 

@@ -2,46 +2,30 @@
 
 Every check compares two independent routes to the same number or group,
 or asserts an identity that nothing else proves.  What the construction,
-another check or tier-1 already proves is not checked again:
-  - a report's total, the direct sum of its summands, which it builds;
-  - the homology's Euler characteristic: integral_homology counts each
-    boundary rank in two degrees that both hold cells, and tier-1 pins it;
-  - the rank-n complex's empty boundary: full-rank-dimension-parity
-    leaves no two of its cells in adjacent degrees;
-  - the parity counts and their transpose symmetry: tier-1 compares
-    count_A_B and each family's reduced group with a listing of the box,
-    and the relative and reduced rows compare the groups built from them
-    with the oracle's at every cell point of the grid.
-The CLI verify subcommand and the acceptance tests both run through here.
+another check or tier-1 already proves is not checked again: a report's
+total, the sum of its summands; the Euler characteristic; the rank-n
+complex's empty boundary, as full-rank-dimension-parity leaves no two of
+its cells in adjacent degrees; and the parity counts, which tier-1 compares
+with a listing of the box.  The CLI verify subcommand and the acceptance
+tests both run through here.
 
-Each scope is one generator: the (family, n, k) cell point and the
-(family, n, k, j) spec.  It computes its shared data once, as plain
-locals, and yields (name, (ok, detail)) in output order.  Cell points are
-computed by (family, k) column from one cells_by_rank growth, and reported
-in grid order: a point's full complex merges ranks 1..n, its rank-n
-complex (faces outside the band dropped) is rank n's map, and each streams
-through integral_homology once, two adjacent degrees at a time;
-cell-census counts the full complex itself, so an empty one fails it and
-every oracle read.  Its relative, reduced and absolute reads go into one
-table keyed by (family, rank, k), and each structure-set summand is
-compared with a read there, never with the closed forms that built it.  A
-spec reads its report and the one at k + 2, each computed once per call.
-The oracle's reads get only integral homology and the top cell's degree,
-never the closed top-degree formula, which cell-census compares with that
-degree.  The checks compare routes, not linear algebra: the elimination,
-its agreement with the dense Smith normal form and its independence of
-generator order are tier-1 tests.
+Each (family, k) column grows its cells to rank min(max_n, k) once and
+streams them once through FilteredHomology, a cell's step its rank: the
+point (family, n, k) reads its full complex at step n and its rank-n
+complex as the band at n.  cell-census counts the full complex, so an
+empty one fails it and every oracle read.  The oracle's reads get only
+integral homology and the top cell's degree, into one table keyed by
+(family, rank, k); each structure-set summand is compared with a read
+there, never with the closed forms that built it.  A spec reads its report
+and the one at k + 2, each computed once per call.
 
-run_verification is the one consumer: it walks the grid and is the only
-place that makes a CheckResult.  Every detail names what its check saw,
-pass or fail.  Oracle homology that a read_* function refuses (torsion
-where the assembly needs none) fails each row reading it, with the reason
-as detail, instead of ending the run; so does a summand label that no read
-places, in summand-closed-vs-oracle.  A ValueError raised while a cell
-point computes its closed or oracle groups or a spec its reports (a rank
-gone negative, say) fails every row reading that value, with the message
-as detail, and the rest of the grid still reports.  Nothing is kept
-between calls, so a second call recomputes all of it.
+run_verification walks the grid and is the only place that makes a
+CheckResult.  Every detail names what its check saw, and a row keeps the
+values it prints until its detail is read.  A ValueError while a value is
+computed (torsion a read_* function refuses, a rank gone negative, a face
+after its coface) fails each row reading it, with the message as detail,
+and the rest of the grid still reports; so does a summand label that no
+read places.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -53,7 +37,7 @@ from typing import NamedTuple
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError
-from .homology import integral_homology
+from .homology import FilteredHomology
 from .l_homology import (
     one_residue_class,
     read_collapse,
@@ -72,10 +56,18 @@ from .structure_set import (
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
+    """One row; seen is its detail, or a format string and the values it
+    prints, formatted when detail is read: a row nobody reads formats none."""
+
     check: str
     params: str
     ok: bool
-    detail: str = ""
+    seen: str | tuple = ""
+
+    @property
+    def detail(self) -> str:
+        seen = self.seen
+        return seen if type(seen) is str else seen[0].format(*seen[1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,17 +87,13 @@ class VerificationSummary:
         return self.failed == 0
 
     def first_failure(self) -> CheckResult | None:
-        for r in self.results:
-            if not r.ok:
-                return r
-        return None
+        return next((r for r in self.results if not r.ok), None)
 
     def by_check(self) -> dict[str, tuple[int, int]]:
         """check name -> (passed, failed), in first-seen order."""
         table: dict[str, list[int]] = {}
         for r in self.results:
-            entry = table.setdefault(r.check, [0, 0])
-            entry[0 if r.ok else 1] += 1
+            table.setdefault(r.check, [0, 0])[not r.ok] += 1
         return {name: (p, f) for name, (p, f) in table.items()}
 
 
@@ -115,8 +103,9 @@ def _grid(max_n: int, max_k: int):
             yield n, k
 
 
-def _degrees(degrees) -> str:
-    return " ".join(map(str, sorted(degrees))) or "none"
+class _Words(tuple):  # values a detail prints space separated
+    def __str__(self) -> str:
+        return " ".join(map(str, self))
 
 
 def _or_error(compute, *args):
@@ -146,28 +135,26 @@ class _Reads(NamedTuple):
     absolute: FGAbelianGroup | ValueError
 
 
-def _cell_checks(family: Family, n: int, k: int, cells, full_rank, reads: dict):
-    total_cells = sum(map(len, cells.values()))
-    counted = f"{total_cells} cells" if cells else "empty enumeration"
+def _cell_checks(family, n, k, counts, full_rank, homology, relative, reads):
+    total_cells = sum(counts.values())
     # an interior cell's last pivot is not 1: its mask is even
     full_rank_interior = sum(
         not cell & 1 for slice_p in full_rank.values() for cell in slice_p
     )
-    top = max(cells, default=-1)  # the oracle's top degree; d is the closed route's
+    top = max(counts, default=-1)  # the oracle's top degree; d is the closed route's
     d = orbit_space_dimension(family, n, k)
     yield "cell-census", (
         total_cells == sum(comb(k, r) for r in range(1, n + 1))
-        and len(cells.get(0, ())) == 1
+        and counts.get(0) == 1
         and full_rank_interior == comb(k - 1, n)
         and top == d,
-        f"{counted}, top degree {top} vs {d}",
+        ("{} cells, top degree {} vs {}", total_cells, top, d)
+        if counts else ("empty enumeration, top degree {} vs {}", top, d),
     )
     yield "full-rank-dimension-parity", (
         one_residue_class(family, n, full_rank),
-        f"full-rank cells in degrees {_degrees(full_rank)}",
+        ("full-rank cells in degrees {}", _Words(sorted(full_rank)) or "none"),
     )
-    homology = _or_error(integral_homology, cell_slices(cells))
-    relative = _or_error(integral_homology, cell_slices(full_rank))
     read = reads[family, n, k] = _Reads(
         _or_error(read_l_homology, relative, top),
         _or_error(read_reduced_l_homology, homology, top),
@@ -179,28 +166,39 @@ def _cell_checks(family: Family, n: int, k: int, cells, full_rank, reads: dict):
     ):
         closed = _or_error(route, family, n, k)
         yield name, _failed(closed) or _failed(oracle) or (
-            closed == oracle, f"{closed} vs {oracle}"
+            closed == oracle, ("{} vs {}", closed, oracle)
         )
     yield "collapse-certificate", _failed(homology) or (
-        read_collapse(family, n, homology), f"homology in degrees {_degrees(homology)}"
+        read_collapse(family, n, homology),
+        ("homology in degrees {}", _Words(sorted(homology)) or "none"),
     )
 
 
 def _cell_columns(families, max_n: int, max_k: int, reads: dict):
-    """((family, n, k), rows) of each cell point, from one growth to rank
-    min(max_n, k) per (family, k) column."""
+    """((family, n, k), rows) of each cell point, a column at a time; a
+    cell's rank, its step, is its pivot count, the bit count of its mask."""
     for family in families:
         for k in range(1, max_k + 1):
+            by_rank = cells_by_rank(family, min(max_n, k), k)
             cells: dict[int, list[int]] = {}
-            for n, full_rank in cells_by_rank(family, min(max_n, k), k).items():
+            for full_rank in by_rank.values():
                 merge_rank(cells, full_rank)
-                checks = _cell_checks(family, n, k, cells, full_rank, reads)
+            column = _or_error(FilteredHomology, cell_slices(cells), int.bit_count)
+            counts: dict[int, int] = {}  # the point's cells by degree
+            for n, full_rank in by_rank.items():
+                for p, masks in full_rank.items():
+                    counts[p] = counts.get(p, 0) + len(masks)
+                homology = _or_error(FilteredHomology.absolute, column, n)
+                relative = _or_error(FilteredHomology.relative, column, n)
+                checks = _cell_checks(
+                    family, n, k, counts, full_rank, homology, relative, reads
+                )
                 yield (family, n, k), list(checks)
 
 
-def _spec_checks(family: Family, n: int, k: int, j: int, report_of, reads: dict):
-    report = _or_error(report_of, ActionSpec(family, n, k, j))
-    twice = _or_error(report_of, ActionSpec(family, n, k + 2, j))
+def _spec_checks(family: Family, n: int, k: int, max_j: int, report_of, reads):
+    """(j, rows) of each spec (family, n, k, j <= max_j), which share the
+    reads that place their labels."""
     rank_of = {f"stratum_pair({d})": n - d for d in range(n)} | {"free_stratum": 1}
     # the read that places each label; top ⊕ basepoint's is the absolute one,
     # as H_d(X; L) is the reduced group ⊕ L_d(point)
@@ -208,11 +206,15 @@ def _spec_checks(family: Family, n: int, k: int, j: int, report_of, reads: dict)
     oracle = {label: reads[family, m, k].relative for label, m in rank_of.items()}
     oracle["free_stratum"] = reads[family, 1, k].reduced
     oracle["top"], oracle["top+basepoint"] = here.reduced, here.absolute
-    fail = _failed(report)  # every row reads the report
-    yield "summand-closed-vs-oracle", fail or _summand_row(j, report, oracle)
-    yield "branch-dispatch", fail or _branch_row(n, k, j, report, rank_of, here)
-    fail = fail or _failed(twice)
-    yield "suspension-monotone", fail or _suspension_row(k, report, twice)
+    for j in range(max_j + 1):
+        report = _or_error(report_of, ActionSpec(family, n, k, j))
+        twice = _or_error(report_of, ActionSpec(family, n, k + 2, j))
+        fail = _failed(report)  # every row reads the report
+        yield j, (
+            ("summand-closed-vs-oracle", fail or _summand_row(j, report, oracle)),
+            ("branch-dispatch", fail or _branch_row(n, k, j, report, rank_of, here)),
+            ("suspension-monotone", fail or _suspension_row(k, report, twice)),
+        )
 
 
 def _summand_row(j, report, oracle) -> tuple[bool, str]:
@@ -230,7 +232,7 @@ def _summand_row(j, report, oracle) -> tuple[bool, str]:
     if fail := next(filter(None, map(_failed, reads)), None):
         return fail
     wrong = [label for (label, group), read in zip(summands, reads) if group != read]
-    return not wrong, " ".join(wrong) or f"as read: {' '.join(labels)}"
+    return not wrong, " ".join(wrong) if wrong else ("as read: {}", _Words(labels))
 
 
 def _branch_row(n, k, j, report, rank_of, here) -> tuple[bool, str]:
@@ -244,19 +246,21 @@ def _branch_row(n, k, j, report, rank_of, here) -> tuple[bool, str]:
     if basepoint and (fail := _failed(here.absolute) or _failed(here.reduced)):
         return fail
     basepoint = basepoint and here.absolute != here.reduced
+    shown = ", basepoint" if "basepoint" in labels else ""
     return (
         report.branch == ("odd-gap" if odd_gap else "even-gap")
         and ("top" in labels) == odd_gap
         and ("basepoint" in labels) == basepoint
         and ranks == list(range(2 - k % 2, n + 1, 2)),
-        f"{report.branch}, strata at ranks {_degrees(ranks)}"
-        + (", basepoint" if "basepoint" in labels else ""),
+        ("{}, strata at ranks {}{}", report.branch, _Words(ranks) or "none", shown),
     )
 
 
 def _suspension_row(k, report, twice) -> tuple[bool, str]:
+    if fail := _failed(twice):
+        return fail
     if suspension_embeds(report, twice):
-        return True, f"{report.total} embeds in {twice.total}"
+        return True, ("{} embeds in {}", report.total, twice.total)
     # the rule goes summand by summand, so a summand alone fails it exactly
     # when it is one that does not embed
     missed = ", ".join(
@@ -300,8 +304,8 @@ def run_verification(
     results: list[CheckResult] = []
 
     def run(params: str, checks) -> None:
-        for name, (ok, detail) in checks:
-            results.append(CheckResult(name, params, ok, detail))
+        for name, (ok, seen) in checks:
+            results.append(CheckResult(name, params, ok, seen))
 
     reads: dict[tuple[Family, int, int], _Reads] = {}
     cell_rows = dict(_cell_columns(families, max_n, max_k, reads))
@@ -312,9 +316,7 @@ def run_verification(
     report_of = cache(compute_structure_set)
     for family in families:
         for n, k in _grid(max_n, max_k):
-            for j in range(0, max_j + 1):
-                run(
-                    f"family={family} n={n} k={k} j={j}",
-                    _spec_checks(family, n, k, j, report_of, reads),
-                )
+            point = f"family={family} n={n} k={k}"
+            for j, checks in _spec_checks(family, n, k, max_j, report_of, reads):
+                run(f"{point} j={j}", checks)
     return VerificationSummary(tuple(results))

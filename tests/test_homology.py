@@ -20,6 +20,7 @@ from multiaxial import cli, homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.homology import (
+    FilteredHomology,
     checked_slices,
     integral_homology,
     smith_normal_form,
@@ -563,3 +564,104 @@ def test_euler_characteristic_agrees_with_homology(capsys):
         homology = integral_homology(cell_slices(cells_by_degree(family, 2, 5)))
         chi = sum((-1) ** p * g.free_rank for p, g in homology.items())
         assert exported["euler_characteristic"] == chi
+
+
+@pytest.mark.parametrize("family", [Family.COMPLEX, Family.QUATERNIONIC], ids=str)
+def test_the_filtered_pass_equals_one_step_runs(family):
+    # one pass over a column's top complex, a cell's step its rank, reads
+    # each point's full complex and its rank band as integral_homology does
+    for k in range(1, 10):
+        top = min(5, k)
+        column = FilteredHomology(
+            cell_slices(cells_by_degree(family, top, k)), int.bit_count
+        )
+        for s in range(1, top + 1):
+            full = cells_by_degree(family, s, k)
+            band = cells_by_degree(family, s, k, range(s, s + 1))
+            assert column.absolute(s) == integral_homology(cell_slices(full))
+            assert column.relative(s) == integral_homology(cell_slices(band))
+
+
+def _filtered_stream(filtration):
+    """The stream of degree -> [(generator, step, {face: coefficient})],
+    and each generator's step."""
+    names = {p: [g for g, _, _ in cells] for p, cells in filtration.items()}
+    stream = [
+        (p, names[p], [
+            {names[p - 1].index(face): v for face, v in boundary.items()}
+            for _, _, boundary in cells
+        ])
+        for p, cells in filtration.items()
+    ]
+    steps = {g: t for cells in filtration.values() for g, t, _ in cells}
+    return stream, steps.__getitem__
+
+
+def _dense_homology(filtration, kept):
+    """Homology of the generators whose step kept accepts, faces it does
+    not accept dropped, from the dense Smith normal form alone."""
+    def matrix(p):
+        rows = [g for g, t, _ in filtration.get(p - 1, ()) if kept(t)]
+        columns = [b for _, t, b in filtration.get(p, ()) if kept(t)]
+        return [[column.get(r, 0) for column in columns] for r in rows]
+
+    result = {}
+    for p, cells in filtration.items():
+        into = smith_normal_form(matrix(p + 1))
+        free = sum(map(kept, (t for _, t, _ in cells)))
+        free -= len(smith_normal_form(matrix(p))) + len(into)
+        group = FGAbelianGroup.from_orders([0] * free + into)
+        if group != FGAbelianGroup.trivial():
+            result[p] = group
+    return result
+
+
+# a non-unit pivot entering at a later step: a loop a that f, at step 1,
+# bounds twice and g, at step 2, three times, which frees a again
+LATER_PIVOT = {
+    0: [("v", 0, {}), ("w", 1, {})],
+    1: [("a", 0, {}), ("e", 1, {"v": 1, "w": -1})],
+    2: [("f", 1, {"a": 2}), ("g", 2, {"a": 3})],
+}
+# x is alone in its row at step 0 but shared with c2 in the whole complex
+SHARED_ROW = {
+    1: [("x", 0, {}), ("y", 0, {})],
+    2: [("c1", 0, {"x": 1}), ("c2", 1, {"x": 1, "y": 2})],
+}
+
+
+@pytest.mark.parametrize(
+    "filtration",
+    [LATER_PIVOT, SHARED_ROW],
+    ids=["non-unit-pivot-at-a-later-step", "row-isolated-only-below-the-top"],
+)
+def test_the_filtered_pass_matches_the_dense_snf_on_torsion(filtration):
+    column = FilteredHomology(*_filtered_stream(filtration))
+    for s in (0, 1, 2):
+        assert column.absolute(s) == _dense_homology(filtration, s.__ge__)
+        assert column.relative(s) == _dense_homology(filtration, s.__eq__)
+    # both get their Z_2 in degree 1 at step 1
+    assert column.absolute(0)[1] == FGAbelianGroup.free(1)
+    assert column.absolute(1)[1] == FGAbelianGroup(0, ((2, 1),))
+
+
+def test_the_dense_reference_reads_the_later_pivot():
+    z = FGAbelianGroup.free(1)
+    assert [_dense_homology(LATER_PIVOT, s.__ge__) for s in (0, 1, 2)] == [
+        {0: z, 1: z},
+        {0: z, 1: FGAbelianGroup(0, ((2, 1),))},
+        {0: z, 2: z},
+    ]
+    assert [_dense_homology(LATER_PIVOT, s.__eq__) for s in (0, 1, 2)] == [
+        {0: z, 1: z}, {2: z}, {2: z}
+    ]
+
+
+def test_a_face_at_a_later_step_than_its_coface_is_refused():
+    stream = [(0, ["v"], None), (1, ["e"], [{0: 1}])]
+    with pytest.raises(ValueError, match="a step 0 generator has a later face"):
+        FilteredHomology(stream, {"v": 1, "e": 0}.__getitem__)
+    with pytest.raises(TypeError, match="step"):
+        FilteredHomology(stream, {"v": 0, "e": 0.5}.__getitem__)
+    # the same face at the coface's step or an earlier one is read
+    assert FilteredHomology(stream, {"v": 0, "e": 0}.__getitem__).absolute(0) == {}

@@ -57,20 +57,25 @@ def _content(columns):
 
 @pytest.fixture
 def counted(monkeypatch):
-    enumerations, eliminations, reports = Counter(), Counter(), Counter()
+    enumerations, split, reports = Counter(), Counter(), Counter()
     _counting(
         monkeypatch, enumerations, orbit_cells, "cells_by_rank",
         lambda family, n, k, ranks=None: (family, n, k, ranks),
     )
-    _counting(
-        monkeypatch, eliminations, homology, "sparse_invariant_factors",
-        _content,
-    )
+
+    def splitting(original):
+        def wrapper(columns, over=None):
+            split.update(_content(filter(None, columns)))
+            return original(columns, over)
+
+        return wrapper
+
+    _everywhere(monkeypatch, homology, "split_units", splitting)
     _counting(
         monkeypatch, reports, structure_set, "compute_structure_set",
         lambda spec: spec,
     )
-    return enumerations, eliminations, reports
+    return enumerations, split, reports
 
 
 def _recording(monkeypatch, streams):
@@ -93,28 +98,33 @@ def _nonzero(columns):
 
 
 def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
-    enumerations, eliminations, reports = counted
+    enumerations, split, reports = counted
     streams = []
     _recording(monkeypatch, streams)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
-    # one growth per (family, k) column, of every rank its points reach;
-    # each point streams its full complex and its rank-n band
+    # one growth per (family, k) column, of every rank its points reach,
+    # streamed once as one complex filtered by rank
+    keys = [(family, k) for family in FAMILIES for k in range(1, MAX_K + 1)]
     assert enumerations == Counter(
-        (family, min(MAX_N, k), k, None)
-        for family in FAMILIES
-        for k in range(1, MAX_K + 1)
+        (family, min(MAX_N, k), k, None) for family, k in keys
     )
-    assert len(streams) == 2 * len(FAMILIES) * len(GRID)
-    # every nonzero boundary of each of them is eliminated once, over Z,
-    # and nothing else is
-    assert eliminations == Counter(
-        _content(columns)
+    assert len(streams) == len(FAMILIES) * MAX_K
+    # every nonzero boundary column of each stream goes through the unit
+    # split once, over Z, and nothing else does
+    assert split == Counter(
+        column
         for stream in streams
         for _, _, columns in stream
-        if _nonzero(columns)
+        for column in _content(filter(None, columns or ()))
     )
+    # each grown cell is in exactly one stream, its column's
+    for (family, k), stream in zip(keys, streams):
+        grown = cells_by_degree(family, min(MAX_N, k), k)
+        assert Counter(cell for _, cells, _ in stream for cell in cells) == Counter(
+            cell for masks in grown.values() for cell in masks
+        )
 
     expected_specs = {
         ActionSpec(family, n, k + step, j)
@@ -128,41 +138,49 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
 
 
 def test_nothing_is_kept_between_calls(counted):
-    enumerations, eliminations, reports = counted
+    enumerations, split, reports = counted
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
-    first = (Counter(enumerations), sum(eliminations.values()), Counter(reports))
+    first = (Counter(enumerations), sum(split.values()), Counter(reports))
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert enumerations == first[0] + first[0]
-    assert sum(eliminations.values()) == 2 * first[1]
+    assert sum(split.values()) == 2 * first[1]
     assert reports == first[2] + first[2]
 
 
 def test_both_complexes_equal_the_filtered_builds(monkeypatch):
-    streams, first_stream = [], {}
+    # each column streams its top complex once, and a cell's step is its
+    # rank, so a point's full complex is the cells at steps <= n and its
+    # rank-n complex those at step n
+    streams, steps = [], []
     _recording(monkeypatch, streams)
-    original = verification._cell_checks
 
-    def at_point(family, n, k, *rest):
-        # the streams a point makes while its checks run are its own
-        first_stream[family, n, k] = len(streams)
-        yield from original(family, n, k, *rest)
+    class Recorded(homology.FilteredHomology):
+        __slots__ = ()
 
-    monkeypatch.setattr(verification, "_cell_checks", at_point)
+        def __init__(self, slices, step):
+            steps.append(step)
+            super().__init__(slices, step)
+
+    monkeypatch.setattr(verification, "FilteredHomology", Recorded)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
-    points = [(family, n, k) for family in FAMILIES for n, k in GRID]
-    assert sorted(first_stream.values()) == list(range(0, 2 * len(points), 2))
-    assert len(streams) == 2 * len(points)
-    for family, n, k in points:
-        first = first_stream[family, n, k]
-        full, relative = streams[first : first + 2]
-        for stream, ranks in ((full, None), (relative, range(n, n + 1))):
-            reference = list(cell_slices(cells_by_degree(family, n, k, ranks)))
-            assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
-            for (_, cells, columns), (_, cells_r, columns_r) in zip(stream, reference):
-                assert tuple(cells) == tuple(cells_r)
-                assert _content(columns or [{}] * len(cells)) == _content(
-                    columns_r or [{}] * len(cells_r)
-                )
+    keys = [(family, k) for family in FAMILIES for k in range(1, MAX_K + 1)]
+    assert len(streams) == len(steps) == len(keys)
+    for (family, k), stream, step in zip(keys, streams, steps):
+        top = min(MAX_N, k)
+        reference = list(cell_slices(cells_by_degree(family, top, k)))
+        assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
+        for (_, cells, columns), (_, cells_r, columns_r) in zip(stream, reference):
+            assert tuple(cells) == tuple(cells_r)
+            assert _content(columns or [{}] * len(cells)) == _content(
+                columns_r or [{}] * len(cells_r)
+            )
+        for n in range(1, top + 1):
+            for ranks, kept in ((None, n.__ge__), (range(n, n + 1), n.__eq__)):
+                assert {
+                    p: [cell for cell in cells if kept(step(cell))]
+                    for p, cells, _ in stream
+                    if any(kept(step(cell)) for cell in cells)
+                } == cells_by_degree(family, n, k, ranks)
 
 
 def _plant(monkeypatch, name, family, n, k, module=verification):
@@ -439,17 +457,17 @@ def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
     n, k = 2, 4
     target = list(orbit_cells.cell_slices(orbit_cells.cells_by_degree(family, n, k)))
     degree = min(p for p, _, columns in target if _nonzero(columns)) - 1
-    original = verification.integral_homology
+    original = verification._cell_checks
 
-    def wrong(slices):
-        slices = list(slices)
-        groups = original(slices)
-        if [piece[:2] for piece in slices] == [piece[:2] for piece in target]:
-            kept = groups.get(degree, FGAbelianGroup.trivial())
-            groups[degree] = kept.direct_sum(FGAbelianGroup.with_two_torsion(0, 1))
-        return groups
+    def wrong(at, at_n, at_k, counts, full_rank, homology, *rest):
+        # the full complex's homology as the point's checks read it
+        if (at, at_n, at_k) == (family, n, k):
+            kept = homology.get(degree, FGAbelianGroup.trivial())
+            z2 = FGAbelianGroup.with_two_torsion(0, 1)
+            homology = {**homology, degree: kept.direct_sum(z2)}
+        return original(at, at_n, at_k, counts, full_rank, homology, *rest)
 
-    monkeypatch.setattr(verification, "integral_homology", wrong)
+    monkeypatch.setattr(verification, "_cell_checks", wrong)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     point = f"family={family} n={n} k={k}"
     failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
@@ -466,11 +484,11 @@ def test_an_empty_enumeration_fails_its_rows_and_the_grid_reports(
     rows = len(verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES).results)
     original = verification._cell_checks
 
-    def emptied(family, n, k, cells, *rest):
+    def emptied(family, n, k, counts, full_rank, homology, *rest):
         # the full complex alone: its rank-n band is still there
         if (family, n, k) == (Family.COMPLEX, 2, 4):
-            cells = {}
-        return original(family, n, k, cells, *rest)
+            counts, homology = {}, {}
+        return original(family, n, k, counts, full_rank, homology, *rest)
 
     monkeypatch.setattr(verification, "_cell_checks", emptied)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
@@ -528,20 +546,21 @@ def _negative_rank_rows(capsys, rows):
 def test_a_unit_counted_twice_fails_the_rows_reading_that_homology(
     monkeypatch, capsys
 ):
-    # one 1 too many in a boundary's invariant factors takes a free rank
-    # below zero while the full complex's homology is built; the rows
-    # reading it fail, and the relative complex, with no boundary, is fine.
+    # one 1 too many from each unit split that finds a unit takes a free
+    # rank below zero in the full complex's homology from rank 2 on; the
+    # rows reading it fail, and the relative complex, with no boundary and
+    # so no split, is fine.
     # Of the specs, top reads it on the odd gap, and so does
     # branch-dispatch's basepoint test there at j > 0.
     odd_gap = [(2, 3), (2, 5), (3, 4), (3, 6)]
     rows = _rows()
-    original = homology.sparse_invariant_factors
+    original = homology.split_units
 
-    def unit_counted_twice(columns):
-        factors = original(columns)
-        return [1, *factors] if 1 in factors else factors
+    def unit_counted_twice(columns, over=None):
+        units, rest = original(columns, over)
+        return units + (units > 0), rest
 
-    monkeypatch.setattr(homology, "sparse_invariant_factors", unit_counted_twice)
+    monkeypatch.setattr(homology, "split_units", unit_counted_twice)
     assert _negative_rank_rows(capsys, rows) == {
         (check, f"family={family} n={n} k={k}")
         for check in ("reduced-closed-vs-oracle", "collapse-certificate")
@@ -654,3 +673,63 @@ def test_every_check_names_what_it_saw():
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
     assert [r for r in summary.results if not r.detail] == []
+
+
+def test_a_refused_filtration_fails_the_oracle_rows_without_a_traceback(
+    monkeypatch, capsys
+):
+    # two steps more for an even cell, a face of the odd cell above it,
+    # put each face after its coface, which the pass refuses for every
+    # column with a boundary, from k = 2 on
+    class Lifted(homology.FilteredHomology):
+        __slots__ = ()
+
+        def __init__(self, slices, step):
+            super().__init__(slices, lambda cell: step(cell) + 2 - 2 * (cell & 1))
+
+    monkeypatch.setattr(verification, "FilteredHomology", Lifted)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
+    assert failures[("reduced-closed-vs-oracle", "family=U n=1 k=2")] == (
+        "a step 2 generator has a later face"
+    )
+    assert ("cell-census", "family=U n=1 k=2") not in failures
+    assert not any(params.endswith(" k=1") for _, params in failures)
+    argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
+    assert capsys.readouterr().err == ""
+
+
+def test_a_passing_verify_formats_no_group_of_its_own(monkeypatch, capsys):
+    # a row keeps the values its detail prints and formats them when read,
+    # and the CLI reads the detail of a failure alone; what a passing grid
+    # formats is each basepoint report's note, which compute_structure_set
+    # writes as it builds the report
+    specs = {
+        ActionSpec(family, n, k + step, j)
+        for family in FAMILIES
+        for n in range(1, 5)
+        for k in range(n, 9)
+        for j in range(3)
+        for step in (0, 2)
+    }
+    notes = sum(
+        "basepoint" in structure_set.compute_structure_set(spec).labels()
+        for spec in specs
+    )
+    callers = []
+    original = FGAbelianGroup.__str__
+
+    def counting(group):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(group)
+
+    monkeypatch.setattr(FGAbelianGroup, "__str__", counting)
+    assert cli.main(["verify", "--max-n", "4", "--max-k", "8"]) == 0
+    assert "total: 728 passed, 0 failed" in capsys.readouterr().out
+    assert notes > 0 and callers == ["compute_structure_set"] * notes
+    # a test that reads a detail still sees the text
+    callers.clear()
+    row = verification.run_verification(1, 1, 0).results[2]
+    assert (row.check, row.detail) == ("relative-closed-vs-oracle", "Z vs Z")
+    assert callers == ["detail", "detail"]
