@@ -6,10 +6,10 @@ drops each column holding a +-1 alone in its row, as the Schur complement of
 that pivot changes no other column; in an orbit-space complex every nonzero
 column has one, a free face with one coface (coreduction, Mrozek and Batko,
 DCG 41, 2009).  The rest goes as one block to smith_normal_form, also the
-split's reference in tier-1.  FilteredHomology reads a stream once, each
-generator at a step, for the homology of every nested subcomplex F_s and of
-F_s over F_(s-1) (Zomorodian and Carlsson, DCG 33, 2005); integral_homology
-is its one-step case.
+split's reference in tier-1.  Two drivers feed them: integral_homology
+splits each slice as it arrives, and filtered_homology reads a stream once,
+each generator at a step, for the homology of every nested subcomplex F_s
+and of F_s over F_(s-1) (Zomorodian and Carlsson, DCG 33, 2005).
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -138,7 +138,7 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
     >>> sparse_invariant_factors([{0: 1, 1: 2}, {}, {1: 3}])
     [1, 3]
     """
-    units, rest = split_units(columns)
+    units, rest = split_units(columns, columns)
     factors = [1] * units
     if rest:
         rows = sorted({r for column in rest for r in column})
@@ -149,16 +149,16 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
 
 
 def split_units(
-    columns: Sequence[Column], over: Iterable[Column] | None = None
+    columns: Sequence[Column], over: Iterable[Column]
 ) -> tuple[int, list[Column]]:
     """The isolated-unit split: how many nonzero columns hold a unit alone
-    in its row of over (these columns if None), and every other nonzero
+    in its row of over, their whole boundary, and every other nonzero
     column.  Pivoting on such a unit is unimodular and leaves a factor 1 and
     the other columns as they were, their isolated units still isolated."""
     # a plain dict: on boundaries of a few columns a Counter's set-up costs
     # more than the counting
     uses: dict[int, int] = {}
-    for r in chain.from_iterable(columns if over is None else over):
+    for r in chain.from_iterable(over):
         uses[r] = uses.get(r, 0) + 1
     units = 0
     rest: list[Column] = []
@@ -236,72 +236,50 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
         below, rows, lower = p, len(cells), kept
 
 
-class FilteredHomology:
-    """H(F_s) and H(F_s, F_(s-1)) at each step s of a filtered complex.
+def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[int, tuple]:
+    """{s: (H(F_s), H(F_s, F_(s-1)))} at each step s of a filtered complex.
 
-    step maps a generator to its int step, None every one to 0, and F_s
-    holds the generators at steps <= s, so a face after its coface is
-    refused with a ValueError.  Each column goes once through split_units
-    over its whole boundary, as a unit alone in its row there is alone in
-    every F_s; what it leaves at steps <= s goes to sparse_invariant_factors
-    for F_s, and the band at s keeps the entries whose face is at s too.  A
-    step whose groups cannot be built keeps the ValueError for its reads.
+    step maps a generator to its int step, and F_s holds the generators at
+    steps <= s, so a face after its coface is refused with a ValueError.
+    Each column goes once through split_units over its whole boundary, as a
+    unit alone in its row there is alone in every F_s; what it leaves at
+    steps <= s goes to sparse_invariant_factors for F_s, and the band at s
+    keeps the entries whose face is at s too.  A step whose groups cannot
+    be built holds the ValueError in their place.
 
     >>> cells = [(0, "v", None), (1, "ab", [{0: 2}, {}]), (2, "f", [{1: 1}])]
-    >>> steps = FilteredHomology(cells, {"v": 0, "a": 0, "b": 1, "f": 1}.get)
-    >>> print(steps.absolute(0)[0], steps.absolute(1)[0], steps.relative(1))
+    >>> steps = filtered_homology(cells, {"v": 0, "a": 0, "b": 1, "f": 1}.get)
+    >>> print(steps[0][0][0], steps[1][0][0], steps[1][1])
     Z_2 Z_2 {}
     """
-
-    __slots__ = ("_groups",)
-
-    def __init__(self, slices: Iterable[Slice], step: Callable | None = None):
-        at: dict[int, dict] = {}  # step -> degree -> [cells, units, rest, band] it adds
-        ranks: dict[int, list] = {}  # degree -> [cells, units, rest] of F_s
-        below: list[int] = []  # the steps of the slice before
-        for p, cells, columns in checked_slices(slices):
-            if step is None:  # one step: no step per cell, no band and no sweep
-                ranks[p] = [len(cells), *(split_units(columns) if columns else (0, ()))]
-                continue
-            ranks[p] = [0, 0, []]
-            steps = list(map(step, cells))
-            for t in set(steps):
-                if type(t) is not int:
-                    _not_an_int(t, "step")
-                at.setdefault(t, {})[p] = [steps.count(t), 0, [], []]
-            by_step: dict[int, list[Column]] = {}
-            for t, column in compress(zip(steps, columns or ()), columns or ()):
-                by_step.setdefault(t, []).append(column)
-                face = max(map(below.__getitem__, column))
-                if face > t:
-                    raise ValueError(f"a step {t} generator has a later face")
-                if face == t:
-                    band = {r: v for r, v in column.items() if below[r] == t}
-                    at[t][p][3].append(band)
-            for t, group in by_step.items():
-                at[t][p][1:3] = split_units(group, columns)
-            below = steps
-        # step -> (absolute, relative); with one step F_0 is its own band
-        self._groups = {0: (_homology(ranks),) * 2} if step is None else {}
-        for s in sorted(at):  # F_s: each degree's counts up to s
-            for p, entry in at[s].items():
-                ranks[p][:] = map(add, ranks[p], entry[:3])
-            band = {p: (c, 0, b) for p, (c, _, _, b) in at[s].items()}
-            self._groups[s] = _homology(ranks), _homology(band)
-
-    def absolute(self, s: int) -> dict[int, FGAbelianGroup]:
-        """H(F_s), trivial degrees omitted."""
-        below = [t for t in self._groups if t <= s]
-        return self._read(max(below), 0) if below else {}
-
-    def relative(self, s: int) -> dict[int, FGAbelianGroup]:
-        """H(F_s, F_(s-1)), trivial degrees omitted."""
-        return self._read(s, 1) if s in self._groups else {}
-
-    def _read(self, s: int, which: int) -> dict[int, FGAbelianGroup]:
-        if isinstance(groups := self._groups[s][which], ValueError):
-            raise groups
-        return dict(groups)
+    at: dict[int, dict] = {}  # step -> degree -> [cells, units, rest, band] it adds
+    ranks: dict[int, list] = {}  # degree -> [cells, units, rest] of F_s
+    below: list[int] = []  # the steps of the slice before
+    for p, cells, columns in checked_slices(slices):
+        ranks[p] = [0, 0, []]
+        steps = list(map(step, cells))
+        for t in set(steps):
+            if type(t) is not int:
+                _not_an_int(t, "step")
+            at.setdefault(t, {})[p] = [steps.count(t), 0, [], []]
+        by_step: dict[int, list[Column]] = {}
+        for t, column in compress(zip(steps, columns or ()), columns or ()):
+            by_step.setdefault(t, []).append(column)
+            face = max(map(below.__getitem__, column))
+            if face > t:
+                raise ValueError(f"a step {t} generator has a later face")
+            if face == t:
+                at[t][p][3].append({r: v for r, v in column.items() if below[r] == t})
+        for t, group in by_step.items():
+            at[t][p][1:3] = split_units(group, columns)
+        below = steps
+    groups = {}
+    for s in sorted(at):  # F_s: each degree's counts up to s
+        for p, entry in at[s].items():
+            ranks[p][:] = map(add, ranks[p], entry[:3])
+        band = {p: (c, 0, b) for p, (c, _, _, b) in at[s].items()}
+        groups[s] = _homology(ranks), _homology(band)
+    return groups
 
 
 def _homology(ranks: Mapping[int, Sequence]) -> dict[int, FGAbelianGroup] | ValueError:
@@ -330,9 +308,17 @@ _free = cache(FGAbelianGroup.free)
 
 def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
     """Integral homology of a stream of slices, any iterable of them,
-    trivial degrees omitted: FilteredHomology with one step.
+    trivial degrees omitted.  Each slice's boundary goes through split_units
+    as the slice arrives, so only the columns it leaves are held, and
+    _homology assembles the counts; its ValueError is raised.
 
     >>> print(integral_homology([(0, ["v"], None), (1, ["e"], [{0: 2}])])[0])
     Z_2
     """
-    return FilteredHomology(slices).absolute(0)
+    ranks = {
+        p: [len(cells), *(split_units(columns, columns) if columns else (0, ()))]
+        for p, cells, columns in checked_slices(slices)
+    }
+    if isinstance(groups := _homology(ranks), ValueError):
+        raise groups
+    return groups

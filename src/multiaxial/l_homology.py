@@ -17,13 +17,13 @@ the closed route's with_two_torsion, so a fault there shows as a mismatch.
 This is the oracle route; structure_set holds the closed forms, and only
 the tests and verify compare the two.  Each oracle enumerates its band
 of ranks whole (see orbit_cells), 1..n or n alone, streams its complex
-once through integral_homology, the one-step elimination, and reads: a
-read_* function takes the integral homology, which it refuses if it has
-torsion, and the top cell's degree, since at k = n the top cell is
-matched and the top group is 0.  So the oracles eliminate over Z alone;
-verify streams each (family, k) column once, filtered by rank, and reads
-each group once for all its checks.  The collapse check is a bool read
-the same way, through one_residue_class.
+once through integral_homology, which splits each slice as it arrives,
+and reads: a read_* function takes the integral homology, which it refuses
+if it has torsion, and the top cell's degree, since at k = n the top cell
+is matched and the top group is 0.  So the oracles eliminate over Z alone;
+verify streams each (family, k) column once through filtered_homology, a
+cell's step its rank, and reads each group once for all its checks.  The
+collapse check is a bool read the same way, through one_residue_class.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ with a listing of the box.  The CLI verify subcommand and the acceptance
 tests both run through here.
 
 Each (family, k) column grows its cells to rank min(max_n, k) once and
-streams them once through FilteredHomology, a cell's step its rank: the
-point (family, n, k) reads its full complex at step n and its rank-n
-complex as the band at n.  cell-census counts the full complex, so an
+streams them once through filtered_homology, a cell's step its rank: the
+point (family, n, k) reads its full complex and its rank-n complex, the
+band, as the pair at step n.  cell-census counts the full complex, so an
 empty one fails it and every oracle read.  The oracle's reads get only
 integral homology and the top cell's degree, into one table keyed by
 (family, rank, k); each structure-set summand is compared with a read
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError
-from .homology import FilteredHomology
+from .homology import filtered_homology
 from .l_homology import (
     one_residue_class,
     read_collapse,
@@ -183,13 +183,14 @@ def _cell_columns(families, max_n: int, max_k: int, reads: dict):
             cells: dict[int, list[int]] = {}
             for full_rank in by_rank.values():
                 merge_rank(cells, full_rank)
-            column = _or_error(FilteredHomology, cell_slices(cells), int.bit_count)
+            column = _or_error(filtered_homology, cell_slices(cells), int.bit_count)
+            if isinstance(column, ValueError):  # a refused pass fails every read
+                column = dict.fromkeys(by_rank, (column, column))
             counts: dict[int, int] = {}  # the point's cells by degree
             for n, full_rank in by_rank.items():
                 for p, masks in full_rank.items():
                     counts[p] = counts.get(p, 0) + len(masks)
-                homology = _or_error(FilteredHomology.absolute, column, n)
-                relative = _or_error(FilteredHomology.relative, column, n)
+                homology, relative = column[n]
                 checks = _cell_checks(
                     family, n, k, counts, full_rank, homology, relative, reads
                 )

@@ -20,8 +20,8 @@ from multiaxial import cli, homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.homology import (
-    FilteredHomology,
     checked_slices,
+    filtered_homology,
     integral_homology,
     smith_normal_form,
     sparse_invariant_factors,
@@ -572,14 +572,14 @@ def test_the_filtered_pass_equals_one_step_runs(family):
     # each point's full complex and its rank band as integral_homology does
     for k in range(1, 10):
         top = min(5, k)
-        column = FilteredHomology(
+        column = filtered_homology(
             cell_slices(cells_by_degree(family, top, k)), int.bit_count
         )
         for s in range(1, top + 1):
             full = cells_by_degree(family, s, k)
             band = cells_by_degree(family, s, k, range(s, s + 1))
-            assert column.absolute(s) == integral_homology(cell_slices(full))
-            assert column.relative(s) == integral_homology(cell_slices(band))
+            assert column[s][0] == integral_homology(cell_slices(full))
+            assert column[s][1] == integral_homology(cell_slices(band))
 
 
 def _filtered_stream(filtration):
@@ -636,13 +636,15 @@ SHARED_ROW = {
     ids=["non-unit-pivot-at-a-later-step", "row-isolated-only-below-the-top"],
 )
 def test_the_filtered_pass_matches_the_dense_snf_on_torsion(filtration):
-    column = FilteredHomology(*_filtered_stream(filtration))
-    for s in (0, 1, 2):
-        assert column.absolute(s) == _dense_homology(filtration, s.__ge__)
-        assert column.relative(s) == _dense_homology(filtration, s.__eq__)
+    column = filtered_homology(*_filtered_stream(filtration))
+    # a step is read where a generator has it
+    assert set(column) == {t for cells in filtration.values() for _, t, _ in cells}
+    for s, (absolute, relative) in column.items():
+        assert absolute == _dense_homology(filtration, s.__ge__)
+        assert relative == _dense_homology(filtration, s.__eq__)
     # both get their Z_2 in degree 1 at step 1
-    assert column.absolute(0)[1] == FGAbelianGroup.free(1)
-    assert column.absolute(1)[1] == FGAbelianGroup(0, ((2, 1),))
+    assert column[0][0][1] == FGAbelianGroup.free(1)
+    assert column[1][0][1] == FGAbelianGroup(0, ((2, 1),))
 
 
 def test_the_dense_reference_reads_the_later_pivot():
@@ -660,8 +662,8 @@ def test_the_dense_reference_reads_the_later_pivot():
 def test_a_face_at_a_later_step_than_its_coface_is_refused():
     stream = [(0, ["v"], None), (1, ["e"], [{0: 1}])]
     with pytest.raises(ValueError, match="a step 0 generator has a later face"):
-        FilteredHomology(stream, {"v": 1, "e": 0}.__getitem__)
+        filtered_homology(stream, {"v": 1, "e": 0}.__getitem__)
     with pytest.raises(TypeError, match="step"):
-        FilteredHomology(stream, {"v": 0, "e": 0.5}.__getitem__)
+        filtered_homology(stream, {"v": 0, "e": 0.5}.__getitem__)
     # the same face at the coface's step or an earlier one is read
-    assert FilteredHomology(stream, {"v": 0, "e": 0}.__getitem__).absolute(0) == {}
+    assert filtered_homology(stream, {"v": 0, "e": 0}.__getitem__)[0][0] == {}

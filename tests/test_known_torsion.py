@@ -9,8 +9,9 @@ Thm. 3B.6), which for cyclic groups needs gcds alone:
 Z_a (x) Z_b = Tor(Z_a, Z_b) = Z_gcd(a, b), with Z written as order 0.
 
 Every product goes through each homology route: sparse integral homology,
-the sparse invariant factors of each boundary against its dense Smith
-normal form, and a copy with its generators shuffled.  This is where the
+the filtered pass with every generator at one step, the sparse invariant
+factors of each boundary against its dense Smith normal form, and a copy
+with its generators shuffled.  This is where the
 sparse elimination is held to the dense one and to the generator order on
 non-unit pivots.  Orbit complexes have none, since their boundaries are
 partial matchings with unit entries, so verify does not repeat these checks.
@@ -25,6 +26,7 @@ import pytest
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.homology import (
     checked_slices,
+    filtered_homology,
     integral_homology,
     smith_normal_form,
     sparse_invariant_factors,
@@ -200,6 +202,9 @@ def test_known_torsion_through_every_route(factors):
     assert any(g.torsion for g in expected.values())
 
     assert integral_homology(stream(complex_)) == expected
+    # with one step the filtered pass is its own band
+    assert filtered_homology(stream(complex_), lambda g: 0) == {0: (expected,) * 2}
+    assert filtered_homology([], lambda g: 0) == {} == integral_homology([])
 
     sparse = {p: sparse_invariant_factors(c) for p, (_, c) in complex_.items()}
     dense = {p: smith_normal_form(dense_boundary(complex_, p)) for p in complex_}
