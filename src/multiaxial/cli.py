@@ -220,11 +220,14 @@ def cmd_verify(args) -> int:
         f"verification grid: n<={args.max_n} k<={args.max_k} "
         f"j<={args.max_j} families={','.join(map(str, families))}"
     )
-    for check, (passed, failed) in summary.by_check().items():
+    table = summary.by_check()  # the one scan of the rows
+    for check, (passed, failed) in table.items():
         status = "ok" if failed == 0 else "FAIL"
         print(f"  {check}: {passed} passed, {failed} failed  [{status}]")
-    print(f"total: {summary.passed} passed, {summary.failed} failed")
-    if not summary.ok:
+    passed = sum(p for p, _ in table.values())
+    failed = sum(f for _, f in table.values())
+    print(f"total: {passed} passed, {failed} failed")
+    if failed:
         failure = summary.first_failure()
         print(f"first failure: {failure.check} at {failure.params}")
         if failure.detail:

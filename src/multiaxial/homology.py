@@ -8,8 +8,10 @@ column has one, a free face with one coface (coreduction, Mrozek and Batko,
 DCG 41, 2009).  The rest goes as one block to smith_normal_form, also the
 split's reference in tier-1.  Two drivers feed them: integral_homology
 splits each slice as it arrives, and filtered_homology reads a stream once,
-each generator at a step, for the homology of every nested subcomplex F_s
-and of F_s over F_(s-1) (Zomorodian and Carlsson, DCG 33, 2005).
+each generator at a step (t, r), for the homology of every F_(k,n), the
+generators at t <= k and r <= n, and of F_(k,n) over F_(k,<n) (Zomorodian
+and Carlsson, DCG 33, 2005; with two parameters, Carlsson and Zomorodian,
+DCG 42, 2009).
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -24,6 +26,7 @@ Bounding it is an open ROADMAP item.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import chain, compress
 from operator import add
@@ -236,49 +239,66 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
         below, rows, lower = p, len(cells), kept
 
 
-def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[int, tuple]:
-    """{s: (H(F_s), H(F_s, F_(s-1)))} at each step s of a filtered complex.
+def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tuple]:
+    """{(k, n): (H(F_(k,n)), H(F_(k,n), F_(k,<n)))} at each step a generator has.
 
-    step maps a generator to its int step, and F_s holds the generators at
-    steps <= s, so a face after its coface is refused with a ValueError.
-    Each column goes once through split_units over its whole boundary, as a
-    unit alone in its row there is alone in every F_s; what it leaves at
-    steps <= s goes to sparse_invariant_factors for F_s, and the band at s
-    keeps the entries whose face is at s too.  A step whose groups cannot
-    be built holds the ValueError in their place.
+    step maps a generator to a pair (t, r) of ints, F_(k,n) holds those at
+    t <= k and r <= n, and a face later than its coface in either
+    coordinate is refused with a ValueError.  Each column goes once through
+    split_units over its whole boundary, as a unit alone in its row there is
+    alone in every F_(k,n); what it leaves at steps <= (k, n) goes to
+    sparse_invariant_factors for F_(k,n), and the band at (k, n) keeps the
+    entries whose face has level n too.  A step whose groups cannot be
+    built holds the ValueError in their place.
 
     >>> cells = [(0, "v", None), (1, "ab", [{0: 2}, {}]), (2, "f", [{1: 1}])]
-    >>> steps = filtered_homology(cells, {"v": 0, "a": 0, "b": 1, "f": 1}.get)
-    >>> print(steps[0][0][0], steps[1][0][0], steps[1][1])
-    Z_2 Z_2 {}
+    >>> steps = {"v": (0, 0), "a": (0, 0), "b": (0, 1), "f": (1, 1)}
+    >>> points = filtered_homology(cells, steps.get)
+    >>> print(sorted(points), points[0, 1][0][1], points[1, 1][0].get(1))
+    [(0, 0), (0, 1), (1, 1)] Z None
     """
-    at: dict[int, dict] = {}  # step -> degree -> [cells, units, rest, band] it adds
-    ranks: dict[int, list] = {}  # degree -> [cells, units, rest] of F_s
-    below: list[int] = []  # the steps of the slice before
+    at: dict[tuple, dict] = {}  # step -> degree -> [cells, units, rest, band]
+    below: list[tuple] = []  # the steps of the slice before
     for p, cells, columns in checked_slices(slices):
-        ranks[p] = [0, 0, []]
         steps = list(map(step, cells))
-        for t in set(steps):
-            if type(t) is not int:
-                _not_an_int(t, "step")
-            at.setdefault(t, {})[p] = [steps.count(t), 0, [], []]
-        by_step: dict[int, list[Column]] = {}
-        for t, column in compress(zip(steps, columns or ()), columns or ()):
-            by_step.setdefault(t, []).append(column)
-            face = max(map(below.__getitem__, column))
-            if face > t:
-                raise ValueError(f"a step {t} generator has a later face")
-            if face == t:
-                at[t][p][3].append({r: v for r, v in column.items() if below[r] == t})
-        for t, group in by_step.items():
-            at[t][p][1:3] = split_units(group, columns)
+        here = {}  # step -> what it adds in degree p
+        for s, count in Counter(steps).items():
+            if type(s) is not tuple or list(map(type, s)) != [int, int]:
+                raise TypeError(f"step {s!r} is not a pair of ints")
+            here[s] = at.setdefault(s, {})[p] = [count, 0, [], []]
+        by_step: dict[tuple, list[Column]] = {}
+        for (t, n), column in compress(zip(steps, columns or ()), columns or ()):
+            by_step.setdefault((t, n), []).append(column)
+            band = {}
+            for r, v in column.items():
+                face_t, face_n = below[r]
+                if face_t > t or face_n > n:
+                    raise ValueError(f"a step {t, n} generator has a later face")
+                if face_n == n:
+                    band[r] = v
+            if band:
+                here[t, n][3].append(band)
+        for s, group in by_step.items():
+            here[s][1:3] = split_units(group, columns)
         below = steps
     groups = {}
-    for s in sorted(at):  # F_s: each degree's counts up to s
-        for p, entry in at[s].items():
-            ranks[p][:] = map(add, ranks[p], entry[:3])
-        band = {p: (c, 0, b) for p, (c, _, _, b) in at[s].items()}
-        groups[s] = _homology(ranks), _homology(band)
+    levels: dict[int, dict] = {}  # n -> degree -> what the steps (<= k, n) add
+    for k in sorted({t for t, _ in at}):
+        for n in sorted(n for t, n in at if t == k):
+            level = levels.setdefault(n, {})
+            for p, entry in at[k, n].items():
+                level[p] = list(map(add, level[p], entry)) if p in level else entry
+        degrees = sorted(set().union(*levels.values()))
+        ranks = {p: [0, 0, []] for p in degrees}  # F_(k,n), n ascending
+        for n, level in sorted(levels.items()):
+            for p, (cells, units, rest, _) in level.items():
+                into = ranks[p]
+                into[0] += cells
+                into[1] += units
+                into[2] += rest
+            if (k, n) in at:
+                band = {p: (level[p][0], 0, level[p][3]) for p in sorted(level)}
+                groups[k, n] = _homology(ranks), _homology(band)
     return groups
 
 

@@ -21,8 +21,8 @@ once through integral_homology, which splits each slice as it arrives,
 and reads: a read_* function takes the integral homology, which it refuses
 if it has torsion, and the top cell's degree, since at k = n the top cell
 is matched and the top group is 0.  So the oracles eliminate over Z alone;
-verify streams each (family, k) column once through filtered_homology, a
-cell's step its rank, and reads each group once for all its checks.  The
+verify streams each family once through filtered_homology, a cell's step
+its top pivot and rank, and reads each group once for all its checks.  The
 collapse check is a bool read the same way, through one_residue_class.
 """
 

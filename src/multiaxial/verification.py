@@ -9,15 +9,16 @@ its cells in adjacent degrees; and the parity counts, which tier-1 compares
 with a listing of the box.  The CLI verify subcommand and the acceptance
 tests both run through here.
 
-Each (family, k) column grows its cells to rank min(max_n, k) once and
-streams them once through filtered_homology, a cell's step its rank: the
-point (family, n, k) reads its full complex and its rank-n complex, the
-band, as the pair at step n.  cell-census counts the full complex, so an
-empty one fails it and every oracle read.  The oracle's reads get only
-integral homology and the top cell's degree, into one table keyed by
-(family, rank, k); each structure-set summand is compared with a read
-there, never with the closed forms that built it.  A spec reads its report
-and the one at k + 2, each computed once per call.
+Each family grows its cells to rank min(max_n, max_k) and pivot max_k once
+and streams them once through filtered_homology, a cell's step its top
+pivot and rank: the point (family, n, k) reads its full complex and its
+rank-n complex, the band, as the pair at step (k, n), and its rank-n cells
+as the masks below 1 << k of each degree.  cell-census counts the full
+complex, so an empty one fails it and every oracle read.  The oracle's
+reads get only integral homology and the top cell's degree, into one table
+keyed by (family, rank, k); each structure-set summand is compared with a
+read there, never with the closed forms that built it.  A spec reads its
+report and the one at k + 2, each built and computed once per call.
 
 run_verification walks the grid and is the only place that makes a
 CheckResult.  Every detail names what its check saw, and a row keeps the
@@ -30,6 +31,7 @@ read places.  Nothing is kept between calls.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
@@ -175,25 +177,30 @@ def _cell_checks(family, n, k, counts, full_rank, homology, relative, reads):
 
 
 def _cell_columns(families, max_n: int, max_k: int, reads: dict):
-    """((family, n, k), rows) of each cell point, a column at a time; a
-    cell's rank, its step, is its pivot count, the bit count of its mask."""
+    """((family, n, k), rows) of each cell point, a family at a time; a
+    cell's step is its top pivot and rank, its mask's bit length and count."""
     for family in families:
+        by_rank = cells_by_rank(family, min(max_n, max_k), max_k)
+        cells: dict[int, list[int]] = {}
+        for full_rank in by_rank.values():
+            merge_rank(cells, full_rank)
+        points = _or_error(
+            filtered_homology,
+            cell_slices(cells),
+            lambda cell: (cell.bit_length(), cell.bit_count()),
+        )
         for k in range(1, max_k + 1):
-            by_rank = cells_by_rank(family, min(max_n, k), k)
-            cells: dict[int, list[int]] = {}
-            for full_rank in by_rank.values():
-                merge_rank(cells, full_rank)
-            column = _or_error(filtered_homology, cell_slices(cells), int.bit_count)
-            if isinstance(column, ValueError):  # a refused pass fails every read
-                column = dict.fromkeys(by_rank, (column, column))
+            end = 1 << k  # column k's cells are the masks below it
             counts: dict[int, int] = {}  # the point's cells by degree
-            for n, full_rank in by_rank.items():
-                for p, masks in full_rank.items():
-                    counts[p] = counts.get(p, 0) + len(masks)
-                homology, relative = column[n]
-                checks = _cell_checks(
-                    family, n, k, counts, full_rank, homology, relative, reads
-                )
+            for n in range(1, min(max_n, k) + 1):
+                full_rank = {}
+                for p, masks in by_rank[n].items():
+                    if masks[0] < end:
+                        full_rank[p] = masks[: bisect_left(masks, end)]
+                        counts[p] = counts.get(p, 0) + len(full_rank[p])
+                # a refused pass fails every read
+                pair = (points,) * 2 if isinstance(points, ValueError) else points[k, n]
+                checks = _cell_checks(family, n, k, counts, full_rank, *pair, reads)
                 yield (family, n, k), list(checks)
 
 
@@ -208,8 +215,8 @@ def _spec_checks(family: Family, n: int, k: int, max_j: int, report_of, reads):
     oracle["free_stratum"] = reads[family, 1, k].reduced
     oracle["top"], oracle["top+basepoint"] = here.reduced, here.absolute
     for j in range(max_j + 1):
-        report = _or_error(report_of, ActionSpec(family, n, k, j))
-        twice = _or_error(report_of, ActionSpec(family, n, k + 2, j))
+        report = report_of(family, n, k, j)
+        twice = report_of(family, n, k + 2, j)
         fail = _failed(report)  # every row reads the report
         yield j, (
             ("summand-closed-vs-oracle", fail or _summand_row(j, report, oracle)),
@@ -313,8 +320,11 @@ def run_verification(
     for family in families:
         for n, k in _grid(max_n, max_k):
             run(f"family={family} n={n} k={k}", cell_rows.pop((family, n, k)))
-    # each report is computed once: the one at k + 2 is also a base later
-    report_of = cache(compute_structure_set)
+    # each report is computed once, its spec built on the first read: the
+    # one at k + 2 is also a base later
+    report_of = cache(
+        lambda *spec: _or_error(compute_structure_set, ActionSpec(*spec))
+    )
     for family in families:
         for n, k in _grid(max_n, max_k):
             point = f"family={family} n={n} k={k}"

@@ -566,20 +566,42 @@ def test_euler_characteristic_agrees_with_homology(capsys):
         assert exported["euler_characteristic"] == chi
 
 
+def _pivots(cell):
+    return cell.bit_length(), cell.bit_count()
+
+
 @pytest.mark.parametrize("family", [Family.COMPLEX, Family.QUATERNIONIC], ids=str)
 def test_the_filtered_pass_equals_one_step_runs(family):
-    # one pass over a column's top complex, a cell's step its rank, reads
-    # each point's full complex and its rank band as integral_homology does
+    # one pass over a column's top complex, a cell's step (0, its rank),
+    # reads each point's full complex and its rank band as integral_homology
+    # does
     for k in range(1, 10):
         top = min(5, k)
         column = filtered_homology(
-            cell_slices(cells_by_degree(family, top, k)), int.bit_count
+            cell_slices(cells_by_degree(family, top, k)),
+            lambda cell: (0, cell.bit_count()),
         )
+        assert set(column) == {(0, s) for s in range(1, top + 1)}
         for s in range(1, top + 1):
             full = cells_by_degree(family, s, k)
             band = cells_by_degree(family, s, k, range(s, s + 1))
-            assert column[s][0] == integral_homology(cell_slices(full))
-            assert column[s][1] == integral_homology(cell_slices(band))
+            assert column[0, s][0] == integral_homology(cell_slices(full))
+            assert column[0, s][1] == integral_homology(cell_slices(band))
+
+
+@pytest.mark.parametrize("family", [Family.COMPLEX, Family.QUATERNIONIC], ids=str)
+def test_the_two_parameter_pass_equals_one_step_runs_at_every_point(family):
+    # one pass over the family's largest complex, a cell's step its top
+    # pivot and its rank, reads every (k, n) with n <= k: F_(k,n) is the
+    # complex of (family, n, k) and its band the rank-n complex
+    grid = {(k, n) for k in range(1, 10) for n in range(1, min(5, k) + 1)}
+    points = filtered_homology(cell_slices(cells_by_degree(family, 5, 9)), _pivots)
+    assert set(points) == grid
+    for k, n in grid:
+        full = cells_by_degree(family, n, k)
+        band = cells_by_degree(family, n, k, range(n, n + 1))
+        assert points[k, n][0] == integral_homology(cell_slices(full))
+        assert points[k, n][1] == integral_homology(cell_slices(band))
 
 
 def _filtered_stream(filtration):
@@ -616,17 +638,37 @@ def _dense_homology(filtration, kept):
     return result
 
 
+def _up_to(k, n):
+    """F_(k,n): the steps at or below (k, n) in both coordinates."""
+    return lambda step: step[0] <= k and step[1] <= n
+
+
+def _band(k, n):
+    """F_(k,n) over F_(k,<n): the steps of F_(k,n) at level n."""
+    return lambda step: step[0] <= k and step[1] == n
+
+
+def _matches_the_dense_snf(filtration):
+    points = filtered_homology(*_filtered_stream(filtration))
+    # a step is read where a generator has it
+    assert set(points) == {t for cells in filtration.values() for _, t, _ in cells}
+    for (k, n), (absolute, relative) in points.items():
+        assert absolute == _dense_homology(filtration, _up_to(k, n))
+        assert relative == _dense_homology(filtration, _band(k, n))
+    return points
+
+
 # a non-unit pivot entering at a later step: a loop a that f, at step 1,
 # bounds twice and g, at step 2, three times, which frees a again
 LATER_PIVOT = {
-    0: [("v", 0, {}), ("w", 1, {})],
-    1: [("a", 0, {}), ("e", 1, {"v": 1, "w": -1})],
-    2: [("f", 1, {"a": 2}), ("g", 2, {"a": 3})],
+    0: [("v", (0, 0), {}), ("w", (0, 1), {})],
+    1: [("a", (0, 0), {}), ("e", (0, 1), {"v": 1, "w": -1})],
+    2: [("f", (0, 1), {"a": 2}), ("g", (0, 2), {"a": 3})],
 }
 # x is alone in its row at step 0 but shared with c2 in the whole complex
 SHARED_ROW = {
-    1: [("x", 0, {}), ("y", 0, {})],
-    2: [("c1", 0, {"x": 1}), ("c2", 1, {"x": 1, "y": 2})],
+    1: [("x", (0, 0), {}), ("y", (0, 0), {})],
+    2: [("c1", (0, 0), {"x": 1}), ("c2", (0, 1), {"x": 1, "y": 2})],
 }
 
 
@@ -636,34 +678,65 @@ SHARED_ROW = {
     ids=["non-unit-pivot-at-a-later-step", "row-isolated-only-below-the-top"],
 )
 def test_the_filtered_pass_matches_the_dense_snf_on_torsion(filtration):
-    column = filtered_homology(*_filtered_stream(filtration))
-    # a step is read where a generator has it
-    assert set(column) == {t for cells in filtration.values() for _, t, _ in cells}
-    for s, (absolute, relative) in column.items():
-        assert absolute == _dense_homology(filtration, s.__ge__)
-        assert relative == _dense_homology(filtration, s.__eq__)
+    points = _matches_the_dense_snf(filtration)
     # both get their Z_2 in degree 1 at step 1
-    assert column[0][0][1] == FGAbelianGroup.free(1)
-    assert column[1][0][1] == FGAbelianGroup(0, ((2, 1),))
+    assert points[0, 0][0][1] == FGAbelianGroup.free(1)
+    assert points[0, 1][0][1] == FGAbelianGroup(0, ((2, 1),))
+
+
+# loops a, x and y: f bounds a twice at level 1, and g, entering at t = 1,
+# three times, so a is Z_2 at (0, 1), Z_3 at (1, 0) and free of both at
+# (1, 1); x is alone in its row, c1's, below (1, 1) and shared with c2 there
+TWO_STEP = {
+    0: [("v", (0, 0), {})],
+    1: [("a", (0, 0), {}), ("x", (0, 0), {}), ("y", (0, 0), {})],
+    2: [
+        ("f", (0, 1), {"a": 2}),
+        ("g", (1, 0), {"a": 3}),
+        ("c1", (0, 0), {"x": 1}),
+        ("c2", (1, 1), {"x": 1, "y": 2}),
+    ],
+}
+
+
+def test_the_two_parameter_pass_matches_the_dense_snf_on_torsion():
+    points = _matches_the_dense_snf(TWO_STEP)
+    z = FGAbelianGroup.free(1)
+    assert [points[s][0][1] for s in ((0, 0), (0, 1), (1, 0), (1, 1))] == [
+        FGAbelianGroup.free(2),
+        FGAbelianGroup(0, ((2, 1),)).direct_sum(z),
+        FGAbelianGroup(0, ((3, 1),)).direct_sum(z),
+        FGAbelianGroup(0, ((2, 1),)),
+    ]
+    # f and c2 at level 1, their faces below it
+    assert points[1, 1][1] == {2: FGAbelianGroup.free(2)}
 
 
 def test_the_dense_reference_reads_the_later_pivot():
     z = FGAbelianGroup.free(1)
-    assert [_dense_homology(LATER_PIVOT, s.__ge__) for s in (0, 1, 2)] == [
+    assert [_dense_homology(LATER_PIVOT, _up_to(0, s)) for s in (0, 1, 2)] == [
         {0: z, 1: z},
         {0: z, 1: FGAbelianGroup(0, ((2, 1),))},
         {0: z, 2: z},
     ]
-    assert [_dense_homology(LATER_PIVOT, s.__eq__) for s in (0, 1, 2)] == [
+    assert [_dense_homology(LATER_PIVOT, _band(0, s)) for s in (0, 1, 2)] == [
         {0: z, 1: z}, {2: z}, {2: z}
     ]
 
 
 def test_a_face_at_a_later_step_than_its_coface_is_refused():
     stream = [(0, ["v"], None), (1, ["e"], [{0: 1}])]
-    with pytest.raises(ValueError, match="a step 0 generator has a later face"):
-        filtered_homology(stream, {"v": 1, "e": 0}.__getitem__)
-    with pytest.raises(TypeError, match="step"):
-        filtered_homology(stream, {"v": 0, "e": 0.5}.__getitem__)
+    # later in t alone, then in r alone: the sum of the coordinates calls
+    # neither later than (1, 1), and lexicographic order only the first
+    for face in ((2, 0), (0, 2)):
+        with pytest.raises(
+            ValueError, match=r"a step \(1, 1\) generator has a later face"
+        ):
+            filtered_homology(stream, {"v": face, "e": (1, 1)}.__getitem__)
+    for bad in ((0, 0.5), 1, (0, 0, 0)):
+        with pytest.raises(TypeError, match="step"):
+            filtered_homology(stream, {"v": (0, 0), "e": bad}.get)
     # the same face at the coface's step or an earlier one is read
-    assert filtered_homology(stream, {"v": 0, "e": 0}.__getitem__)[0][0] == {}
+    for face in ((1, 1), (0, 1), (1, 0)):
+        points = filtered_homology(stream, {"v": face, "e": (1, 1)}.__getitem__)
+        assert points[1, 1][0] == {}

@@ -203,8 +203,9 @@ def test_known_torsion_through_every_route(factors):
 
     assert integral_homology(stream(complex_)) == expected
     # with one step the filtered pass is its own band
-    assert filtered_homology(stream(complex_), lambda g: 0) == {0: (expected,) * 2}
-    assert filtered_homology([], lambda g: 0) == {} == integral_homology([])
+    one_step = filtered_homology(stream(complex_), lambda g: (0, 0))
+    assert one_step == {(0, 0): (expected,) * 2}
+    assert filtered_homology([], lambda g: (0, 0)) == {} == integral_homology([])
 
     sparse = {p: sparse_invariant_factors(c) for p, (_, c) in complex_.items()}
     dense = {p: smith_normal_form(dense_boundary(complex_, p)) for p in complex_}

@@ -104,13 +104,11 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     assert summary.ok
 
-    # one growth per (family, k) column, of every rank its points reach,
-    # streamed once as one complex filtered by rank
-    keys = [(family, k) for family in FAMILIES for k in range(1, MAX_K + 1)]
-    assert enumerations == Counter(
-        (family, min(MAX_N, k), k, None) for family, k in keys
-    )
-    assert len(streams) == len(FAMILIES) * MAX_K
+    # one growth per family, of every rank and pivot its points reach,
+    # streamed once as one complex filtered by top pivot and rank
+    top = min(MAX_N, MAX_K)
+    assert enumerations == Counter((family, top, MAX_K, None) for family in FAMILIES)
+    assert len(streams) == len(FAMILIES)
     # every nonzero boundary column of each stream goes through the unit
     # split once, over Z, and nothing else does
     assert split == Counter(
@@ -119,9 +117,9 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
         for _, _, columns in stream
         for column in _content(filter(None, columns or ()))
     )
-    # each grown cell is in exactly one stream, its column's
-    for (family, k), stream in zip(keys, streams):
-        grown = cells_by_degree(family, min(MAX_N, k), k)
+    # each grown cell is in exactly one stream, its family's
+    for family, stream in zip(FAMILIES, streams):
+        grown = cells_by_degree(family, top, MAX_K)
         assert Counter(cell for _, cells, _ in stream for cell in cells) == Counter(
             cell for masks in grown.values() for cell in masks
         )
@@ -148,9 +146,9 @@ def test_nothing_is_kept_between_calls(counted):
 
 
 def test_both_complexes_equal_the_filtered_builds(monkeypatch):
-    # each column streams its top complex once, and a cell's step is its
-    # rank, so a point's full complex is the cells at steps <= n and its
-    # rank-n complex those at step n
+    # each family streams its largest complex once, and a cell's step is its
+    # top pivot and its rank, so a point's full complex is the cells at
+    # steps <= (k, n) and its rank-n complex those of them at rank n
     streams, steps = [], []
     _recording(monkeypatch, streams)
 
@@ -162,23 +160,27 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
 
     monkeypatch.setattr(verification, "filtered_homology", recorded)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
-    keys = [(family, k) for family in FAMILIES for k in range(1, MAX_K + 1)]
-    assert len(streams) == len(steps) == len(keys)
-    for (family, k), stream, step in zip(keys, streams, steps):
-        top = min(MAX_N, k)
-        reference = list(cell_slices(cells_by_degree(family, top, k)))
+    assert len(streams) == len(steps) == len(FAMILIES)
+    top = min(MAX_N, MAX_K)
+    for family, stream, step in zip(FAMILIES, streams, steps):
+        reference = list(cell_slices(cells_by_degree(family, top, MAX_K)))
         assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
         for (_, cells, columns), (_, cells_r, columns_r) in zip(stream, reference):
             assert tuple(cells) == tuple(cells_r)
             assert _content(columns or [{}] * len(cells)) == _content(
                 columns_r or [{}] * len(cells_r)
             )
-        for n in range(1, top + 1):
-            for ranks, kept in ((None, n.__ge__), (range(n, n + 1), n.__eq__)):
+        for n, k in GRID:
+            for ranks, level in ((None, n.__ge__), (range(n, n + 1), n.__eq__)):
+
+                def kept(cell):
+                    t, r = step(cell)
+                    return t <= k and level(r)
+
                 assert {
-                    p: [cell for cell in cells if kept(step(cell))]
+                    p: [cell for cell in cells if kept(cell)]
                     for p, cells, _ in stream
-                    if any(kept(step(cell)) for cell in cells)
+                    if any(map(kept, cells))
                 } == cells_by_degree(family, n, k, ranks)
 
 
@@ -677,23 +679,35 @@ def test_every_check_names_what_it_saw():
 def test_a_refused_filtration_fails_the_oracle_rows_without_a_traceback(
     monkeypatch, capsys
 ):
-    # two steps more for an even cell, a face of the odd cell above it,
-    # put each face after its coface, which the pass refuses for every
-    # column with a boundary, from k = 2 on
+    # two ranks more for an even cell, a face of the odd cell above it,
+    # put each face after its coface, which the pass refuses for the first
+    # family, U: one pass a family, so every oracle row of U fails and no
+    # row of Sp
     original = verification.filtered_homology
+    calls = []
 
     def lifted(slices, step):
-        return original(slices, lambda cell: step(cell) + 2 - 2 * (cell & 1))
+        calls.append(step)
+        if len(calls) > 1:
+            return original(slices, step)
+        return original(
+            slices, lambda cell: (step(cell)[0], step(cell)[1] + 2 - 2 * (cell & 1))
+        )
 
     monkeypatch.setattr(verification, "filtered_homology", lifted)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
     assert failures[("reduced-closed-vs-oracle", "family=U n=1 k=2")] == (
-        "a step 2 generator has a later face"
+        "a step (2, 2) generator has a later face"
     )
     assert ("cell-census", "family=U n=1 k=2") not in failures
-    assert not any(params.endswith(" k=1") for _, params in failures)
+    assert not any(params.startswith("family=Sp") for _, params in failures)
+    for check in ("relative-closed-vs-oracle", "reduced-closed-vs-oracle"):
+        assert {params for name, params in failures if name == check} == {
+            f"family=U n={n} k={k}" for n, k in GRID
+        }
     argv = ["verify", "--max-n", str(MAX_N), "--max-k", str(MAX_K)]
+    calls.clear()
     assert cli.main(argv + ["--max-j", str(MAX_J)]) == 4
     assert capsys.readouterr().err == ""
 
