@@ -6,12 +6,12 @@ drops each column holding a +-1 alone in its row, as the Schur complement of
 that pivot changes no other column; in an orbit-space complex every nonzero
 column has one, a free face with one coface (coreduction, Mrozek and Batko,
 DCG 41, 2009).  The rest goes as one block to smith_normal_form, also the
-split's reference in tier-1.  Two drivers feed them: integral_homology
-splits each slice as it arrives, and filtered_homology reads a stream once,
-each generator at a step (t, r), for the homology of every F_(k,n), the
-generators at t <= k and r <= n, and of F_(k,n) over F_(k,<n) (Zomorodian
-and Carlsson, DCG 33, 2005; with two parameters, Carlsson and Zomorodian,
-DCG 42, 2009).
+split's reference in tier-1.  Two drivers split each slice's boundary once,
+whole: integral_homology as the slice arrives, and filtered_homology reading
+a stream once, each generator at a step (t, r), for the homology of every
+F_(k,n), the generators at t <= k and r <= n, and of F_(k,n) over F_(k,<n)
+(Zomorodian and Carlsson, DCG 33, 2005; with two parameters, Carlsson and
+Zomorodian, DCG 42, 2009).
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -141,7 +141,7 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
     >>> sparse_invariant_factors([{0: 1, 1: 2}, {}, {1: 3}])
     [1, 3]
     """
-    units, rest = split_units(columns, columns)
+    units, rest = split_units(columns)
     factors = [1] * units
     if rest:
         rows = sorted({r for column in rest for r in column})
@@ -151,17 +151,15 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
     return factors
 
 
-def split_units(
-    columns: Sequence[Column], over: Iterable[Column]
-) -> tuple[int, list[Column]]:
-    """The isolated-unit split: how many nonzero columns hold a unit alone
-    in its row of over, their whole boundary, and every other nonzero
-    column.  Pivoting on such a unit is unimodular and leaves a factor 1 and
-    the other columns as they were, their isolated units still isolated."""
+def split_units(columns: Sequence[Column]) -> tuple[int, list[Column]]:
+    """The isolated-unit split of a boundary, its rows counted once: how many
+    nonzero columns hold a unit alone in its row, and the other nonzero
+    columns themselves.  Pivoting on such a unit is unimodular and leaves a
+    factor 1 and the other columns as they were, their units still isolated."""
     # a plain dict: on boundaries of a few columns a Counter's set-up costs
     # more than the counting
     uses: dict[int, int] = {}
-    for r in chain.from_iterable(over):
+    for r in chain.from_iterable(columns):
         uses[r] = uses.get(r, 0) + 1
     units = 0
     rest: list[Column] = []
@@ -244,12 +242,12 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
 
     step maps a generator to a pair (t, r) of ints, F_(k,n) holds those at
     t <= k and r <= n, and a face later than its coface in either
-    coordinate is refused with a ValueError.  Each column goes once through
-    split_units over its whole boundary, as a unit alone in its row there is
-    alone in every F_(k,n); what it leaves at steps <= (k, n) goes to
-    sparse_invariant_factors for F_(k,n), and the band at (k, n) keeps the
-    entries whose face has level n too.  A step whose groups cannot be
-    built holds the ValueError in their place.
+    coordinate is refused with a ValueError.  split_units takes each slice's
+    whole boundary once, as a unit alone in its row there is alone in every
+    F_(k,n), and each column is a unit or rest at its own step; the rest at
+    steps <= (k, n) goes to sparse_invariant_factors for F_(k,n), and the
+    band at (k, n) keeps the entries whose face has level n too.  A step
+    whose groups cannot be built holds the ValueError in their place.
 
     >>> cells = [(0, "v", None), (1, "ab", [{0: 2}, {}]), (2, "f", [{1: 1}])]
     >>> steps = {"v": (0, 0), "a": (0, 0), "b": (0, 1), "f": (1, 1)}
@@ -266,9 +264,13 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
             if type(s) is not tuple or list(map(type, s)) != [int, int]:
                 raise TypeError(f"step {s!r} is not a pair of ints")
             here[s] = at.setdefault(s, {})[p] = [count, 0, [], []]
-        by_step: dict[tuple, list[Column]] = {}
+        rest = set(map(id, split_units(columns)[1])) if columns else ()
         for (t, n), column in compress(zip(steps, columns or ()), columns or ()):
-            by_step.setdefault((t, n), []).append(column)
+            into = here[t, n]
+            if id(column) in rest:
+                into[2].append(column)
+            else:
+                into[1] += 1
             band = {}
             for r, v in column.items():
                 face_t, face_n = below[r]
@@ -277,9 +279,7 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
                 if face_n == n:
                     band[r] = v
             if band:
-                here[t, n][3].append(band)
-        for s, group in by_step.items():
-            here[s][1:3] = split_units(group, columns)
+                into[3].append(band)
         below = steps
     groups = {}
     levels: dict[int, dict] = {}  # n -> degree -> what the steps (<= k, n) add
@@ -336,7 +336,7 @@ def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
     Z_2
     """
     ranks = {
-        p: [len(cells), *(split_units(columns, columns) if columns else (0, ()))]
+        p: [len(cells), *(split_units(columns) if columns else (0, ()))]
         for p, cells, columns in checked_slices(slices)
     }
     if isinstance(groups := _homology(ranks), ValueError):

@@ -20,20 +20,24 @@ of ranks whole (see orbit_cells), 1..n or n alone, streams its complex
 once through integral_homology, which splits each slice as it arrives,
 and reads: a read_* function takes the integral homology, which it refuses
 if it has torsion, and the top cell's degree, since at k = n the top cell
-is matched and the top group is 0.  So the oracles eliminate over Z alone;
-verify streams each family once through filtered_homology, a cell's step
-its top pivot and rank, and reads each group once for all its checks.  The
-collapse check is a bool read the same way, through one_residue_class.
+is matched and the top group is 0.  So the oracles eliminate over Z alone.
+The collapse check is a bool read the same way, through one_residue_class.
+
+family_points is the family pass: the strata nest, so one growth to the
+top rank and pivot, streamed once through filtered_homology with a cell's
+step its top pivot and rank, serves every point (n, k): its full complex
+is F_(k,n), its rank-n one the band there, the masks below 1 << k.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from bisect import bisect_left
+from typing import Iterable, Iterator, Mapping
 
 from .abelian import FGAbelianGroup
 from .family import Family
-from .homology import integral_homology
-from .orbit_cells import cell_slices, cells_by_degree
+from .homology import filtered_homology, integral_homology
+from .orbit_cells import cell_slices, cells_by_degree, cells_by_rank, merge_rank
 
 
 def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
@@ -87,6 +91,35 @@ def read_reduced_l_homology(
             f"got rank {rank0} in degree 0"
         )
     return assemble_l_homology(betti, top)
+
+
+def family_points(family: Family, max_n: int, max_k: int) -> Iterator[tuple]:
+    """(n, k, counts, full_rank, homology, relative) at each n <= max_n and
+    n <= k <= max_k, n ascending, then k: each point's own dicts of its cells
+    and its rank-n cells by degree, and the groups of its full complex and
+    rank-n one; a refused pass gives its ValueError for both, at every point."""
+    by_rank = cells_by_rank(family, min(max_n, max_k), max_k)
+    cells: dict[int, list[int]] = {}
+    for full_rank in by_rank.values():
+        merge_rank(cells, full_rank)
+    try:
+        points = filtered_homology(
+            cell_slices(cells), lambda cell: (cell.bit_length(), cell.bit_count())
+        )
+    except ValueError as error:
+        points = error
+    below: dict[int, dict] = {}  # k -> cells by degree of ranks < n
+    for n, masks_of in by_rank.items():
+        for k in range(n, max_k + 1):
+            end = 1 << k  # column k's cells are the masks below it
+            counts, full_rank = dict(below.get(k, {})), {}
+            for p, masks in masks_of.items():
+                if cut := bisect_left(masks, end):  # a copy only of a prefix
+                    full_rank[p] = masks[:cut] if cut < len(masks) else masks
+                    counts[p] = counts.get(p, 0) + cut
+            below[k] = counts
+            pair = (points,) * 2 if isinstance(points, ValueError) else points[k, n]
+            yield n, k, counts, full_rank, *pair
 
 
 def one_residue_class(family: Family, n: int, degrees: Iterable[int]) -> bool:

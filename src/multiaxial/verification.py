@@ -9,16 +9,13 @@ its cells in adjacent degrees; and the parity counts, which tier-1 compares
 with a listing of the box.  The CLI verify subcommand and the acceptance
 tests both run through here.
 
-Each family grows its cells to rank min(max_n, max_k) and pivot max_k once
-and streams them once through filtered_homology, a cell's step its top
-pivot and rank: the point (family, n, k) reads its full complex and its
-rank-n complex, the band, as the pair at step (k, n), and its rank-n cells
-as the masks below 1 << k of each degree.  cell-census counts the full
-complex, so an empty one fails it and every oracle read.  The oracle's
-reads get only integral homology and the top cell's degree, into one table
-keyed by (family, rank, k); each structure-set summand is compared with a
-read there, never with the closed forms that built it.  A spec reads its
-report and the one at k + 2, each built and computed once per call.
+The cell rows of each point read l_homology.family_points, one pass a
+family.  cell-census counts the full complex, so an empty one fails it and
+every oracle read.  The oracle's reads get only integral homology and the
+top cell's degree, into one table keyed by (family, rank, k); each
+structure-set summand is compared with a read there, never with the closed
+forms that built it.  A spec reads its report and the one at k + 2, each
+built and computed once per call.
 
 run_verification walks the grid and is the only place that makes a
 CheckResult.  Every detail names what its check saw, and a row keeps the
@@ -31,7 +28,6 @@ read places.  Nothing is kept between calls.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache
 from math import comb
@@ -39,14 +35,13 @@ from typing import NamedTuple
 
 from .abelian import FGAbelianGroup
 from .family import Family, UsageError
-from .homology import filtered_homology
 from .l_homology import (
+    family_points,
     one_residue_class,
     read_collapse,
     read_l_homology,
     read_reduced_l_homology,
 )
-from .orbit_cells import cell_slices, cells_by_rank, merge_rank
 from .structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -176,34 +171,6 @@ def _cell_checks(family, n, k, counts, full_rank, homology, relative, reads):
     )
 
 
-def _cell_columns(families, max_n: int, max_k: int, reads: dict):
-    """((family, n, k), rows) of each cell point, a family at a time; a
-    cell's step is its top pivot and rank, its mask's bit length and count."""
-    for family in families:
-        by_rank = cells_by_rank(family, min(max_n, max_k), max_k)
-        cells: dict[int, list[int]] = {}
-        for full_rank in by_rank.values():
-            merge_rank(cells, full_rank)
-        points = _or_error(
-            filtered_homology,
-            cell_slices(cells),
-            lambda cell: (cell.bit_length(), cell.bit_count()),
-        )
-        for k in range(1, max_k + 1):
-            end = 1 << k  # column k's cells are the masks below it
-            counts: dict[int, int] = {}  # the point's cells by degree
-            for n in range(1, min(max_n, k) + 1):
-                full_rank = {}
-                for p, masks in by_rank[n].items():
-                    if masks[0] < end:
-                        full_rank[p] = masks[: bisect_left(masks, end)]
-                        counts[p] = counts.get(p, 0) + len(full_rank[p])
-                # a refused pass fails every read
-                pair = (points,) * 2 if isinstance(points, ValueError) else points[k, n]
-                checks = _cell_checks(family, n, k, counts, full_rank, *pair, reads)
-                yield (family, n, k), list(checks)
-
-
 def _spec_checks(family: Family, n: int, k: int, max_j: int, report_of, reads):
     """(j, rows) of each spec (family, n, k, j <= max_j), which share the
     reads that place their labels."""
@@ -316,10 +283,10 @@ def run_verification(
             results.append(CheckResult(name, params, ok, seen))
 
     reads: dict[tuple[Family, int, int], _Reads] = {}
-    cell_rows = dict(_cell_columns(families, max_n, max_k, reads))
     for family in families:
-        for n, k in _grid(max_n, max_k):
-            run(f"family={family} n={n} k={k}", cell_rows.pop((family, n, k)))
+        for n, k, *point in family_points(family, max_n, max_k):
+            checks = _cell_checks(family, n, k, *point, reads)
+            run(f"family={family} n={n} k={k}", checks)
     # each report is computed once, its spec built on the first read: the
     # one at k + 2 is also a base later
     report_of = cache(

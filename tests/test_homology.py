@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiaxial import cli, homology
@@ -740,3 +740,90 @@ def test_a_face_at_a_later_step_than_its_coface_is_refused():
     for face in ((1, 1), (0, 1), (1, 0)):
         points = filtered_homology(stream, {"v": face, "e": (1, 1)}.__getitem__)
         assert points[1, 1][0] == {}
+
+
+@st.composite
+def filtered_complexes(draw):
+    """A filtration as _filtered_stream reads it, degrees 0 to at most 3.
+
+    It starts as a direct sum of free generators and pieces Z -a-> Z, a in
+    {+-1, 2, 3, 4, 6}, so its homology is known, then hides that in dense
+    columns: each degree's basis is permuted and changed by elementary
+    unimodular operations, which keep d^2 = 0.  Each generator draws a step
+    (t, r) in [0, 2]^2, raised to dominate the steps of its faces.
+    """
+    top = draw(st.integers(1, 3))
+    size = [0] * (top + 1)
+    pieces = []  # (degree, row, column, a) of each Z -a-> Z
+    for _ in range(draw(st.integers(1, 7))):
+        p = draw(st.integers(0, top))
+        if p > 0 and draw(st.booleans()):
+            a = draw(st.sampled_from([1, -1, 2, 3, 4, 6]))
+            pieces.append((p, size[p - 1], size[p], a))
+            size[p - 1] += 1
+        size[p] += 1
+    # d[p][i][j]: the coefficient of generator i of degree p - 1 in the
+    # boundary of generator j of degree p
+    d = {p: [[0] * size[p] for _ in range(size[p - 1])] for p in range(1, top + 1)}
+    for p, i, j, a in pieces:
+        d[p][i][j] = a
+    for p in range(top + 1):
+        order = draw(st.permutations(range(size[p])))
+        if p > 0:
+            d[p] = [[row[j] for j in order] for row in d[p]]
+        if p < top:
+            d[p + 1] = [d[p + 1][i] for i in order]
+        if size[p] < 2:
+            continue
+        operations = st.tuples(
+            st.integers(0, size[p] - 1),
+            st.integers(0, size[p] - 1),
+            st.sampled_from([1, -1, 2, -3]),
+        )
+        for i, j, c in draw(st.lists(operations, max_size=4)):
+            if i == j:
+                continue
+            # generator i becomes e_i + c e_j: its column gains c times
+            # column j, and row j of the boundary into degree p loses c
+            # times row i
+            if p > 0:
+                for row in d[p]:
+                    row[i] += c * row[j]
+            if p < top:
+                d[p + 1][j] = [
+                    v - c * w for v, w in zip(d[p + 1][j], d[p + 1][i])
+                ]
+    steps = {}
+    filtration = {}
+    for p in range(top + 1):
+        cells = filtration[p] = []
+        for j in range(size[p]):
+            faces = {
+                (p - 1, i): row[j] for i, row in enumerate(d.get(p, ())) if row[j]
+            }
+            t, r = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            for face in faces:
+                t, r = max(t, steps[face][0]), max(r, steps[face][1])
+            steps[p, j] = t, r
+            cells.append(((p, j), (t, r), faces))
+    return filtration
+
+
+@settings(max_examples=300)
+@given(filtered_complexes(), st.data())
+def test_random_filtered_complexes_match_the_dense_snf(filtration, data):
+    # integral_homology at the top step, and the filtered pass at every
+    # step, absolute and band, against the dense Smith normal form alone
+    stream, step = _filtered_stream(filtration)
+    assert integral_homology(stream) == _dense_homology(filtration, _up_to(2, 2))
+    _matches_the_dense_snf(filtration)
+    # a face raised above its coface, in either coordinate, is refused
+    edges = [
+        (face, t) for cells in filtration.values()
+        for _, t, faces in cells for face in faces
+    ]
+    if edges:
+        face, (t, r) = data.draw(st.sampled_from(edges))
+        later = data.draw(st.sampled_from([(t + 1, r), (t, r + 1)]))
+        with pytest.raises(ValueError, match="later face"):
+            filtered_homology(stream, lambda g: later if g == face else step(g))

@@ -2,15 +2,17 @@ from math import comb
 
 import pytest
 
-from multiaxial import homology
+from multiaxial import homology, l_homology
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
 from multiaxial.grassmannian import count_A_B
 from multiaxial.l_homology import (
     _torsion_free_ranks,
     assemble_l_homology,
+    family_points,
     one_residue_class,
     read_collapse,
+    read_l_homology,
     read_reduced_l_homology,
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
@@ -85,10 +87,10 @@ def test_oracles_eliminate_over_z_alone(monkeypatch, family):
     eliminated = []
     original = homology.split_units
 
-    def counting(columns, over=None):
+    def counting(columns):
         if any(columns):
             eliminated.append(tuple(columns))
-        return original(columns, over)
+        return original(columns)
 
     monkeypatch.setattr(homology, "split_units", counting)
     n, k = 2, 5
@@ -109,6 +111,54 @@ def test_oracles_eliminate_over_z_alone(monkeypatch, family):
     eliminated.clear()
     assert _collapse(family, n, k)
     assert eliminated == boundaries
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_the_family_pass_reads_every_point_as_the_one_point_drivers(family):
+    # one growth and one filtered pass give each (n, k) the cells, groups
+    # and reads that the point's own complexes give, each point its own
+    points = list(family_points(family, 5, 9))
+    assert [point[:2] for point in points] == [
+        (n, k) for n in range(1, 6) for k in range(n, 10)
+    ]
+    assert len({id(point[2]) for point in points}) == len(points)
+    for n, k, counts, full_rank, absolute, relative in points:
+        cells = cells_by_degree(family, n, k)
+        band = cells_by_degree(family, n, k, range(n, n + 1))
+        assert counts == {p: len(masks) for p, masks in cells.items()}
+        assert full_rank == band
+        assert absolute == homology.integral_homology(cell_slices(cells))
+        assert relative == homology.integral_homology(cell_slices(band))
+        top = max(counts)
+        assert read_l_homology(relative, top) == relative_l_homology_oracle(
+            family, n, k
+        )
+        assert read_reduced_l_homology(absolute, top) == (
+            reduced_l_homology_oracle(family, n, k)
+        )
+
+
+@pytest.mark.parametrize("family", [C, H], ids=str)
+def test_a_refused_family_pass_gives_its_error_at_every_point(monkeypatch, family):
+    # two ranks more for an even cell, a face of the odd cell above it, put
+    # a face after its coface: the pass is refused, and each point holds
+    # the ValueError in place of both groups, its cells still read
+    original = l_homology.filtered_homology
+
+    def lifted(slices, step):
+        return original(
+            slices, lambda cell: (step(cell)[0], step(cell)[1] + 2 - 2 * (cell & 1))
+        )
+
+    monkeypatch.setattr(l_homology, "filtered_homology", lifted)
+    points = list(family_points(family, 3, 6))
+    assert len(points) == 15
+    error = points[0][4]
+    assert isinstance(error, ValueError)
+    assert "has a later face" in str(error)
+    for n, k, counts, full_rank, absolute, relative in points:
+        assert absolute is relative is error
+        assert full_rank == cells_by_degree(family, n, k, range(n, n + 1))
 
 
 def test_relative_examples():

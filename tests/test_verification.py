@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from multiaxial import (
-    cli, grassmannian, homology, orbit_cells, structure_set, verification
+    cli, grassmannian, homology, l_homology, orbit_cells, structure_set, verification
 )
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
@@ -64,9 +64,9 @@ def counted(monkeypatch):
     )
 
     def splitting(original):
-        def wrapper(columns, over=None):
+        def wrapper(columns):
             split.update(_content(filter(None, columns)))
-            return original(columns, over)
+            return original(columns)
 
         return wrapper
 
@@ -79,9 +79,9 @@ def counted(monkeypatch):
 
 
 def _recording(monkeypatch, streams):
-    """Wrap verification's cell_slices so that every stream it makes lands
-    in streams, slice by slice as it is read."""
-    original = verification.cell_slices
+    """Wrap the family pass's cell_slices so that every stream it makes
+    lands in streams, slice by slice as it is read."""
+    original = l_homology.cell_slices
 
     def wrapper(by_degree):
         stream = []
@@ -90,7 +90,7 @@ def _recording(monkeypatch, streams):
             stream.append(piece)
             yield piece
 
-    monkeypatch.setattr(verification, "cell_slices", wrapper)
+    monkeypatch.setattr(l_homology, "cell_slices", wrapper)
 
 
 def _nonzero(columns):
@@ -135,6 +135,30 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     assert set(reports.values()) == {1}
 
 
+def test_the_family_pass_splits_each_slice_once_over_its_whole_boundary(
+    monkeypatch,
+):
+    # the unit split counts a slice's rows once, however many steps its
+    # columns have, and sees every column of the slice's boundary
+    streams, splits = [], []
+    _recording(monkeypatch, streams)
+    original = homology.split_units
+
+    def recorded(*args):
+        splits.append(tuple(map(_content, args)))
+        return original(*args)
+
+    monkeypatch.setattr(homology, "split_units", recorded)
+    verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
+    boundaries = [
+        (_content(columns),)
+        for stream in streams
+        for _, _, columns in stream
+        if _nonzero(columns)
+    ]
+    assert boundaries and splits == boundaries
+
+
 def test_nothing_is_kept_between_calls(counted):
     enumerations, split, reports = counted
     verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
@@ -152,13 +176,13 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
     streams, steps = [], []
     _recording(monkeypatch, streams)
 
-    original = verification.filtered_homology
+    original = l_homology.filtered_homology
 
     def recorded(slices, step):
         steps.append(step)
         return original(slices, step)
 
-    monkeypatch.setattr(verification, "filtered_homology", recorded)
+    monkeypatch.setattr(l_homology, "filtered_homology", recorded)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
     assert len(streams) == len(steps) == len(FAMILIES)
     top = min(MAX_N, MAX_K)
@@ -547,21 +571,23 @@ def _negative_rank_rows(capsys, rows):
 def test_a_unit_counted_twice_fails_the_rows_reading_that_homology(
     monkeypatch, capsys
 ):
-    # one 1 too many from each unit split that finds a unit takes a free
+    # one 1 too many in each degree whose boundary has a unit takes a free
     # rank below zero in the full complex's homology from rank 2 on; the
     # rows reading it fail, and the relative complex, with no boundary and
-    # so no split, is fine.
+    # so no unit, is fine.
     # Of the specs, top reads it on the odd gap, and so does
     # branch-dispatch's basepoint test there at j > 0.
     odd_gap = [(2, 3), (2, 5), (3, 4), (3, 6)]
     rows = _rows()
-    original = homology.split_units
+    original = homology._homology
 
-    def unit_counted_twice(columns, over=None):
-        units, rest = original(columns, over)
-        return units + (units > 0), rest
+    def unit_counted_twice(ranks):
+        return original({
+            p: (cells, units + (units > 0), rest)
+            for p, (cells, units, rest) in ranks.items()
+        })
 
-    monkeypatch.setattr(homology, "split_units", unit_counted_twice)
+    monkeypatch.setattr(homology, "_homology", unit_counted_twice)
     assert _negative_rank_rows(capsys, rows) == {
         (check, f"family={family} n={n} k={k}")
         for check in ("reduced-closed-vs-oracle", "collapse-certificate")
@@ -605,8 +631,8 @@ def _build_nothing(monkeypatch):
     def boom(*args):
         raise AssertionError("a refused grid must build nothing")
 
-    for name in ("cells_by_rank", "compute_structure_set"):
-        monkeypatch.setattr(verification, name, boom)
+    monkeypatch.setattr(l_homology, "cells_by_rank", boom)
+    monkeypatch.setattr(verification, "compute_structure_set", boom)
 
 
 @pytest.mark.parametrize(
@@ -683,7 +709,7 @@ def test_a_refused_filtration_fails_the_oracle_rows_without_a_traceback(
     # put each face after its coface, which the pass refuses for the first
     # family, U: one pass a family, so every oracle row of U fails and no
     # row of Sp
-    original = verification.filtered_homology
+    original = l_homology.filtered_homology
     calls = []
 
     def lifted(slices, step):
@@ -694,7 +720,7 @@ def test_a_refused_filtration_fails_the_oracle_rows_without_a_traceback(
             slices, lambda cell: (step(cell)[0], step(cell)[1] + 2 - 2 * (cell & 1))
         )
 
-    monkeypatch.setattr(verification, "filtered_homology", lifted)
+    monkeypatch.setattr(l_homology, "filtered_homology", lifted)
     summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
     failures = {(r.check, r.params): r.detail for r in summary.results if not r.ok}
     assert failures[("reduced-closed-vs-oracle", "family=U n=1 k=2")] == (
