@@ -260,26 +260,35 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
     for p, cells, columns in checked_slices(slices):
         steps = list(map(step, cells))
         here = {}  # step -> what it adds in degree p
-        for s, count in Counter(steps).items():
-            if type(s) is not tuple or list(map(type, s)) != [int, int]:
+        try:
+            counted = Counter(steps).items()
+        except TypeError:  # a step that does not hash: check each in turn
+            counted = [(s, 0) for s in steps]
+        for s, count in counted:
+            if type(s) is not tuple or len(s) != 2 or not (
+                type(s[0]) is type(s[1]) is int
+            ):
                 raise TypeError(f"step {s!r} is not a pair of ints")
             here[s] = at.setdefault(s, {})[p] = [count, 0, [], []]
-        rest = set(map(id, split_units(columns)[1])) if columns else ()
-        for (t, n), column in compress(zip(steps, columns or ()), columns or ()):
-            into = here[t, n]
-            if id(column) in rest:
-                into[2].append(column)
-            else:
-                into[1] += 1
-            band = {}
-            for r, v in column.items():
-                face_t, face_n = below[r]
-                if face_t > t or face_n > n:
-                    raise ValueError(f"a step {t, n} generator has a later face")
-                if face_n == n:
-                    band[r] = v
-            if band:
-                into[3].append(band)
+        if columns:
+            rest = set(map(id, split_units(columns)[1]))
+            for s, column in compress(zip(steps, columns), columns):
+                into = here[s]
+                if id(column) in rest:
+                    into[2].append(column)
+                else:
+                    into[1] += 1
+                t, n = s
+                band = None  # made for a column with a face at level n
+                for r, v in column.items():
+                    face_t, face_n = below[r]
+                    if face_t > t or face_n > n:
+                        raise ValueError(f"a step {t, n} generator has a later face")
+                    if face_n == n:
+                        if band is None:
+                            band = {}
+                            into[3].append(band)
+                        band[r] = v
         below = steps
     groups = {}
     levels: dict[int, dict] = {}  # n -> degree -> what the steps (<= k, n) add
@@ -309,13 +318,15 @@ def _homology(ranks: Mapping[int, Sequence]) -> dict[int, FGAbelianGroup] | Valu
         factors = {p: sparse_invariant_factors(r[2]) for p, r in ranks.items() if r[2]}
         result = {}
         for p, (cells, units, _) in ranks.items():
-            into = factors.get(p + 1, ())  # the incoming boundary's factors
-            free = cells - units - len(factors.get(p, ())) - len(into)
-            free -= ranks.get(p + 1, (0, 0))[1]
-            if into and into[-1] > 1:
-                torsion = FGAbelianGroup.from_orders(into).torsion
-                result[p] = FGAbelianGroup(free, torsion)
-            elif free:
+            free = cells - units - ranks.get(p + 1, (0, 0))[1]
+            if factors:  # only a level with residual columns has factors
+                into = factors.get(p + 1, ())  # the incoming boundary's factors
+                free -= len(factors.get(p, ())) + len(into)
+                if into and into[-1] > 1:
+                    torsion = FGAbelianGroup.from_orders(into).torsion
+                    result[p] = FGAbelianGroup(free, torsion)
+                    continue
+            if free:
                 result[p] = _free(free)
         return result
     except ValueError as error:

@@ -12,10 +12,10 @@ tests both run through here.
 The cell rows of each point read l_homology.family_points, one pass a
 family.  cell-census counts the full complex, so an empty one fails it and
 every oracle read.  The oracle's reads get only integral homology and the
-top cell's degree, into one table keyed by (family, rank, k); each
+top cell's degree, into one table a family keyed by (rank, k); each
 structure-set summand is compared with a read there, never with the closed
 forms that built it.  A spec reads its report and the one at k + 2, each
-built and computed once per call.
+computed once per call into one table a (family, rank) keyed by (k, j).
 
 run_verification walks the grid and is the only place that makes a
 CheckResult.  Every detail names what its check saw, and a row keeps the
@@ -29,7 +29,6 @@ read places.  Nothing is kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 from math import comb
 from typing import NamedTuple
 
@@ -94,12 +93,6 @@ class VerificationSummary:
         return {name: (p, f) for name, (p, f) in table.items()}
 
 
-def _grid(max_n: int, max_k: int):
-    for n in range(1, max_n + 1):
-        for k in range(n, max_k + 1):
-            yield n, k
-
-
 class _Words(tuple):  # values a detail prints space separated
     def __str__(self) -> str:
         return " ".join(map(str, self))
@@ -124,8 +117,8 @@ def _failed(value) -> tuple[bool, str] | None:
 
 
 class _Reads(NamedTuple):
-    """The oracle's groups at one (family, rank, k), of the rank-n complex and
-    the full one without and with the basepoint, or the ValueError of each."""
+    """The oracle's groups at one (rank, k), of the rank-n complex and the
+    full one without and with the basepoint, or the ValueError of each."""
 
     relative: FGAbelianGroup | ValueError
     reduced: FGAbelianGroup | ValueError
@@ -152,7 +145,7 @@ def _cell_checks(family, n, k, counts, full_rank, homology, relative, reads):
         one_residue_class(family, n, full_rank),
         ("full-rank cells in degrees {}", _Words(sorted(full_rank)) or "none"),
     )
-    read = reads[family, n, k] = _Reads(
+    read = reads[n, k] = _Reads(
         _or_error(read_l_homology, relative, top),
         _or_error(read_reduced_l_homology, homology, top),
         _or_error(read_l_homology, homology, top),
@@ -171,29 +164,44 @@ def _cell_checks(family, n, k, counts, full_rank, homology, relative, reads):
     )
 
 
-def _spec_checks(family: Family, n: int, k: int, max_j: int, report_of, reads):
-    """(j, rows) of each spec (family, n, k, j <= max_j), which share the
-    reads that place their labels."""
+def _spec_checks(family: Family, n: int, max_k: int, max_j: int, reads):
+    """(k, j, rows) of each spec (family, n, k <= max_k, j <= max_j).  The
+    specs at one k share the reads that place their labels, and each report
+    is computed once: the one at k + 2 is a base two steps on."""
     rank_of = {f"stratum_pair({d})": n - d for d in range(n)} | {"free_stratum": 1}
-    # the read that places each label; top ⊕ basepoint's is the absolute one,
-    # as H_d(X; L) is the reduced group ⊕ L_d(point)
-    here = reads[family, n, k]
-    oracle = {label: reads[family, m, k].relative for label, m in rank_of.items()}
-    oracle["free_stratum"] = reads[family, 1, k].reduced
-    oracle["top"], oracle["top+basepoint"] = here.reduced, here.absolute
-    for j in range(max_j + 1):
-        report = report_of(family, n, k, j)
-        twice = report_of(family, n, k + 2, j)
-        fail = _failed(report)  # every row reads the report
-        yield j, (
-            ("summand-closed-vs-oracle", fail or _summand_row(j, report, oracle)),
-            ("branch-dispatch", fail or _branch_row(n, k, j, report, rank_of, here)),
-            ("suspension-monotone", fail or _suspension_row(k, report, twice)),
-        )
+    reports = {}  # (k + 2, j) -> that report or its ValueError, until a base
+
+    def report(k, j):
+        return _or_error(compute_structure_set, ActionSpec(family, n, k, j))
+
+    for k in range(n, max_k + 1):
+        # the read that places each label; top ⊕ basepoint's is the absolute
+        # one, as H_d(X; L) is the reduced group ⊕ L_d(point)
+        here = reads[n, k]
+        oracle = {label: reads[m, k].relative for label, m in rank_of.items()}
+        oracle["free_stratum"] = reads[1, k].reduced
+        oracle["top"], oracle["top+basepoint"] = here.reduced, here.absolute
+        odd_gap = (k - n) % 2 == 1
+        strata = list(range(2 - k % 2, n + 1, 2))  # the ranks the branch fixes
+        for j in range(max_j + 1):
+            base = reports.pop((k, j)) if k >= n + 2 else report(k, j)
+            twice = reports[k + 2, j] = report(k + 2, j)
+            if fail := _failed(base):  # every row reads the report
+                rows = fail, fail, fail
+            else:
+                labels = base.labels()
+                rows = (
+                    _summand_row(j, base, labels, oracle),
+                    _branch_row(j, odd_gap, strata, base, labels, rank_of, here),
+                    _suspension_row(k, base, twice),
+                )
+            yield k, j, zip(_SPEC_CHECKS, rows)
 
 
-def _summand_row(j, report, oracle) -> tuple[bool, str]:
-    labels = report.labels()
+_SPEC_CHECKS = ("summand-closed-vs-oracle", "branch-dispatch", "suspension-monotone")
+
+
+def _summand_row(j, report, labels, oracle) -> tuple[bool, str]:
     summands = [(s.label, s.group) for s in report.summands]
     if j > 0 and "top" in labels and "basepoint" in labels:
         extra = [group for label, group in summands if label == "basepoint"]
@@ -203,20 +211,21 @@ def _summand_row(j, report, oracle) -> tuple[bool, str]:
             for label, group in summands
             if label != "basepoint"
         ]
-    reads = [oracle.get(label) for label, _ in summands]  # None: no read places it
-    if fail := next(filter(None, map(_failed, reads)), None):
-        return fail
-    wrong = [label for (label, group), read in zip(summands, reads) if group != read]
+    wrong = []
+    for label, group in summands:
+        read = oracle.get(label)  # None: no read places it
+        if isinstance(read, ValueError):
+            return False, str(read)
+        if group != read:
+            wrong.append(label)
     return not wrong, " ".join(wrong) if wrong else ("as read: {}", _Words(labels))
 
 
-def _branch_row(n, k, j, report, rank_of, here) -> tuple[bool, str]:
+def _branch_row(j, odd_gap, strata, report, labels, rank_of, here) -> tuple[bool, str]:
     # the branch fixes the strata: ranks m <= n with m = k mod 2, top if
     # odd, and a basepoint if odd with j > 0 and the absolute read there
     # differing from the reduced one
-    labels = report.labels()
-    odd_gap = (k - n) % 2 == 1
-    ranks = sorted(rank_of[label] for label in labels if label in rank_of)
+    ranks = sorted([rank_of[label] for label in labels if label in rank_of])
     basepoint = odd_gap and j > 0
     if basepoint and (fail := _failed(here.absolute) or _failed(here.reduced)):
         return fail
@@ -226,7 +235,7 @@ def _branch_row(n, k, j, report, rank_of, here) -> tuple[bool, str]:
         report.branch == ("odd-gap" if odd_gap else "even-gap")
         and ("top" in labels) == odd_gap
         and ("basepoint" in labels) == basepoint
-        and ranks == list(range(2 - k % 2, n + 1, 2)),
+        and ranks == strata,
         ("{}, strata at ranks {}{}", report.branch, _Words(ranks) or "none", shown),
     )
 
@@ -282,19 +291,15 @@ def run_verification(
         for name, (ok, seen) in checks:
             results.append(CheckResult(name, params, ok, seen))
 
-    reads: dict[tuple[Family, int, int], _Reads] = {}
+    reads_of = {}  # family -> its reads, keyed by (n, k)
     for family in families:
+        reads = reads_of[family] = {}
         for n, k, *point in family_points(family, max_n, max_k):
             checks = _cell_checks(family, n, k, *point, reads)
             run(f"family={family} n={n} k={k}", checks)
-    # each report is computed once, its spec built on the first read: the
-    # one at k + 2 is also a base later
-    report_of = cache(
-        lambda *spec: _or_error(compute_structure_set, ActionSpec(*spec))
-    )
     for family in families:
-        for n, k in _grid(max_n, max_k):
-            point = f"family={family} n={n} k={k}"
-            for j, checks in _spec_checks(family, n, k, max_j, report_of, reads):
-                run(f"{point} j={j}", checks)
+        for n in range(1, max_n + 1):
+            at = f"family={family} n={n}"
+            for k, j, checks in _spec_checks(family, n, max_k, max_j, reads_of[family]):
+                run(f"{at} k={k} j={j}", checks)
     return VerificationSummary(tuple(results))

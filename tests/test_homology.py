@@ -733,9 +733,12 @@ def test_a_face_at_a_later_step_than_its_coface_is_refused():
             ValueError, match=r"a step \(1, 1\) generator has a later face"
         ):
             filtered_homology(stream, {"v": face, "e": (1, 1)}.__getitem__)
-    for bad in ((0, 0.5), 1, (0, 0, 0)):
-        with pytest.raises(TypeError, match="step"):
+    # a list or a dict does not hash, and is named as any other non-pair
+    for bad in ((0, 0.5), (1, True), 1, (0, 0, 0), [0, 1], {1: 1}):
+        with pytest.raises(TypeError, match=re.escape(f"step {bad!r} is not a pair")):
             filtered_homology(stream, {"v": (0, 0), "e": bad}.get)
+    with pytest.raises(TypeError, match="step None is not a pair of ints"):
+        filtered_homology(stream, {"v": (0, 0)}.get)
     # the same face at the coface's step or an earlier one is read
     for face in ((1, 1), (0, 1), (1, 0)):
         points = filtered_homology(stream, {"v": face, "e": (1, 1)}.__getitem__)

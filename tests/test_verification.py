@@ -771,3 +771,18 @@ def test_a_passing_verify_formats_no_group_of_its_own(monkeypatch, capsys):
     row = verification.run_verification(1, 1, 0).results[2]
     assert (row.check, row.detail) == ("relative-closed-vs-oracle", "Z vs Z")
     assert callers == ["detail", "detail"]
+
+
+def test_family_order_and_one_family_grids_give_the_same_rows():
+    # the tables are kept a family at a time, so neither the order of the
+    # families nor a family run alone changes a row
+    def rows(families):
+        summary = verification.run_verification(4, 8, 2, families)
+        return [(r.check, r.params, r.ok, r.detail) for r in summary.results]
+
+    both = rows(FAMILIES)
+    assert len(both) == 728
+    assert Counter(rows(FAMILIES[::-1])) == Counter(both)
+    for family in FAMILIES:
+        own = [row for row in both if row[1].startswith(f"family={family} ")]
+        assert own and rows((family,)) == own
