@@ -1,17 +1,18 @@
 """Exact integer chain complexes and their homology.
 
 A complex is an ascending stream of (degree, generators, sparse columns)
-slices, never held whole, and checked_slices is its one check.  split_units
-drops each column holding a +-1 alone in its row, as the Schur complement of
-that pivot changes no other column; in an orbit-space complex every nonzero
-column has one, a free face with one coface (coreduction, Mrozek and Batko,
-DCG 41, 2009).  The rest goes as one block to smith_normal_form, also the
-split's reference in tier-1.  Two drivers split each slice's boundary once,
-whole: integral_homology as the slice arrives, and filtered_homology reading
-a stream once, each generator at a step (t, r), for the homology of every
-F_(k,n), the generators at t <= k and r <= n, and of F_(k,n) over F_(k,<n)
-(Zomorodian and Carlsson, DCG 33, 2005; with two parameters, Carlsson and
-Zomorodian, DCG 42, 2009).
+slices, never held whole.  checked_slices is its one check, and it passes on
+the producer's nonzero columns, read and never changed; a zero is refused.
+split_units drops each column holding a +-1 alone in its row, as the Schur
+complement of that pivot changes no other column; in an orbit-space complex
+every nonzero column has one, a free face with one coface (coreduction,
+Mrozek and Batko, DCG 41, 2009).  The rest goes as one block to
+smith_normal_form, also the split's reference in tier-1.  Two drivers split
+each slice's boundary once, whole: integral_homology as the slice arrives,
+and filtered_homology reading a stream once, each generator at a step (t, r),
+for the homology of every F_(k,n), the generators at t <= k and r <= n, and
+of F_(k,n) over F_(k,<n) (Zomorodian and Carlsson, DCG 33, 2005; with two
+parameters, Carlsson and Zomorodian, DCG 42, 2009).
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -30,16 +31,12 @@ from collections import Counter
 from functools import cache
 from itertools import chain, compress
 from operator import add
-from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .abelian import FGAbelianGroup
 
 Matrix = Sequence[Sequence[int]]
 Column = Mapping[int, int]
-
-# the one empty column checked_slices yields, shared and read only
-_NO_ENTRIES: Column = MappingProxyType({})
 
 
 def _not_an_int(value: object, what: str) -> NoReturn:
@@ -132,7 +129,7 @@ def smith_normal_form(matrix: Matrix) -> list[int]:
     return [1] * (t - len(factors)) + factors
 
 
-def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
+def sparse_invariant_factors(columns: Iterable[Column]) -> list[int]:
     """smith_normal_form of a matrix given as sparse columns: split_units,
     then smith_normal_form of what it leaves, as rows without the zero rows.
 
@@ -151,11 +148,12 @@ def sparse_invariant_factors(columns: Sequence[Column]) -> list[int]:
     return factors
 
 
-def split_units(columns: Sequence[Column]) -> tuple[int, list[Column]]:
+def split_units(columns: Iterable[Column]) -> tuple[int, list[Column]]:
     """The isolated-unit split of a boundary, its rows counted once: how many
     nonzero columns hold a unit alone in its row, and the other nonzero
     columns themselves.  Pivoting on such a unit is unimodular and leaves a
     factor 1 and the other columns as they were, their units still isolated."""
+    columns = tuple(filter(None, columns))  # walked twice, so an iterator is read once
     # a plain dict: on boundaries of a few columns a Counter's set-up costs
     # more than the counting
     uses: dict[int, int] = {}
@@ -163,7 +161,7 @@ def split_units(columns: Sequence[Column]) -> tuple[int, list[Column]]:
         uses[r] = uses.get(r, 0) + 1
     units = 0
     rest: list[Column] = []
-    for column in filter(None, columns):
+    for column in columns:
         for r, v in column.items():
             # a unit that is not an int goes on to the dense block, which
             # refuses it
@@ -181,11 +179,12 @@ Slice = tuple[int, Sequence[Hashable], "Sequence[Column] | None"]
 def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
     """The one check of a chain complex: a slice is (degree, distinct
     hashable generators, the boundary out of that degree as one sparse row
-    -> coefficient column per generator, or None), its rows indexing the
-    slice before if that is one degree lower.  Degrees must be ints >= 0
-    and ascend; column counts, rows, int coefficients and d^2 = 0 are
-    checked holding only the slice before.  Each slice comes out with
-    tuples of generators and of zero-free column copies, or None.
+    -> nonzero coefficient column per generator, or None), its rows indexing
+    the slice before if that is one degree lower.  Degrees must be ints >= 0
+    and ascend; column counts, rows, nonzero int coefficients and d^2 = 0
+    are checked holding only the slice before.  A slice comes out with a
+    tuple of its generators and one of the producer's own columns, or None;
+    no column is changed, and a producer must not change one once yielded.
     """
     below, rows, lower = -1, 0, None
     for p, cells, columns in slices:
@@ -200,7 +199,6 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
             raise ValueError(f"duplicate generators in degree {p}")
         if p != below + 1:
             rows, lower = 0, None
-        kept = None
         if columns is not None:
             if len(columns) != len(cells):
                 raise ValueError(
@@ -208,11 +206,13 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                     f"expected {len(cells)}"
                 )
             # one pass over each nonzero column: row type and range, coefficient
-            # type, zeros dropped, then d^2 if a face it reads has a boundary
-            copies = [_NO_ENTRIES] * len(cells)
-            for j, column in compress(enumerate(columns), columns):
-                copy = {}
-                for r, v in column.items():
+            # type and sign, then d^2 if a face it reads has a boundary
+            for column in filter(None, columns):
+                try:
+                    entries = column.items()
+                except AttributeError:
+                    raise TypeError(f"degree {p} has column {column!r}, not a mapping")
+                for r, v in entries:
                     if type(r) is not int:
                         _not_an_int(r, "row")
                     if not 0 <= r < rows:
@@ -222,19 +222,18 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                         )
                     if type(v) is not int:
                         _not_an_int(v, "coefficient")
-                    if v:
-                        copy[r] = v
-                if copy and lower and any(map(lower.__getitem__, copy)):
+                    if not v:
+                        raise ValueError(f"boundary in degree {p} has a 0 in row {r}")
+                if lower and any(map(lower.__getitem__, column)):
                     composite: dict[int, int] = {}
-                    for r, v in copy.items():
-                        for s, w in lower[r].items():
+                    for r, v in entries:
+                        for s, w in (lower[r] or {}).items():
                             composite[s] = composite.get(s, 0) + v * w
                     if any(composite.values()):
                         raise ValueError(f"boundary composite in degree {p} is nonzero")
-                copies[j] = copy or _NO_ENTRIES
-            kept = tuple(copies) if any(copies) else None
-        yield p, cells, kept
-        below, rows, lower = p, len(cells), kept
+            columns = tuple(columns) if any(columns) else None
+        yield p, cells, columns
+        below, rows, lower = p, len(cells), columns
 
 
 def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tuple]:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import os
 import pathlib
 import random
@@ -256,14 +257,32 @@ def test_sparse_routines_match_dense_on_mixed_units(drawn, rng):
     assert sparse_invariant_factors(shuffled) == factors
 
 
-def test_constructor_keeps_its_own_copy_of_the_columns():
-    first, second = {0: 1, 1: -1}, {}
-    stream = [(0, ["v", "w"], None), (1, ["e", "f"], [first, second])]
+def test_the_split_reads_an_iterator_of_columns_once():
+    # split_units walks the columns twice, so it must read a one-shot
+    # iterable of them once, or its second walk finds no column
+    assert sparse_invariant_factors(iter([{0: 2}])) == [2]
+    assert homology.split_units(iter([{0: 1}, {1: 3}])) == (1, [{1: 3}])
+    assert homology.split_units(c for c in [{0: 1}, {1: 3}]) == (1, [{1: 3}])
+
+
+def test_the_checked_stream_passes_on_the_producers_columns():
+    # checked_slices reads each column and copies none: the elimination
+    # gets the producer's objects, cell_slices' one shared empty dict too
+    stream = list(cell_slices(cells_by_degree(Family.COMPLEX, 3, 6)))
     checked = list(checked_slices(stream))
-    first[0] = 5
-    del first[1]
-    second[1] = 1
-    assert checked == [(0, ("v", "w"), None), (1, ("e", "f"), ({0: 1, 1: -1}, {}))]
+    for (_, _, made), (_, _, read) in zip(stream, checked):
+        if read is None:
+            assert not any(made or ())
+        else:
+            assert len(read) == len(made) and all(map(operator.is_, made, read))
+    # any falsy column is empty, as it comes, and a face's d^2 reads it so
+    first = {0: 1}
+    stream = [(0, "vw", None), (1, "efg", [first, None, []]), (2, "t", [{1: 1}])]
+    checked = list(checked_slices(stream))
+    assert checked[1][2][0] is first and checked[1][2][1:] == (None, [])
+    z = FGAbelianGroup.free(1)
+    assert integral_homology(stream) == {0: z, 1: z}
+    assert filtered_homology(stream, lambda g: (0, 0))[0, 0][0] == {0: z, 1: z}
 
 
 def test_complex_rejects_nonzero_composite():
@@ -304,6 +323,18 @@ BAD_STREAMS = [
         "boundary in degree 1 has 2 columns, expected 1",
     ),
     ([(0, ["v", "v"], None)], ValueError, "duplicate generators in degree 0"),
+    # a zero is refused, never dropped, and so is a nonzero column that is
+    # not a mapping
+    (
+        [(0, ["v"], None), (1, ["e"], [{0: 0}])],
+        ValueError,
+        "boundary in degree 1 has a 0 in row 0",
+    ),
+    (
+        [(0, ["v"], None), (1, ["e"], [[0]])],
+        TypeError,
+        "degree 1 has column [0], not a mapping",
+    ),
     # a zero or a unit that is not an int is refused, never dropped or counted
     (
         [(0, ["a"], None), (1, ["b"], [{0: 0.0}])],
@@ -403,7 +434,7 @@ def test_reduced_oracle_holds_the_enumeration_and_two_slices(run, family, n, k):
     assert peak / cells < 64, f"{peak / cells:.1f} B a cell"
 
 
-def test_sparse_constructor_names_the_row_and_drops_zeros():
+def test_sparse_constructor_names_the_row_and_refuses_zeros():
     def boundary(columns):
         stream = [(0, ["v", "w"], None), (1, ["e", "f"], columns)]
         return list(checked_slices(stream))[1][2]
@@ -412,8 +443,10 @@ def test_sparse_constructor_names_the_row_and_drops_zeros():
         message = f"boundary in degree 1 has row {row}, expected 0 <= row < 2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             boundary([column, {}])
-    assert boundary([{0: 0, 1: 0}, {}]) is None
-    assert boundary([{0: 1, 1: 0}, {1: -1}]) == ({0: 1}, {1: -1})
+    for columns, row in (([{0: 0, 1: 0}, {}], 0), ([{0: 1, 1: 0}, {1: -1}], 1)):
+        message = f"boundary in degree 1 has a 0 in row {row}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            boundary(columns)
 
 
 def test_sparse_constructor_guards_survive_optimized_mode():
@@ -421,18 +454,25 @@ def test_sparse_constructor_guards_survive_optimized_mode():
         """
         from multiaxial.homology import checked_slices, smith_normal_form
         v, e, f = (0, ["v"], None), (1, ["e"], [{0: 1}]), (2, ["f"], [{0: 1}])
-        for stream in ([v, e, f], [v, (1, ["e"], [{3: 1}])]):
+        # d^2, a row out of range and a zero coefficient are refused
+        for stream in (
+            [v, e, f],
+            [v, (1, ["e"], [{3: 1}])],
+            [v, (1, ["e"], [{0: 0}])],
+        ):
             try:
                 list(checked_slices(stream))
             except ValueError:
                 continue
             raise SystemExit(f"accepted {stream}")
-        # entries that are not ints are refused, never truncated
+        # entries that are not ints are refused, never truncated, and so
+        # is a nonzero column that is not a mapping
         for stream in (
             [v, (1, ["e"], [{0: 2.5}])],
             [v, (1, ["e"], [{0.0: 1}])],
             [v, (1.0, ["e"], [{0: 1}])],
             [(0.0, ["v"], None)],
+            [v, (1, ["e"], [[0]])],
         ):
             try:
                 list(checked_slices(stream))
@@ -606,11 +646,16 @@ def test_the_two_parameter_pass_equals_one_step_runs_at_every_point(family):
 
 def _filtered_stream(filtration):
     """The stream of degree -> [(generator, step, {face: coefficient})],
-    and each generator's step."""
+    and each generator's step; generators that share one boundary object
+    share one column object, as cell_slices' face-free cells do."""
     names = {p: [g for g, _, _ in cells] for p, cells in filtration.items()}
+    made = {}  # id of a boundary -> its column
     stream = [
         (p, names[p], [
-            {names[p - 1].index(face): v for face, v in boundary.items()}
+            made.setdefault(
+                id(boundary),
+                {names[p - 1].index(face): v for face, v in boundary.items()},
+            )
             for _, _, boundary in cells
         ])
         for p, cells in filtration.items()
@@ -649,7 +694,9 @@ def _band(k, n):
 
 
 def _matches_the_dense_snf(filtration):
-    points = filtered_homology(*_filtered_stream(filtration))
+    stream, step = _filtered_stream(filtration)
+    assert integral_homology(stream) == _dense_homology(filtration, lambda t: True)
+    points = filtered_homology(stream, step)
     # a step is read where a generator has it
     assert set(points) == {t for cells in filtration.values() for _, t, _ in cells}
     for (k, n), (absolute, relative) in points.items():
@@ -670,12 +717,23 @@ SHARED_ROW = {
     1: [("x", (0, 0), {}), ("y", (0, 0), {})],
     2: [("c1", (0, 0), {"x": 1}), ("c2", (0, 1), {"x": 1, "y": 2})],
 }
+# f and g are one column object, and v and a share one empty column
+_NO_FACE, _TWICE_A = {}, {"a": 2}
+SHARED_COLUMN = {
+    0: [("v", (0, 0), _NO_FACE)],
+    1: [("a", (0, 0), _NO_FACE)],
+    2: [("f", (0, 1), _TWICE_A), ("g", (0, 1), _TWICE_A)],
+}
 
 
 @pytest.mark.parametrize(
     "filtration",
-    [LATER_PIVOT, SHARED_ROW],
-    ids=["non-unit-pivot-at-a-later-step", "row-isolated-only-below-the-top"],
+    [LATER_PIVOT, SHARED_ROW, SHARED_COLUMN],
+    ids=[
+        "non-unit-pivot-at-a-later-step",
+        "row-isolated-only-below-the-top",
+        "one-column-object-twice",
+    ],
 )
 def test_the_filtered_pass_matches_the_dense_snf_on_torsion(filtration):
     points = _matches_the_dense_snf(filtration)
@@ -753,7 +811,9 @@ def filtered_complexes(draw):
     {+-1, 2, 3, 4, 6}, so its homology is known, then hides that in dense
     columns: each degree's basis is permuted and changed by elementary
     unimodular operations, which keep d^2 = 0.  Each generator draws a step
-    (t, r) in [0, 2]^2, raised to dominate the steps of its faces.
+    (t, r) in [0, 2]^2, raised to dominate the steps of its faces.  One
+    more draw decides whether a boundary equal to one drawn before it is
+    that same object, so that one column object serves several generators.
     """
     top = draw(st.integers(1, 3))
     size = [0] * (top + 1)
@@ -798,12 +858,16 @@ def filtered_complexes(draw):
                 ]
     steps = {}
     filtration = {}
+    shared = {}  # the boundaries drawn so far, if equal ones are to be shared
+    share = draw(st.booleans())
     for p in range(top + 1):
         cells = filtration[p] = []
         for j in range(size[p]):
             faces = {
                 (p - 1, i): row[j] for i, row in enumerate(d.get(p, ())) if row[j]
             }
+            if share:
+                faces = shared.setdefault(frozenset(faces.items()), faces)
             t, r = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
             for face in faces:
                 t, r = max(t, steps[face][0]), max(r, steps[face][1])
@@ -817,9 +881,8 @@ def filtered_complexes(draw):
 def test_random_filtered_complexes_match_the_dense_snf(filtration, data):
     # integral_homology at the top step, and the filtered pass at every
     # step, absolute and band, against the dense Smith normal form alone
-    stream, step = _filtered_stream(filtration)
-    assert integral_homology(stream) == _dense_homology(filtration, _up_to(2, 2))
     _matches_the_dense_snf(filtration)
+    stream, step = _filtered_stream(filtration)
     # a face raised above its coface, in either coordinate, is refused
     edges = [
         (face, t) for cells in filtration.values()
