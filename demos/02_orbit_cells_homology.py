@@ -6,7 +6,7 @@ Cells of the orbit space and their homology
 
 from multiaxial.family import Family
 from multiaxial.homology import integral_homology, smith_normal_form
-from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_rank
 
 C = Family.COMPLEX
 
@@ -15,19 +15,22 @@ C = Family.COMPLEX
 # (m_1 > ... > m_r >= 1) with m_1 <= k and r <= n. The tuple records the
 # pivot columns of a row-echelon representative, r being the matrix rank.
 # A cell is an int with bit m - 1 set for each pivot m, and is the chain
-# complex's generator: the rank is its bit count. cells_by_degree groups
-# the cells by dimension and cell_label prints one as its pivot tuple.
+# complex's generator: the rank is its bit count. cells_by_rank grows
+# the cells rank by rank, each rank's by dimension; cell_slices merges
+# the ranks of one dimension as it streams them, and cell_label prints a
+# cell as its pivot tuple.
 
 n, k = 2, 4
-cells = cells_by_degree(C, n, k)
+cells = cells_by_rank(C, n, k)
 print(f"cells of the n={n}, k={k} orbit space:")
-for dim, cells_p in cells.items():
+for dim, cells_p, _ in cell_slices(cells):
     for cell in cells_p:
         print(f"  {cell_label(cell):>8}  rank {cell.bit_count()}  dim {dim}")
 
 # The chain complex has the cells as generators. The orbit space's
-# dimension is read off it as the degree of its top cell.
-print("top dimension:", max(cells))
+# dimension is read off it as the degree of its top cell, which has rank
+# n, as each pivot raises the degree.
+print("top dimension:", max(cells[n]))
 
 # The complex is a stream of slices, one per degree: the degree, its
 # cells, and the boundary out of it as sparse columns, one row ->
@@ -39,11 +42,13 @@ print("top dimension:", max(cells))
 # torsion free.
 print()
 print("nonzero boundary columns:")
+below = []  # the slice one degree down, where a column's rows point
 for p, cells_p, columns in cell_slices(cells):
     for cell, column in zip(cells_p, columns or ()):
         for row, coeff in sorted(column.items()):
-            face = cell_label(cells[p - 1][row])
+            face = cell_label(below[row])
             print(f"  d_{p} {cell_label(cell)} = {coeff} * {face}")
+    below = cells_p
 
 # integral_homology reads the stream two adjacent degrees at a time,
 # checking each slice as it comes.
@@ -59,7 +64,7 @@ print("Betti numbers:", {p: group.free_rank for p, group in homology.items()})
 # only, which kills every boundary map outright. The resulting groups are
 # the relative homology of the orbit space against its singular part, one
 # Z per cell in its own degree.
-relative = cells_by_degree(C, n, k, range(n, n + 1))
+relative = cells_by_rank(C, n, k, range(n, n + 1))
 print()
 print("full-rank (relative) cell degrees:",
       {p: len(cells_p) for p, cells_p, _ in cell_slices(relative)})

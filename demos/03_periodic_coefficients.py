@@ -13,7 +13,7 @@ from multiaxial.l_homology import (
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
 )
-from multiaxial.orbit_cells import cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_slices, cells_by_rank
 from multiaxial.structure_set import (
     l_coefficient,
     orbit_space_dimension,
@@ -60,7 +60,7 @@ for family, n, k in [(C, 2, 4), (C, 3, 5), (H, 2, 3)]:
 # one class mod 4 for Sp.
 print()
 for family, n, k in [(C, 2, 4), (H, 2, 3)]:
-    groups = integral_homology(cell_slices(cells_by_degree(family, n, k)))
+    groups = integral_homology(cell_slices(cells_by_rank(family, n, k)))
     print(f"collapse certificate for {family}({n}), k={k}:",
           read_collapse(family, n, groups))
 print("degrees 1, 3, 5 for U(2):", one_residue_class(C, 2, [1, 3, 5]))

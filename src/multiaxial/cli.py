@@ -28,7 +28,7 @@ from . import __version__
 from .family import Family, UsageError
 from .homology import checked_slices, integral_homology
 from .l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
-from .orbit_cells import cell_label, cell_slices, cells_by_degree
+from .orbit_cells import cell_label, cell_slices, cells_by_rank
 from .structure_set import (
     ActionSpec,
     compute_structure_set,
@@ -39,16 +39,6 @@ from .structure_set import (
 from .verification import run_verification
 
 SCHEMA_VERSION = 3
-
-
-def _document(command: str, payload: dict) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "multiaxial", "version": __version__},
-        "command": command,
-    }
-    doc.update(payload)
-    return doc
 
 
 def _render(value, out: list[str], pad: str):
@@ -84,7 +74,14 @@ def _render(value, out: list[str], pad: str):
         out.append(json.dumps(value))
 
 
-def _emit(doc: dict):
+def _emit(command: str, payload: dict):
+    """Print the JSON document of command: the shared envelope, then payload."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "multiaxial", "version": __version__},
+        "command": command,
+        **payload,
+    }
     out: list[str] = []
     _render(doc, out, "\n")
     print("".join(out))
@@ -116,27 +113,25 @@ def cmd_structure_set(args) -> int:
     spec = report.spec
     if args.format == "json":
         _emit(
-            _document(
-                "structure-set",
-                {
-                    "input": _spec_json(given),
-                    "normalized": dict(
-                        _spec_json(spec),
-                        trivial_action=spec.is_trivial,
-                        branch=report.branch,
-                    ),
-                    "summands": [
-                        {
-                            "label": s.label,
-                            "group": s.group.to_json(),
-                            "source": s.source,
-                        }
-                        for s in report.summands
-                    ],
-                    "notes": list(report.notes),
-                    "total": report.total.to_json(),
-                },
-            )
+            "structure-set",
+            {
+                "input": _spec_json(given),
+                "normalized": dict(
+                    _spec_json(spec),
+                    trivial_action=spec.is_trivial,
+                    branch=report.branch,
+                ),
+                "summands": [
+                    {
+                        "label": s.label,
+                        "group": s.group.to_json(),
+                        "source": s.source,
+                    }
+                    for s in report.summands
+                ],
+                "notes": list(report.notes),
+                "total": report.total.to_json(),
+            },
         )
         return 0
     print(f"structure set of {spec.describe()}")
@@ -158,20 +153,16 @@ def cmd_homology(args) -> int:
     n, k = args.n, args.k
     d = orbit_space_dimension(family, n, k)
     if args.variant == "integral-all":
-        groups = integral_homology(cell_slices(cells_by_degree(family, n, k)))
+        groups = integral_homology(cell_slices(cells_by_rank(family, n, k)))
         if args.format == "json":
             _emit(
-                _document(
-                    "homology",
-                    {
-                        "variant": "integral-all",
-                        "input": {"family": str(family), "n": n, "k": k},
-                        "dimension": d,
-                        "groups": {
-                            str(p): g.to_json() for p, g in sorted(groups.items())
-                        },
-                    },
-                )
+                "homology",
+                {
+                    "variant": "integral-all",
+                    "input": {"family": str(family), "n": n, "k": k},
+                    "dimension": d,
+                    "groups": {str(p): g.to_json() for p, g in sorted(groups.items())},
+                },
             )
         else:
             print(
@@ -190,17 +181,15 @@ def cmd_homology(args) -> int:
     agree = closed == oracle
     if args.format == "json":
         _emit(
-            _document(
-                "homology",
-                {
-                    "variant": args.variant,
-                    "input": {"family": str(family), "n": n, "k": k},
-                    "dimension": d,
-                    "closed_form": closed.to_json(),
-                    "oracle": oracle.to_json(),
-                    "agree": agree,
-                },
-            )
+            "homology",
+            {
+                "variant": args.variant,
+                "input": {"family": str(family), "n": n, "k": k},
+                "dimension": d,
+                "closed_form": closed.to_json(),
+                "oracle": oracle.to_json(),
+                "agree": agree,
+            },
         )
     else:
         print(
@@ -243,7 +232,8 @@ def cmd_export_complex(args) -> int:
     if None not in (args.min_rank, args.max_rank) and low > high:
         raise UsageError("min_rank must not exceed max_rank")
     band = range(max(1, low), min(args.n, high) + 1)  # clamped to 1..n
-    cells = cells_by_degree(family, args.n, args.k, band)
+    cells = cells_by_rank(family, args.n, args.k, band)
+    sizes = [(p, len(c)) for by_degree in cells.values() for p, c in by_degree.items()]
     # one entry per slice as checked_slices yields it, each written before
     # the next is built
     degrees = (
@@ -264,12 +254,12 @@ def cmd_export_complex(args) -> int:
             "min_rank": args.min_rank,
             "max_rank": args.max_rank,
         },
-        "total_cells": sum(map(len, cells.values())),
-        "euler_characteristic": sum((-1) ** p * len(c) for p, c in cells.items()),
+        "total_cells": sum(size for _, size in sizes),
+        "euler_characteristic": sum((-1) ** p * size for p, size in sizes),
         "degrees": degrees,
     }
     if args.format == "json":
-        _emit(_document("export-complex", payload))
+        _emit("export-complex", payload)
     else:
         ranks = f"ranks {band[0]}..{band[-1]}" if band else "ranks none"
         print(f"chain complex, family={family} n={args.n} k={args.k} {ranks}")

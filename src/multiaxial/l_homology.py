@@ -15,18 +15,20 @@ serves both parts.  The assembly builds its group itself, not through
 the closed route's with_two_torsion, so a fault there shows as a mismatch.
 
 This is the oracle route; structure_set holds the closed forms, and only
-the tests and verify compare the two.  Each oracle enumerates its band
-of ranks whole (see orbit_cells), 1..n or n alone, streams its complex
+the tests and verify compare the two.  Each oracle grows its band of
+ranks by rank (see orbit_cells), 1..n or n alone, streams its complex
 once through integral_homology, which splits each slice as it arrives,
 and reads: a read_* function takes the integral homology, which it refuses
 if it has torsion, and the top cell's degree, since at k = n the top cell
-is matched and the top group is 0.  So the oracles eliminate over Z alone.
-The collapse check is a bool read the same way, through one_residue_class.
+is matched and the top group is 0.  A pivot raises the degree, so that
+is rank n's highest.  So the oracles eliminate over Z alone.  The
+collapse check is a bool read the same way, through one_residue_class.
 
 family_points is the family pass: the strata nest, so one growth to the
 top rank and pivot, streamed once through filtered_homology with a cell's
-step its top pivot and rank, serves every point (n, k): its full complex
-is F_(k,n), its rank-n one the band there, the masks below 1 << k.
+step its top pivot and rank, and never merged whole, serves every point
+(n, k): its full complex is F_(k,n), its rank-n one the band there, the
+masks below 1 << k.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Iterator, Mapping
 from .abelian import FGAbelianGroup
 from .family import Family
 from .homology import filtered_homology, integral_homology
-from .orbit_cells import cell_slices, cells_by_degree, cells_by_rank, merge_rank
+from .orbit_cells import cell_slices, cells_by_rank
 
 
 def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
@@ -58,8 +60,8 @@ def assemble_l_homology(betti: Mapping[int, int], d: int) -> FGAbelianGroup:
 def relative_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Top-degree group of the pair (orbit space, next lower stratum),
     from the full-rank cell complex."""
-    cells = cells_by_degree(family, n, k, range(n, n + 1))
-    return read_l_homology(integral_homology(cell_slices(cells)), max(cells))
+    cells = cells_by_rank(family, n, k, range(n, n + 1))
+    return read_l_homology(integral_homology(cell_slices(cells)), max(cells[n]))
 
 
 def read_l_homology(
@@ -74,8 +76,8 @@ def read_l_homology(
 def reduced_l_homology_oracle(family: Family, n: int, k: int) -> FGAbelianGroup:
     """Top-degree group of the orbit space with the basepoint removed,
     from the full cell complex."""
-    cells = cells_by_degree(family, n, k)
-    return read_reduced_l_homology(integral_homology(cell_slices(cells)), max(cells))
+    cells = cells_by_rank(family, n, k)
+    return read_reduced_l_homology(integral_homology(cell_slices(cells)), max(cells[n]))
 
 
 def read_reduced_l_homology(
@@ -99,12 +101,9 @@ def family_points(family: Family, max_n: int, max_k: int) -> Iterator[tuple]:
     and its rank-n cells by degree, and the groups of its full complex and
     rank-n one; a refused pass gives its ValueError for both, at every point."""
     by_rank = cells_by_rank(family, min(max_n, max_k), max_k)
-    cells: dict[int, list[int]] = {}
-    for full_rank in by_rank.values():
-        merge_rank(cells, full_rank)
     try:
         points = filtered_homology(
-            cell_slices(cells), lambda cell: (cell.bit_length(), cell.bit_count())
+            cell_slices(by_rank), lambda cell: (cell.bit_length(), cell.bit_count())
         )
     except ValueError as error:
         points = error

@@ -21,19 +21,20 @@ that is the top cell's degree.
 A rank band is a range of ranks, and cells_by_rank is the one place a
 band becomes cells.  It builds each rank's masks by dimension, whole,
 adding one pivot at a time to every mask of one rank lower, so each list
-grows in order at C speed.  The strata nest: rank m of one growth is the
-rank-m stratum pair of every (family, n >= m, k), and merge_rank adds
-ranks up to the whole orbit space or any band, as cells_by_degree does.
-cell_slices streams any such map as ascending (degree, cells, sparse
-columns) slices, the package's one form of a chain complex, which
-homology reads and export-complex writes once, a slice at a time, with
-no dense matrix or string.  cell_label is the one place a cell
-becomes text, "(m1,...,mr)", and only output that prints a cell calls it.
+grows in order at C speed.  Its map, rank -> degree -> masks, is the one
+form a set of cells takes.  The strata nest: rank m of one growth is the
+rank-m stratum pair of every (family, n >= m, k).  cell_slices streams
+such a map as ascending (degree, cells, sparse columns) slices, merging
+a degree's ranks as the stream reaches it: the package's one form of a
+chain complex, which homology reads and export-complex writes once, a
+slice at a time, with no dense matrix or string.  cell_label is the one
+place a cell becomes text, "(m1,...,mr)", and only output that prints a
+cell calls it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .family import Family, require_valid
 from .homology import Slice
@@ -85,44 +86,30 @@ def cells_by_rank(
     return {r: grown[r] for r in wanted}
 
 
-def merge_rank(by_degree: dict[int, list[int]], cells: Mapping) -> None:
-    """Add one rank's cells, dimension -> ascending masks, to by_degree,
-    changing no list in place, so cells stays as it was."""
-    for p, masks in cells.items():
-        if p in by_degree:
-            masks = by_degree[p] + masks
-            masks.sort()  # merges the ascending runs of two ranks
-        by_degree[p] = masks
+def cell_slices(by_rank: dict[int, dict[int, list[int]]]) -> Iterator[Slice]:
+    """Cellular chain complex on exactly the given cells, rank -> degree ->
+    ascending masks, as ascending slices; a degree's ranks merge into a new
+    list when the stream reaches it, so two merged degrees at most are held.
+    A face is looked up in the slice one degree below and dropped if absent,
+    which makes a rank band compute relative homology.
 
-
-def cells_by_degree(
-    family: Family, n: int, k: int, ranks: range | None = None
-) -> dict[int, list[int]]:
-    """Cells of the given ranks by dimension, both ascending.
-
-    >>> cells_by_degree(Family.COMPLEX, 2, 2)
-    {0: [1], 2: [2], 3: [3]}
-    >>> cells_by_degree(Family.COMPLEX, 2, 2, range(2, 9))
-    {3: [3]}
-    """
-    by_rank = cells_by_rank(family, n, k, ranks)
-    by_degree: dict[int, list[int]] = {}
-    while by_rank:  # popped, so no rank's lists outlive their merge
-        merge_rank(by_degree, by_rank.popitem()[1])
-    return dict(sorted(by_degree.items()))
-
-
-def cell_slices(by_degree: Mapping[int, Sequence[int]]) -> Iterator[Slice]:
-    """Cellular chain complex on exactly the given cells, degree -> masks,
-    as ascending slices; a face is looked up in the slice one degree below
-    and dropped if absent, which makes a rank band compute relative homology.
-
-    >>> list(cell_slices({2: [0b10], 3: [0b11], 5: [0b101]}))
+    >>> list(cell_slices({1: {2: [0b10]}, 2: {3: [0b11], 5: [0b101]}}))
     [(2, [2], None), (3, [3], [{0: 1}]), (5, [5], None)]
     """
+    runs: dict[int, list[list[int]]] = {}  # degree -> its lists, top rank first
+    for masks in reversed(by_rank.values()):
+        for p, cells in masks.items():
+            runs.setdefault(p, []).append(cells)
     no_face: dict[int, int] = {}  # shared by every cell without a face
-    for p, cells in sorted(by_degree.items()):
-        below = by_degree.get(p - 1)
+    prior = None, None  # the slice before: its degree and cells
+    for p in sorted(runs):
+        lists = runs.pop(p)
+        cells = lists[0]
+        if len(lists) > 1:  # a higher rank's masks are mostly lower, so the
+            cells = sum(lists[1:], cells)  # lists come nearly in order
+            cells.sort()
+        below = prior[1] if prior[0] == p - 1 else None
+        prior = p, cells
         if not below:
             yield p, cells, None
             continue

@@ -196,8 +196,7 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
         branch = "odd-gap"
         source = (
             f"reduced top-degree assembly of the whole orbit space, "
-            f"counts from the {n} x {k - n - 1} box with parity "
-            f"offset {k * n}"
+            f"counts from the {n} x {k - n - 1} box"
         )
         summands.append(Summand("top", reduced_l_homology(family, n, k), source))
         if j > 0:

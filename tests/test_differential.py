@@ -17,9 +17,10 @@ from multiaxial.family import Family
 from multiaxial.grassmannian import count_A_B
 from multiaxial.homology import smith_normal_form, sparse_invariant_factors
 from multiaxial.l_homology import reduced_l_homology_oracle, relative_l_homology_oracle
-from multiaxial.orbit_cells import cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_slices, cells_by_rank
 from multiaxial.structure_set import reduced_l_homology, relative_l_homology
 from test_grassmannian import listed_counts
+from test_orbit_cells import by_degree
 
 
 def dense_boundary(cells, p, columns):
@@ -70,8 +71,9 @@ def test_closed_form_enumeration_and_chain_level_agree(family, point):
         n, k, family
     )
 
-    cells = cells_by_degree(family, n, k)
-    for p, cells_p, columns in cell_slices(cells):
+    by_rank = cells_by_rank(family, n, k)
+    cells = by_degree(by_rank)
+    for p, cells_p, columns in cell_slices(by_rank):
         columns = columns or [{}] * len(cells_p)
         sparse = sparse_invariant_factors(columns)
         assert sparse == smith_normal_form(dense_boundary(cells, p, columns)), p

@@ -31,7 +31,7 @@ from multiaxial.l_homology import (
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
 )
-from multiaxial.orbit_cells import cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_slices, cells_by_rank
 from multiaxial.structure_set import reduced_l_homology, relative_l_homology
 
 
@@ -268,7 +268,7 @@ def test_the_split_reads_an_iterator_of_columns_once():
 def test_the_checked_stream_passes_on_the_producers_columns():
     # checked_slices reads each column and copies none: the elimination
     # gets the producer's objects, cell_slices' one shared empty dict too
-    stream = list(cell_slices(cells_by_degree(Family.COMPLEX, 3, 6)))
+    stream = list(cell_slices(cells_by_rank(Family.COMPLEX, 3, 6)))
     checked = list(checked_slices(stream))
     for (_, _, made), (_, _, read) in zip(stream, checked):
         if read is None:
@@ -502,7 +502,7 @@ def test_sparse_constructor_guards_survive_optimized_mode():
 
 
 def test_sphere_complex_homology():
-    slices = cell_slices(cells_by_degree(Family.COMPLEX, 1, 2))
+    slices = cell_slices(cells_by_rank(Family.COMPLEX, 1, 2))
     assert integral_homology(slices) == {
         0: FGAbelianGroup.free(1),
         2: FGAbelianGroup.free(1),
@@ -510,12 +510,12 @@ def test_sphere_complex_homology():
 
 
 def test_contractible_complex_homology():
-    slices = cell_slices(cells_by_degree(Family.COMPLEX, 2, 2))
+    slices = cell_slices(cells_by_rank(Family.COMPLEX, 2, 2))
     assert integral_homology(slices) == {0: FGAbelianGroup.free(1)}
 
 
 def test_relative_rank_two_complex_homology():
-    cells = cells_by_degree(Family.COMPLEX, 2, 4, range(2, 3))
+    cells = cells_by_rank(Family.COMPLEX, 2, 4, range(2, 3))
     assert integral_homology(cell_slices(cells)) == {
         3: FGAbelianGroup.free(1),
         5: FGAbelianGroup.free(1),
@@ -536,6 +536,19 @@ def test_torsion_complex():
     }
 
 
+def _shuffled(stream, rng):
+    """The stream with each slice's generators in a random order, each
+    column's rows following the generators they index."""
+    new_rows = {}  # degree -> the new row of each old one, for the last slice
+    for p, cells, columns in stream:
+        order = rng.sample(range(len(cells)), len(cells))
+        below = new_rows.get(p - 1)
+        new_rows = {p: {old: new for new, old in enumerate(order)}}
+        yield p, [cells[i] for i in order], columns and [
+            {below[r]: v for r, v in columns[i].items()} for i in order
+        ]
+
+
 def test_homology_is_generator_order_invariant():
     # the reference faces: pivot tuples from itertools.combinations, each
     # mapped to its mask, bit m - 1 set for each pivot m
@@ -549,26 +562,24 @@ def test_homology_is_generator_order_invariant():
     }
     rng = random.Random(7)
     for family in Family:
-        cells = cells_by_degree(family, 3, 5)
-        assert sorted(c for cells_p in cells.values() for c in cells_p) == sorted(
+        stream = list(cell_slices(cells_by_rank(family, 3, 5)))
+        assert sorted(c for _, cells_p, _ in stream for c in cells_p) == sorted(
             pivots_of
         )
-        reference = integral_homology(cell_slices(cells))
+        reference = integral_homology(stream)
         for _ in range(3):
-            shuffled_cells = {}
-            for p, cells_p in cells.items():
-                shuffled_cells[p] = list(cells_p)
-                rng.shuffle(shuffled_cells[p])
-            assert shuffled_cells != cells
+            shuffled = list(_shuffled(stream, rng))
+            assert shuffled != stream
             # rows and columns follow the generators they index
-            for p, cells_p, columns in checked_slices(cell_slices(shuffled_cells)):
-                faces = shuffled_cells.get(p - 1, [])
+            faces = {}
+            for p, cells_p, columns in checked_slices(shuffled):
+                faces[p] = cells_p
                 for cell, column in zip(cells_p, columns or [{}] * len(cells_p)):
-                    boundary = {faces[r]: v for r, v in column.items()}
+                    boundary = {faces[p - 1][r]: v for r, v in column.items()}
                     pivots = pivots_of[cell]
                     has_face = len(pivots) >= 2 and pivots[-1] == 1
                     assert boundary == ({mask(pivots[:-1]): 1} if has_face else {})
-            assert integral_homology(cell_slices(shuffled_cells)) == reference, family
+            assert integral_homology(shuffled) == reference, family
 
 
 def test_reduced_oracle_beyond_dense_reach(monkeypatch):
@@ -590,9 +601,26 @@ def test_reduced_oracle_beyond_dense_reach(monkeypatch):
                     relative_l_homology(family, n, k)
                 ), (family, n, k)
                 groups = integral_homology(
-                    cell_slices(cells_by_degree(family, n, k))
+                    cell_slices(cells_by_rank(family, n, k))
                 )
                 assert all(not g.torsion for g in groups.values()), (family, n, k)
+
+
+def test_integral_homology_raises_the_error_of_a_negative_rank(monkeypatch):
+    # a split that counts each unit twice takes a free rank below zero, and
+    # integral_homology and the oracle reading it raise that ValueError
+    original = homology.split_units
+
+    def twice(columns):
+        units, rest = original(columns)
+        return 2 * units, rest
+
+    monkeypatch.setattr(homology, "split_units", twice)
+    message = "^free rank must be nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        integral_homology(cell_slices(cells_by_rank(Family.COMPLEX, 2, 4)))
+    with pytest.raises(ValueError, match=message):
+        reduced_l_homology_oracle(Family.COMPLEX, 2, 4)
 
 
 def test_euler_characteristic_agrees_with_homology(capsys):
@@ -601,7 +629,7 @@ def test_euler_characteristic_agrees_with_homology(capsys):
         argv = ["export-complex", "--family", str(family), "--n", "2", "--k", "5"]
         assert cli.main(argv + ["--format", "json"]) == 0
         exported = json.loads(capsys.readouterr().out)
-        homology = integral_homology(cell_slices(cells_by_degree(family, 2, 5)))
+        homology = integral_homology(cell_slices(cells_by_rank(family, 2, 5)))
         chi = sum((-1) ** p * g.free_rank for p, g in homology.items())
         assert exported["euler_characteristic"] == chi
 
@@ -618,13 +646,13 @@ def test_the_filtered_pass_equals_one_step_runs(family):
     for k in range(1, 10):
         top = min(5, k)
         column = filtered_homology(
-            cell_slices(cells_by_degree(family, top, k)),
+            cell_slices(cells_by_rank(family, top, k)),
             lambda cell: (0, cell.bit_count()),
         )
         assert set(column) == {(0, s) for s in range(1, top + 1)}
         for s in range(1, top + 1):
-            full = cells_by_degree(family, s, k)
-            band = cells_by_degree(family, s, k, range(s, s + 1))
+            full = cells_by_rank(family, s, k)
+            band = cells_by_rank(family, s, k, range(s, s + 1))
             assert column[0, s][0] == integral_homology(cell_slices(full))
             assert column[0, s][1] == integral_homology(cell_slices(band))
 
@@ -635,11 +663,11 @@ def test_the_two_parameter_pass_equals_one_step_runs_at_every_point(family):
     # pivot and its rank, reads every (k, n) with n <= k: F_(k,n) is the
     # complex of (family, n, k) and its band the rank-n complex
     grid = {(k, n) for k in range(1, 10) for n in range(1, min(5, k) + 1)}
-    points = filtered_homology(cell_slices(cells_by_degree(family, 5, 9)), _pivots)
+    points = filtered_homology(cell_slices(cells_by_rank(family, 5, 9)), _pivots)
     assert set(points) == grid
     for k, n in grid:
-        full = cells_by_degree(family, n, k)
-        band = cells_by_degree(family, n, k, range(n, n + 1))
+        full = cells_by_rank(family, n, k)
+        band = cells_by_rank(family, n, k, range(n, n + 1))
         assert points[k, n][0] == integral_homology(cell_slices(full))
         assert points[k, n][1] == integral_homology(cell_slices(band))
 

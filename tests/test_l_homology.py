@@ -17,7 +17,7 @@ from multiaxial.l_homology import (
     reduced_l_homology_oracle,
     relative_l_homology_oracle,
 )
-from multiaxial.orbit_cells import cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_slices, cells_by_rank
 from multiaxial.structure_set import (
     basepoint_correction,
     l_coefficient,
@@ -25,6 +25,7 @@ from multiaxial.structure_set import (
     reduced_l_homology,
     relative_l_homology,
 )
+from test_orbit_cells import by_degree
 
 C = Family.COMPLEX
 H = Family.QUATERNIONIC
@@ -32,7 +33,7 @@ H = Family.QUATERNIONIC
 
 def _collapse(family, n, k):
     """The collapse certificate read off the full complex of (family, n, k)."""
-    cells = cells_by_degree(family, n, k)
+    cells = cells_by_rank(family, n, k)
     return read_collapse(family, n, homology.integral_homology(cell_slices(cells)))
 
 Z = FGAbelianGroup.free(1)
@@ -96,7 +97,7 @@ def test_oracles_eliminate_over_z_alone(monkeypatch, family):
     n, k = 2, 5
     boundaries = [
         tuple(columns)
-        for _, _, columns in cell_slices(cells_by_degree(family, n, k))
+        for _, _, columns in cell_slices(cells_by_rank(family, n, k))
         if columns is not None and any(columns)
     ]
     assert boundaries
@@ -123,10 +124,10 @@ def test_the_family_pass_reads_every_point_as_the_one_point_drivers(family):
     ]
     assert len({id(point[2]) for point in points}) == len(points)
     for n, k, counts, full_rank, absolute, relative in points:
-        cells = cells_by_degree(family, n, k)
-        band = cells_by_degree(family, n, k, range(n, n + 1))
-        assert counts == {p: len(masks) for p, masks in cells.items()}
-        assert full_rank == band
+        cells = cells_by_rank(family, n, k)
+        band = cells_by_rank(family, n, k, range(n, n + 1))
+        assert counts == {p: len(masks) for p, masks in by_degree(cells).items()}
+        assert full_rank == band[n]
         assert absolute == homology.integral_homology(cell_slices(cells))
         assert relative == homology.integral_homology(cell_slices(band))
         top = max(counts)
@@ -158,7 +159,7 @@ def test_a_refused_family_pass_gives_its_error_at_every_point(monkeypatch, famil
     assert "has a later face" in str(error)
     for n, k, counts, full_rank, absolute, relative in points:
         assert absolute is relative is error
-        assert full_rank == cells_by_degree(family, n, k, range(n, n + 1))
+        assert full_rank == cells_by_rank(family, n, k, range(n, n + 1))[n]
 
 
 def test_relative_examples():
@@ -219,7 +220,7 @@ def test_collapse_examples():
 def test_collapse_reports_are_informative():
     # the certificate reads reduced homology: the basepoint's Z in degree 0
     # is dropped, and U(2) on 4 copies keeps only odd degrees
-    groups = homology.integral_homology(cell_slices(cells_by_degree(C, 2, 4)))
+    groups = homology.integral_homology(cell_slices(cells_by_rank(C, 2, 4)))
     reduced = [p for p, g in groups.items() if p and not g.is_trivial]
     assert groups[0] == Z and reduced
     assert all(p % 2 == 1 for p in reduced)
@@ -271,7 +272,7 @@ def test_one_residue_class(family, n, degrees, holds):
         lambda: relative_l_homology_oracle("U", 2, 5),
         lambda: relative_l_homology("U", 2, 5),
         lambda: read_collapse("U", 2, {}),
-        lambda: cells_by_degree("U", 2, 5),
+        lambda: cells_by_rank("U", 2, 5),
         lambda: orbit_space_dimension("U", 2, 5),
         lambda: reduced_l_homology("U", 2, 5),
     ],
@@ -290,7 +291,7 @@ def test_a_str_family_is_refused_where_the_family_picks_a_branch(call):
         lambda: basepoint_correction(C, 1, 2.0),
         lambda: count_A_B(True, 3),
         lambda: relative_l_homology_oracle(C, True, 3),
-        lambda: cells_by_degree(C, True, 2),
+        lambda: cells_by_rank(C, True, 2),
     ],
     ids=["float_n", "float_k", "bool_n", "bool_n_oracle", "bool_n_cells"],
 )

@@ -6,13 +6,7 @@ import pytest
 
 from multiaxial.family import Family
 from multiaxial.homology import checked_slices
-from multiaxial.orbit_cells import (
-    cell_label,
-    cell_slices,
-    cells_by_degree,
-    cells_by_rank,
-    merge_rank,
-)
+from multiaxial.orbit_cells import cell_label, cell_slices, cells_by_rank
 from multiaxial.structure_set import orbit_space_dimension
 
 C = Family.COMPLEX
@@ -49,6 +43,11 @@ def reference(family, n, k, ranks=None):
     }
 
 
+def by_degree(by_rank):
+    """The stream's own by-degree view of a growth: each slice's cells."""
+    return {p: cells for p, cells, _ in cell_slices(by_rank)}
+
+
 def reference_face(pivots):
     """The one face of the cell over a tuple: the tuple without its last
     pivot when that is 1 and the rank is >= 2, else None."""
@@ -58,7 +57,7 @@ def reference_face(pivots):
 def test_every_cell_is_a_strictly_decreasing_pivot_tuple():
     for family in (C, H):
         for n, k in SMALL:
-            cells = cells_by_degree(family, n, k)
+            cells = by_degree(cells_by_rank(family, n, k))
             assert cells == reference(family, n, k)
             for cells_p in cells.values():
                 for cell in cells_p:
@@ -71,16 +70,17 @@ def test_every_cell_is_a_strictly_decreasing_pivot_tuple():
 
 
 def test_dimension_examples():
-    assert cells_by_degree(C, 2, 2)[3] == [M(2, 1)]
-    assert cells_by_degree(H, 2, 2)[5] == [M(2, 1)]
-    assert cells_by_degree(H, 1, 3)[8] == [M(3)]
-    assert cells_by_degree(C, 1, 1) == {0: [M(1)]}
-    assert cells_by_degree(H, 1, 1) == {0: [M(1)]}
+    assert by_degree(cells_by_rank(C, 2, 2))[3] == [M(2, 1)]
+    assert by_degree(cells_by_rank(H, 2, 2))[5] == [M(2, 1)]
+    assert by_degree(cells_by_rank(H, 1, 3))[8] == [M(3)]
+    assert by_degree(cells_by_rank(C, 1, 1)) == {0: [M(1)]}
+    assert by_degree(cells_by_rank(H, 1, 1)) == {0: [M(1)]}
 
 
 def face_column(cell, below):
-    """The boundary column of cell over the slice below, degrees 0 and 1."""
-    return list(cell_slices({0: below, 1: [cell]}))[1][2][0]
+    """The boundary column of cell over the slice below, degrees 0 and 1;
+    cell_slices reads no rank key, so one rank holds both."""
+    return list(cell_slices({1: {0: below, 1: [cell]}}))[1][2][0]
 
 
 def test_boundary_examples():
@@ -94,15 +94,15 @@ def test_boundary_examples():
 
 
 def test_enumerate_sphere():
-    assert cells_by_degree(C, 1, 2) == {0: [M(1)], 2: [M(2)]}
+    assert by_degree(cells_by_rank(C, 1, 2)) == {0: [M(1)], 2: [M(2)]}
 
 
 def test_enumerate_two_by_two():
-    assert cells_by_degree(C, 2, 2) == {0: [M(1)], 2: [M(2)], 3: [M(2, 1)]}
+    assert by_degree(cells_by_rank(C, 2, 2)) == {0: [M(1)], 2: [M(2)], 3: [M(2, 1)]}
 
 
 def test_enumerate_rank_two_slice():
-    assert cells_by_degree(C, 2, 4, range(2, 3)) == {
+    assert by_degree(cells_by_rank(C, 2, 4, range(2, 3))) == {
         3: [M(2, 1)],
         5: [M(3, 1)],
         7: [M(3, 2), M(4, 1)],
@@ -112,7 +112,7 @@ def test_enumerate_rank_two_slice():
 
 
 def test_enumeration_order_is_dimension_then_lex():
-    cells = cells_by_degree(C, 3, 5)
+    cells = by_degree(cells_by_rank(C, 3, 5))
     keys = [(p, pivots_of(cell)) for p, cells_p in cells.items() for cell in cells_p]
     assert keys == sorted(keys)
     # numeric order of the masks is the lexicographic order of the tuples
@@ -124,36 +124,34 @@ def test_enumeration_order_is_dimension_then_lex():
 def test_enumeration_count_and_domain():
     for family in (C, H):
         for n, k in SMALL:
-            cells = cells_by_degree(family, n, k)
-            assert sum(map(len, cells.values())) == sum(
-                comb(k, r) for r in range(1, n + 1)
-            )
+            by_rank = cells_by_rank(family, n, k)
+            total = sum(len(m) for cells in by_rank.values() for m in cells.values())
+            assert total == sum(comb(k, r) for r in range(1, n + 1))
     with pytest.raises(ValueError):
-        cells_by_degree(C, 3, 2)
+        cells_by_rank(C, 3, 2)
 
 
 def test_empty_filtration_band():
-    assert cells_by_degree(C, 2, 4, range(3, 5)) == {}
-    assert cells_by_degree(C, 2, 4, range(2, 2)) == {}
+    assert cells_by_rank(C, 2, 4, range(3, 5)) == {}
+    assert cells_by_rank(C, 2, 4, range(2, 2)) == {}
+    assert list(cell_slices({})) == []
 
 
 @pytest.mark.parametrize("family", [C, H], ids=str)
 def test_a_band_reaching_outside_one_to_n_selects_nothing_there(family):
     # no rank-0 cell: the empty tuple would sit in degree -1
     for k in range(2, 7):
-        only = {r: cells_by_degree(family, 2, k, range(r, r + 1)) for r in (1, 2)}
-        assert cells_by_degree(family, 2, k, range(0, 2)) == only[1]
-        assert cells_by_degree(family, 2, k, range(-4, 2)) == only[1]
-        assert cells_by_degree(family, 2, k, range(3, 9)) == {}
-        assert cells_by_degree(family, 2, k, range(0, 1)) == {}
-        assert cells_by_degree(family, 2, k, range(0, 9)) == cells_by_degree(
-            family, 2, k
-        )
+        only = {r: cells_by_rank(family, 2, k, range(r, r + 1)) for r in (1, 2)}
+        assert cells_by_rank(family, 2, k, range(0, 2)) == only[1]
+        assert cells_by_rank(family, 2, k, range(-4, 2)) == only[1]
+        assert cells_by_rank(family, 2, k, range(3, 9)) == {}
+        assert cells_by_rank(family, 2, k, range(0, 1)) == {}
+        assert cells_by_rank(family, 2, k, range(0, 9)) == cells_by_rank(family, 2, k)
         # a range is its members, in any step or direction
-        assert cells_by_degree(family, 2, k, range(2, -1, -1)) == cells_by_degree(
+        assert cells_by_rank(family, 2, k, range(2, -1, -1)) == cells_by_rank(
             family, 2, k
         )
-        assert cells_by_degree(family, 2, k, range(0, 9, 2)) == only[2]
+        assert cells_by_rank(family, 2, k, range(0, 9, 2)) == only[2]
 
 
 @pytest.mark.parametrize(
@@ -169,11 +167,11 @@ def test_a_band_reaching_outside_one_to_n_selects_nothing_there(family):
 )
 def test_a_band_that_is_not_a_range_is_refused(ranks):
     with pytest.raises(TypeError, match="ranks must be a range"):
-        cells_by_degree(C, 2, 4, ranks)
+        cells_by_rank(C, 2, 4, ranks)
 
 
 def test_build_two_by_two_complex():
-    assert list(checked_slices(cell_slices(cells_by_degree(C, 2, 2)))) == [
+    assert list(checked_slices(cell_slices(cells_by_rank(C, 2, 2)))) == [
         (0, (M(1),), None),
         (2, (M(2),), None),
         (3, (M(2, 1),), ({0: 1},)),
@@ -183,23 +181,27 @@ def test_build_two_by_two_complex():
 def test_generators_are_the_enumerated_cells():
     for family in (C, H):
         for n, k in SMALL:
-            cells = cells_by_degree(family, n, k)
-            slices = checked_slices(cell_slices(cells))
-            assert [(p, list(cells_p)) for p, cells_p, _ in slices] == list(
-                cells.items()
+            by_rank = cells_by_rank(family, n, k)
+            merged = {}  # each degree's rank lists, one after another
+            for cells in by_rank.values():
+                for p, masks in cells.items():
+                    merged.setdefault(p, []).extend(masks)
+            slices = checked_slices(cell_slices(by_rank))
+            assert [(p, list(cells_p)) for p, cells_p, _ in slices] == sorted(
+                (p, sorted(masks)) for p, masks in merged.items()
             )
 
 
 def test_relative_complex_has_zero_boundaries():
-    cells = cells_by_degree(C, 2, 4, range(2, 3))
+    cells = cells_by_rank(C, 2, 4, range(2, 3))
     for _, _, columns in checked_slices(cell_slices(cells)):
         assert columns is None
 
 
 def test_cell_slices_drop_faces_outside_the_cells():
-    cells = {2: [M(2)], 3: [M(2, 1)], 5: [M(3, 1)]}
+    cells = {1: {2: [M(2)]}, 2: {3: [M(2, 1)], 5: [M(3, 1)]}}
     assert list(cell_slices(cells))[1] == (3, [M(2, 1)], [{0: 1}])
-    del cells[2]
+    del cells[1]
     assert list(checked_slices(cell_slices(cells))) == [
         (3, (M(2, 1),), None),
         (5, (M(3, 1),), None),
@@ -215,7 +217,7 @@ def test_every_band_boundary_is_a_partial_matching(family):
     for n in range(1, 6):
         for k in range(n, 10):
             for lo, hi in itertools.combinations_with_replacement(range(1, n + 1), 2):
-                cells = cells_by_degree(family, n, k, range(lo, hi + 1))
+                cells = cells_by_rank(family, n, k, range(lo, hi + 1))
                 for p, _, columns in checked_slices(cell_slices(cells)):
                     used = set()
                     for column in filter(None, columns or ()):
@@ -228,21 +230,24 @@ def test_every_band_boundary_is_a_partial_matching(family):
 
 
 def test_quaternionic_point():
-    assert list(cell_slices(cells_by_degree(H, 1, 1))) == [(0, [M(1)], None)]
+    assert list(cell_slices(cells_by_rank(H, 1, 1))) == [(0, [M(1)], None)]
 
 
 def test_exactly_one_zero_cell_and_top_dimension():
     for family in (C, H):
         for n, k in SMALL:
-            cells = cells_by_degree(family, n, k)
+            by_rank = cells_by_rank(family, n, k)
+            cells = by_degree(by_rank)
             assert cells[0] == [M(1)]
             assert max(cells) == orbit_space_dimension(family, n, k)
+            # the oracles read the top degree off rank n alone
+            assert max(by_rank[n]) == max(cells)
 
 
 def test_full_rank_interior_count():
     for family in (C, H):
         for n, k in SMALL:
-            cells = cells_by_degree(family, n, k, range(n, n + 1))
+            cells = cells_by_rank(family, n, k, range(n, n + 1))[n]
             interior = [
                 cell
                 for cells_p in cells.values()
@@ -254,19 +259,17 @@ def test_full_rank_interior_count():
 
 def test_full_rank_dimension_parities():
     for n, k in SMALL:
-        for p in cells_by_degree(C, n, k, range(n, n + 1)):
+        for p in cells_by_rank(C, n, k, range(n, n + 1))[n]:
             assert p % 2 == (n + 1) % 2
-        residues = {
-            p % 4 for p in cells_by_degree(H, n, k, range(n, n + 1))
-        }
+        residues = {p % 4 for p in cells_by_rank(H, n, k, range(n, n + 1))[n]}
         assert len(residues) == 1
 
 
 def test_orbit_space_dimension_examples():
-    # the oracle reads the dimension as its top cell's degree
-    assert max(cells_by_degree(C, 2, 4)) == 11
-    assert max(cells_by_degree(H, 2, 3)) == 13
-    assert max(cells_by_degree(C, 1, 1)) == 0
+    # the oracle reads the dimension as its top cell's degree, in rank n
+    assert max(cells_by_rank(C, 2, 4)[2]) == 11
+    assert max(cells_by_rank(H, 2, 3)[2]) == 13
+    assert max(cells_by_rank(C, 1, 1)[1]) == 0
 
 
 @pytest.mark.parametrize("family", [C, H], ids=str)
@@ -285,13 +288,14 @@ def test_masks_faces_and_labels_match_the_pivot_tuples(family):
                         for p, tuples_p in tuples.items()
                     }
                     band = {p: tuples_p for p, tuples_p in band.items() if tuples_p}
-                    cells = cells_by_degree(family, n, k, ranks)
+                    by_rank = cells_by_rank(family, n, k, ranks)
+                    cells = by_degree(by_rank)
                     where = (n, k, lo, hi)
                     assert cells == {
                         p: [M(*pivots) for pivots in tuples_p]
                         for p, tuples_p in band.items()
                     }, where
-                    for p, cells_p, columns in cell_slices(cells):
+                    for p, cells_p, columns in cell_slices(by_rank):
                         below = band.get(p - 1, [])
                         for pivots, cell, column in zip(
                             band[p], cells_p, columns or [{}] * len(cells_p)
@@ -310,9 +314,9 @@ def test_masks_faces_and_labels_match_the_pivot_tuples(family):
 
 @pytest.mark.parametrize("family", [C, H], ids=str)
 def test_one_column_of_ranks_merges_into_every_band(family):
-    # one growth of (family, k) up to rank 5 serves every n <= 5: merging
+    # one growth of (family, k) up to rank 5 serves every n <= 5: streaming
     # its ranks gives each band, rank n alone is the rank-n band, and the
-    # merges change none of its lists
+    # streams change none of its lists
     for k in range(1, 10):
         column = cells_by_rank(family, min(5, k), k)
         assert list(column) == list(range(1, min(5, k) + 1))
@@ -322,14 +326,13 @@ def test_one_column_of_ranks_merges_into_every_band(family):
         before = {r: {p: list(masks) for p, masks in cells.items()}
                   for r, cells in column.items()}
         for n in range(1, min(5, k) + 1):
-            assert column[n] == cells_by_degree(family, n, k, range(n, n + 1))
+            assert column[n] == cells_by_rank(family, n, k, range(n, n + 1))[n]
             for lo in range(0, n + 2):
                 for hi in range(lo - 1, n + 2):
                     ranks = range(lo, hi + 1)
-                    merged = {}
-                    for r in filter(ranks.__contains__, range(1, n + 1)):
-                        merge_rank(merged, column[r])
-                    assert sorted(merged.items()) == list(
-                        cells_by_degree(family, n, k, ranks).items()
+                    wanted = filter(ranks.__contains__, range(1, n + 1))
+                    streamed = by_degree({r: column[r] for r in wanted})
+                    assert list(streamed.items()) == list(
+                        reference(family, n, k, ranks).items()
                     ), (n, k, lo, hi)
         assert column == before

@@ -264,7 +264,7 @@ def test_closed_form_never_builds_the_oracle_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the closed form reached the oracle route")
 
-    for name in ("cells_by_degree", "integral_homology"):
+    for name in ("cells_by_rank", "integral_homology"):
         monkeypatch.setattr(l_homology, name, refuse)
     points = [(1, 1, 0), (2, 5, 1), (12, 26, 0), (11, 26, 1), (200, 450, 2)]
     for family in (C, H):
@@ -274,7 +274,7 @@ def test_closed_form_never_builds_the_oracle_route(monkeypatch):
 
 def _collapse(family, n, k):
     """The collapse certificate read off the full complex of (family, n, k)."""
-    cells = orbit_cells.cells_by_degree(family, n, k)
+    cells = orbit_cells.cells_by_rank(family, n, k)
     groups = homology.integral_homology(orbit_cells.cell_slices(cells))
     return l_homology.read_collapse(family, n, groups)
 

@@ -12,7 +12,8 @@ from multiaxial import (
 )
 from multiaxial.abelian import FGAbelianGroup
 from multiaxial.family import Family
-from multiaxial.orbit_cells import cell_slices, cells_by_degree
+from multiaxial.orbit_cells import cell_slices, cells_by_rank
+from test_orbit_cells import by_degree
 from multiaxial.structure_set import ActionSpec
 
 FAMILIES = (Family.COMPLEX, Family.QUATERNIONIC)
@@ -83,10 +84,10 @@ def _recording(monkeypatch, streams):
     lands in streams, slice by slice as it is read."""
     original = l_homology.cell_slices
 
-    def wrapper(by_degree):
+    def wrapper(by_rank):
         stream = []
         streams.append(stream)
-        for piece in original(by_degree):
+        for piece in original(by_rank):
             stream.append(piece)
             yield piece
 
@@ -119,10 +120,13 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     )
     # each grown cell is in exactly one stream, its family's
     for family, stream in zip(FAMILIES, streams):
-        grown = cells_by_degree(family, top, MAX_K)
-        assert Counter(cell for _, cells, _ in stream for cell in cells) == Counter(
-            cell for masks in grown.values() for cell in masks
-        )
+        grown = [
+            cell
+            for cells in cells_by_rank(family, top, MAX_K).values()
+            for masks in cells.values()
+            for cell in masks
+        ]
+        assert Counter(cell for _, cells, _ in stream for cell in cells) == Counter(grown)
 
     expected_specs = {
         ActionSpec(family, n, k + step, j)
@@ -187,7 +191,7 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
     assert len(streams) == len(steps) == len(FAMILIES)
     top = min(MAX_N, MAX_K)
     for family, stream, step in zip(FAMILIES, streams, steps):
-        reference = list(cell_slices(cells_by_degree(family, top, MAX_K)))
+        reference = list(cell_slices(cells_by_rank(family, top, MAX_K)))
         assert [p for p, _, _ in stream] == [p for p, _, _ in reference]
         for (_, cells, columns), (_, cells_r, columns_r) in zip(stream, reference):
             assert tuple(cells) == tuple(cells_r)
@@ -205,7 +209,7 @@ def test_both_complexes_equal_the_filtered_builds(monkeypatch):
                     p: [cell for cell in cells if kept(cell)]
                     for p, cells, _ in stream
                     if any(map(kept, cells))
-                } == cells_by_degree(family, n, k, ranks)
+                } == by_degree(cells_by_rank(family, n, k, ranks))
 
 
 def _plant(monkeypatch, name, family, n, k, module=verification):
@@ -218,8 +222,8 @@ def _plant(monkeypatch, name, family, n, k, module=verification):
     point = (family, n, k)
     if name.startswith("read_"):
         ranks = range(n, n + 1) if name == "read_l_homology" else None
-        cells = cells_by_degree(family, n, k, ranks)
-        point = (homology.integral_homology(cell_slices(cells)), max(cells))
+        cells = cells_by_rank(family, n, k, ranks)
+        point = (homology.integral_homology(cell_slices(cells)), max(cells[n]))
 
     def wrong(*args):
         group = original(*args)
@@ -354,6 +358,29 @@ def test_a_report_missing_a_summand_fails_branch_dispatch_at_its_spec(
     assert failures == [("branch-dispatch", params, detail)]
 
 
+def test_a_report_that_fails_at_k_plus_2_fails_only_its_suspension_row(monkeypatch):
+    # past the grid's last k only the suspension rows read a report, so a
+    # report refused there fails each of them with its message, and no other
+    original = verification.compute_structure_set
+
+    def refused(spec):
+        if spec.k == MAX_K + 2:
+            raise ValueError("planted refusal at k + 2")
+        return original(spec)
+
+    monkeypatch.setattr(verification, "compute_structure_set", refused)
+    summary = verification.run_verification(MAX_N, MAX_K, MAX_J, FAMILIES)
+    failures = [(r.check, r.params, r.detail) for r in summary.results if not r.ok]
+    assert failures == [
+        ("suspension-monotone", f"family={family} n={n} k={MAX_K} j={j}",
+         "planted refusal at k + 2")
+        for family in FAMILIES
+        for n in range(1, MAX_N + 1)
+        for j in range(MAX_J + 1)
+    ]
+    assert len(failures) == 12
+
+
 def _basepoint_two_degrees_up(original):
     def mutant(family, n, k):
         original(family, n, k)  # still refuses the even gap
@@ -480,7 +507,7 @@ def test_torsion_the_oracle_refuses_fails_its_check_at_its_point(
     # a Z_2 in the full complex's homology, as a factor 2 where a unit was
     # would leave, is refused by read_reduced_l_homology
     n, k = 2, 4
-    target = list(orbit_cells.cell_slices(orbit_cells.cells_by_degree(family, n, k)))
+    target = list(orbit_cells.cell_slices(orbit_cells.cells_by_rank(family, n, k)))
     degree = min(p for p, _, columns in target if _nonzero(columns)) - 1
     original = verification._cell_checks
 
