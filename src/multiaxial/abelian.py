@@ -11,8 +11,9 @@ Sums and embeddings use gcd and lcm alone, and no order is ever
 factored.  Read from the largest factor down, a chain holds, prime by
 prime, a partition of exponents; a sum merges partitions, and an embedding
 is partition containment (Macdonald, Symmetric Functions and Hall
-Polynomials, ch. II).  A sum costs a few steps per run and an embedding
-one step per run, whatever the multiplicities.
+Polynomials, ch. II).  A sum walks the chain once, a step per run end,
+and an embedding walks two chains once, a step per run, whatever the
+multiplicities.
 
 >>> FGAbelianGroup.from_orders([0, 4, 2])
 FGAbelianGroup(free_rank=1, torsion=((2, 1), (4, 1)))
@@ -24,27 +25,11 @@ Z^4 ⊕ Z_2^2
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable
 
 Run = tuple[int, int]
-
-
-def _descending(chain: tuple[Run, ...]) -> tuple[list[int], list[int]]:
-    """Each run's last position, the largest factor at 1, and its order."""
-    ends = list(accumulate(count for _, count in reversed(chain)))
-    return ends, [order for order, _ in reversed(chain)]
-
-
-def _factor_at(ends: list[int], orders: list[int], i: int) -> int:
-    """The i-th largest factor: 0 above the top, 1 past the bottom."""
-    if i < 1:
-        return 0
-    run = bisect_left(ends, i)
-    return orders[run] if run < len(orders) else 1
 
 
 def _insert(chain: tuple[Run, ...], order: int, count: int) -> tuple[Run, ...]:
@@ -52,9 +37,10 @@ def _insert(chain: tuple[Run, ...], order: int, count: int) -> tuple[Run, ...]:
 
     Prime by prime, the copies' exponent f slots in below every exponent
     at least f, so the i-th largest becomes max(e_i, min(f, e_(i - count)))
-    and the i-th largest factor lcm(d_i, gcd(order, d_(i - count))).  That
-    changes only where i or i - count crosses the end of a run, so it is
-    evaluated once per stretch between such positions.
+    and the i-th largest factor lcm(d_i, gcd(order, d_(i - count))), with
+    d 0 above the top and 1 past the bottom.  One walk down the chain at
+    positions i and i - count, as embeds_in walks two chains, evaluates it
+    once per stretch between the run ends either position crosses.
     """
     bottom, at_bottom = chain[0] if chain else (0, 0)
     if bottom % order == 0:
@@ -62,15 +48,22 @@ def _insert(chain: tuple[Run, ...], order: int, count: int) -> tuple[Run, ...]:
         if bottom == order:
             return ((order, at_bottom + count),) + chain[1:]
         return ((order, count),) + chain
-    ends, orders = _descending(chain)
-    cuts = sorted({end + shift for end in (0, *ends) for shift in (0, count)} - {0})
+    # above reads position i - count, so 0 at the first count positions;
+    # here, past the bottom, reads 1 for count more, until above is past it
+    here, above = reversed(chain), iter(((0, count), *reversed(chain)))
+    here_end = above_end = start = 0
     runs: list[list[int]] = []
-    start = 0
-    for cut in cuts:
-        above = _factor_at(ends, orders, cut - count)
-        d = lcm(_factor_at(ends, orders, cut), gcd(order, above))
+    while True:
+        if here_end == start:
+            here_order, run = next(here, (1, count))
+            here_end += run
+        if above_end == start:
+            above_order, run = next(above, (1, count))
+            above_end += run
+        d = lcm(here_order, gcd(order, above_order))
         if d == 1:
             break  # a chain read downwards ends in its units
+        cut = min(here_end, above_end)
         if runs and runs[-1][0] == d:
             runs[-1][1] += cut - start
         else:

@@ -23,7 +23,7 @@ as an extra summand when that group is not 0, which is when n is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import comb
 
 from .abelian import FGAbelianGroup
@@ -148,19 +148,35 @@ class Summand:
 
 @dataclass(frozen=True, slots=True)
 class DecompositionReport:
-    """Labeled summands of a structure set.  The total is their direct sum,
-    made here once and never passed in, so the two cannot disagree."""
+    """Labeled summands of a structure set.  The total is their direct sum
+    and the notes name what the spec and the summands leave unsaid; both
+    are read off the summands when asked for, never passed in, so neither
+    can disagree with them."""
 
     spec: ActionSpec
     branch: str
     summands: tuple[Summand, ...]
-    total: FGAbelianGroup = field(init=False)
-    notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        groups = [s.group for s in self.summands]
-        total = FGAbelianGroup.direct_sum(*groups) if groups else FGAbelianGroup()
-        object.__setattr__(self, "total", total)
+    @property
+    def total(self) -> FGAbelianGroup:
+        return FGAbelianGroup().direct_sum(*(s.group for s in self.summands))
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        if self.spec.is_trivial:
+            return ("trivial action, the structure set of a sphere vanishes",)
+        notes = {
+            "basepoint": "trivial summands present (j={}), the basepoint "
+            "contributes an extra {} summand",
+            "free_stratum": "no trivial summand (j=0), so the deepest stratum "
+            "is a free sphere quotient (n and k - n make k odd in every "
+            "firing case) and its summand drops one Z",
+        }
+        return tuple(
+            notes[s.label].format(self.spec.j, s.group)
+            for s in self.summands
+            if s.label in notes
+        )
 
     def summand(self, label: str) -> Summand:
         for s in self.summands:
@@ -180,15 +196,9 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
     """
     spec = normalize(spec)
     if spec.is_trivial:
-        return DecompositionReport(
-            spec=spec,
-            branch="trivial",
-            summands=(),
-            notes=("trivial action, the structure set of a sphere vanishes",),
-        )
+        return DecompositionReport(spec=spec, branch="trivial", summands=())
     family, n, k, j = spec.family, spec.n, spec.k, spec.j
     summands: list[Summand] = []
-    notes: list[str] = []
     if (k - n) % 2 == 0:
         branch = "even-gap"
         depths = range(0, n, 2)
@@ -204,10 +214,6 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
             if not correction.is_trivial:
                 source = "periodic coefficient at the basepoint in the top degree"
                 summands.append(Summand("basepoint", correction, source))
-                notes.append(
-                    f"trivial summands present (j={j}), the basepoint "
-                    f"contributes an extra {correction} summand"
-                )
         depths = range(1, n, 2)
     for depth in depths:
         m = n - depth
@@ -220,11 +226,6 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
                 f"cell count of lines in {k}-space minus one Z for "
                 "the degree zero surgery obstruction"
             )
-            notes.append(
-                "no trivial summand (j=0), so the deepest stratum is a "
-                "free sphere quotient (n and k - n make k odd in every "
-                "firing case) and its summand drops one Z"
-            )
         else:
             label = f"stratum_pair({depth})"
             source = (
@@ -232,12 +233,7 @@ def compute_structure_set(spec: ActionSpec) -> DecompositionReport:
                 f"split cell counts of {m}-planes in {k}-space"
             )
         summands.append(Summand(label, group, source))
-    return DecompositionReport(
-        spec=spec,
-        branch=branch,
-        summands=tuple(summands),
-        notes=tuple(notes),
-    )
+    return DecompositionReport(spec=spec, branch=branch, summands=tuple(summands))
 
 
 def suspension_embeds(

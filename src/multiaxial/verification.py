@@ -244,7 +244,7 @@ def _suspension_row(k, report, twice) -> tuple[bool, str]:
     if fail := _failed(twice):
         return fail
     if suspension_embeds(report, twice):
-        return True, ("{} embeds in {}", report.total, twice.total)
+        return True, ("{0.total} embeds in {1.total}", report, twice)
     # the rule goes summand by summand, so a summand alone fails it exactly
     # when it is one that does not embed
     missed = ", ".join(

@@ -14,7 +14,7 @@ from multiaxial.verification import CheckResult, VerificationSummary
 GROUP = FGAbelianGroup(1, ((2, 1),))
 SPEC = ActionSpec(Family.COMPLEX, 2, 5, 1)
 SUMMAND = Summand("L_3", GROUP, "closed form")
-REPORT = DecompositionReport(SPEC, "odd gap", (SUMMAND,), ("a note",))
+REPORT = DecompositionReport(SPEC, "odd gap", (SUMMAND,))
 CHECK = CheckResult("d^2 = 0", "U n=2 k=5", True)
 SUMMARY = VerificationSummary((CHECK,))
 

@@ -767,9 +767,9 @@ def test_a_refused_filtration_fails_the_oracle_rows_without_a_traceback(
 
 def test_a_passing_verify_formats_no_group_of_its_own(monkeypatch, capsys):
     # a row keeps the values its detail prints and formats them when read,
-    # and the CLI reads the detail of a failure alone; what a passing grid
-    # formats is each basepoint report's note, which compute_structure_set
-    # writes as it builds the report
+    # and the CLI reads the detail of a failure alone; a report's notes are
+    # read off its summands when asked for, so not even a basepoint
+    # report's note is formatted
     specs = {
         ActionSpec(family, n, k + step, j)
         for family in FAMILIES
@@ -792,12 +792,36 @@ def test_a_passing_verify_formats_no_group_of_its_own(monkeypatch, capsys):
     monkeypatch.setattr(FGAbelianGroup, "__str__", counting)
     assert cli.main(["verify", "--max-n", "4", "--max-k", "8"]) == 0
     assert "total: 728 passed, 0 failed" in capsys.readouterr().out
-    assert notes > 0 and callers == ["compute_structure_set"] * notes
+    assert notes > 0 and callers == []
     # a test that reads a detail still sees the text
     callers.clear()
     row = verification.run_verification(1, 1, 0).results[2]
     assert (row.check, row.detail) == ("relative-closed-vs-oracle", "Z vs Z")
     assert callers == ["detail", "detail"]
+
+
+def test_a_passing_verify_sums_no_report_total(monkeypatch, capsys):
+    # a passing suspension-monotone row keeps its two reports and sums
+    # their totals only when its detail is read
+    callers = []
+    original = FGAbelianGroup.direct_sum
+
+    def recording(group, *others):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(group, *others)
+
+    monkeypatch.setattr(FGAbelianGroup, "direct_sum", recording)
+    assert cli.main(["verify", "--max-n", "4", "--max-k", "8"]) == 0
+    assert "total: 728 passed, 0 failed" in capsys.readouterr().out
+    # only _summand_row's top ⊕ basepoint merge sums a group
+    assert callers and not {"__post_init__", "total"} & set(callers)
+    row = next(
+        r for r in verification.run_verification(1, 3, 0).results
+        if r.check == "suspension-monotone" and r.params == "family=U n=1 k=3 j=0"
+    )
+    callers.clear()
+    assert row.ok and row.detail == "Z ⊕ Z_2 embeds in Z^2 ⊕ Z_2^2"
+    assert callers == ["total", "total"]
 
 
 def test_family_order_and_one_family_grids_give_the_same_rows():
