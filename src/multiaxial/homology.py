@@ -206,7 +206,9 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                     f"expected {len(cells)}"
                 )
             # one pass over each nonzero column: row type and range, coefficient
-            # type and sign, then d^2 if a face it reads has a boundary
+            # type and sign, then d^2 if it reads one of the rows below with a
+            # boundary (in an orbit complex no face has one)
+            bounded = set(compress(range(rows), lower or ()))
             for column in filter(None, columns):
                 try:
                     entries = column.items()
@@ -224,7 +226,7 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                         _not_an_int(v, "coefficient")
                     if not v:
                         raise ValueError(f"boundary in degree {p} has a 0 in row {r}")
-                if lower and any(map(lower.__getitem__, column)):
+                if bounded and not bounded.isdisjoint(column):
                     composite: dict[int, int] = {}
                     for r, v in entries:
                         for s, w in (lower[r] or {}).items():

@@ -25,7 +25,8 @@ grows in order at C speed.  Its map, rank -> degree -> masks, is the one
 form a set of cells takes.  The strata nest: rank m of one growth is the
 rank-m stratum pair of every (family, n >= m, k).  cell_slices streams
 such a map as ascending (degree, cells, sparse columns) slices, merging
-a degree's ranks as the stream reaches it: the package's one form of a
+a degree's ranks as the stream reaches it and finding the faces of a
+slice in one walk over the slice below: the package's one form of a
 chain complex, which homology reads and export-complex writes once, a
 slice at a time, with no dense matrix or string.  cell_label is the one
 place a cell becomes text, "(m1,...,mr)", and only output that prints a
@@ -90,8 +91,8 @@ def cell_slices(by_rank: dict[int, dict[int, list[int]]]) -> Iterator[Slice]:
     """Cellular chain complex on exactly the given cells, rank -> degree ->
     ascending masks, as ascending slices; a degree's ranks merge into a new
     list when the stream reaches it, so two merged degrees at most are held.
-    A face is looked up in the slice one degree below and dropped if absent,
-    which makes a rank band compute relative homology.
+    A face is found by one forward walk over the slice one degree below and
+    dropped if absent, which makes a rank band compute relative homology.
 
     >>> list(cell_slices({1: {2: [0b10]}, 2: {3: [0b11], 5: [0b101]}}))
     [(2, [2], None), (3, [3], [{0: 1}]), (5, [5], None)]
@@ -113,10 +114,15 @@ def cell_slices(by_rank: dict[int, dict[int, list[int]]]) -> Iterator[Slice]:
         if not below:
             yield p, cells, None
             continue
-        row_of = dict(zip(below, range(len(below))))
         columns = []
+        row, end = 0, len(below)  # faces ascend with the cells: one walk
         for cell in cells:
-            # mask 0 is no cell, so cell 1 finds no face
-            row = row_of.get(cell - 1) if cell & 1 else None
-            columns.append(no_face if row is None else {row: 1})
+            if cell & 1:  # mask 0 is no cell, so cell 1 finds no face
+                face = cell - 1
+                while row < end and below[row] < face:
+                    row += 1
+                if row < end and below[row] == face:
+                    columns.append({row: 1})
+                    continue
+            columns.append(no_face)
         yield p, cells, columns

@@ -106,7 +106,9 @@ def test_every_module_level_name_is_read():
 def test_acceptance_passes_in_optimized_mode():
     # python -O strips the package's assert statements; pytest rewrites the
     # test file's own asserts, so every criterion is still checked
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # src first, then the inherited path, where the test packages may live
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "tests/test_acceptance.py", "-q"],
         cwd=ROOT,

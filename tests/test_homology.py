@@ -307,6 +307,16 @@ BAD_STREAMS = [
         ValueError,
         "boundary composite in degree 2 is nonzero",
     ),
+    # the composite is reached only through row 1, beside two falsy columns
+    (
+        [
+            (0, ["u", "v"], None),
+            (1, ["a", "b", "c"], [None, {0: 1}, []]),
+            (2, ["f"], [{0: 1, 1: 1, 2: 1}]),
+        ],
+        ValueError,
+        "boundary composite in degree 2 is nonzero",
+    ),
     (
         [(0, ["v"], None), (1, ["e"], [{1: 1}])],
         ValueError,
