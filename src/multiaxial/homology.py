@@ -3,16 +3,16 @@
 A complex is an ascending stream of (degree, generators, sparse columns)
 slices, never held whole.  checked_slices is its one check, and it passes on
 the producer's nonzero columns, read and never changed; a zero is refused.
-split_units drops each column holding a +-1 alone in its row, as the Schur
+Its walk splits off each column with a +-1 alone in its row, as the Schur
 complement of that pivot changes no other column; in an orbit-space complex
-every nonzero column has one, a free face with one coface (coreduction,
-Mrozek and Batko, DCG 41, 2009).  The rest goes as one block to
-smith_normal_form, also the split's reference in tier-1.  Two drivers split
-each slice's boundary once, whole: integral_homology as the slice arrives,
-and filtered_homology reading a stream once, each generator at a step (t, r),
-for the homology of every F_(k,n), the generators at t <= k and r <= n, and
-of F_(k,n) over F_(k,<n) (Zomorodian and Carlsson, DCG 33, 2005; with two
-parameters, Carlsson and Zomorodian, DCG 42, 2009).
+every nonzero column has one, a free face with one coface (coreduction, Mrozek
+and Batko, DCG 41, 2009).  split_units, the general split, takes a slice with
+a shared row and serves sparse_invariant_factors; the rest goes as one block
+to smith_normal_form, also the reference in tier-1.  Two drivers read the
+walk: integral_homology as a slice arrives, and filtered_homology, each
+generator at a step, for the homology of every F_(k,n) and of F_(k,n) over
+F_(k,<n) (Zomorodian and Carlsson, DCG 33, 2005; with two parameters, Carlsson
+and Zomorodian, DCG 42, 2009).
 
 The Smith normal form runs on Python ints, so nothing overflows, but its
 smallest-pivot elimination puts no bound on the growth of intermediate
@@ -186,6 +186,11 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
     tuple of its generators and one of the producer's own columns, or None;
     no column is changed, and a producer must not change one once yielded.
     """
+    return ((p, cells, columns) for p, cells, columns, _, _ in _checked_splits(slices))
+
+
+def _checked_splits(slices: Iterable[Slice]) -> Iterator[tuple]:
+    """checked_slices' walk, each slice with split_units' count and rest."""
     below, rows, lower = -1, 0, None
     for p, cells, columns in slices:
         if type(p) is not int:
@@ -195,10 +200,19 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
         if p <= below:
             raise ValueError(f"degree {p} does not ascend past degree {below}")
         cells = tuple(cells)
-        if len(set(cells)) != len(cells):
-            raise ValueError(f"duplicate generators in degree {p}")
+        try:
+            if len(set(cells)) != len(cells):
+                raise ValueError(f"duplicate generators in degree {p}")
+        except TypeError:
+            for cell in cells:
+                try:
+                    hash(cell)
+                except TypeError:
+                    raise TypeError(f"degree {p} has generator {cell!r}, not hashable")
+            raise
         if p != below + 1:
             rows, lower = 0, None
+        units, rest = 0, ()
         if columns is not None:
             if len(columns) != len(cells):
                 raise ValueError(
@@ -206,12 +220,13 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                     f"expected {len(cells)}"
                 )
             # one pass over each nonzero column: row type and range, coefficient
-            # type and sign, then d^2 if it reads one of the rows below with a
-            # boundary (in an orbit complex no face has one)
+            # type and sign, a +-1 (a unit if no row of the slice is used twice),
+            # then d^2 if it reads a bounded row below (in an orbit complex none does)
             bounded = set(compress(range(rows), lower or ()))
-            for column in filter(None, columns):
+            nonzero, rest = tuple(filter(None, columns)), []
+            for column in nonzero:
                 try:
-                    entries = column.items()
+                    entries, unit = column.items(), False
                 except AttributeError:
                     raise TypeError(f"degree {p} has column {column!r}, not a mapping")
                 for r, v in entries:
@@ -226,6 +241,10 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                         _not_an_int(v, "coefficient")
                     if not v:
                         raise ValueError(f"boundary in degree {p} has a 0 in row {r}")
+                    if v == 1 or v == -1:
+                        unit = True
+                if not unit:
+                    rest.append(column)
                 if bounded and not bounded.isdisjoint(column):
                     composite: dict[int, int] = {}
                     for r, v in entries:
@@ -233,8 +252,11 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
                             composite[s] = composite.get(s, 0) + v * w
                     if any(composite.values()):
                         raise ValueError(f"boundary composite in degree {p} is nonzero")
-            columns = tuple(columns) if any(columns) else None
-        yield p, cells, columns
+            if len(set(chain.from_iterable(nonzero))) != sum(map(len, nonzero)):
+                rest = split_units(nonzero)[1]
+            units = len(nonzero) - len(rest)
+            columns = tuple(columns) if nonzero else None
+        yield p, cells, columns, units, rest
         below, rows, lower = p, len(cells), columns
 
 
@@ -243,7 +265,7 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
 
     step maps a generator to a pair (t, r) of ints, F_(k,n) holds those at
     t <= k and r <= n, and a face later than its coface in either
-    coordinate is refused with a ValueError.  split_units takes each slice's
+    coordinate is refused with a ValueError.  The walk splits each slice's
     whole boundary once, as a unit alone in its row there is alone in every
     F_(k,n), and each column is a unit or rest at its own step; the rest at
     steps <= (k, n) goes to sparse_invariant_factors for F_(k,n), and the
@@ -258,7 +280,7 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
     """
     at: dict[tuple, dict] = {}  # step -> degree -> [cells, units, rest, band]
     below: list[tuple] = []  # the steps of the slice before
-    for p, cells, columns in checked_slices(slices):
+    for p, cells, columns, _, rest in _checked_splits(slices):
         steps = list(map(step, cells))
         here = {}  # step -> what it adds in degree p
         try:
@@ -272,7 +294,7 @@ def filtered_homology(slices: Iterable[Slice], step: Callable) -> dict[tuple, tu
                 raise TypeError(f"step {s!r} is not a pair of ints")
             here[s] = at.setdefault(s, {})[p] = [count, 0, [], []]
         if columns:
-            rest = set(map(id, split_units(columns)[1]))
+            rest = set(map(id, rest))
             for s, column in compress(zip(steps, columns), columns):
                 into = here[s]
                 if id(column) in rest:
@@ -340,17 +362,15 @@ _free = cache(FGAbelianGroup.free)
 
 def integral_homology(slices: Iterable[Slice]) -> dict[int, FGAbelianGroup]:
     """Integral homology of a stream of slices, any iterable of them,
-    trivial degrees omitted.  Each slice's boundary goes through split_units
+    trivial degrees omitted.  The check's walk splits each slice's boundary
     as the slice arrives, so only the columns it leaves are held, and
     _homology assembles the counts; its ValueError is raised.
 
     >>> print(integral_homology([(0, ["v"], None), (1, ["e"], [{0: 2}])])[0])
     Z_2
     """
-    ranks = {
-        p: [len(cells), *(split_units(columns) if columns else (0, ()))]
-        for p, cells, columns in checked_slices(slices)
-    }
+    splits = _checked_splits(slices)
+    ranks = {p: [len(cells), units, rest] for p, cells, _, units, rest in splits}
     if isinstance(groups := _homology(ranks), ValueError):
         raise groups
     return groups

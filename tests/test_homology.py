@@ -333,6 +333,14 @@ BAD_STREAMS = [
         "boundary in degree 1 has 2 columns, expected 1",
     ),
     ([(0, ["v", "v"], None)], ValueError, "duplicate generators in degree 0"),
+    # a generator that does not hash is named with its degree, also one
+    # whose type hashes but whose contents do not
+    ([(0, [["v"]], None)], TypeError, "degree 0 has generator ['v'], not hashable"),
+    (
+        [(0, ["v"], None), (1, ["e", ("f", [0])], [{0: 1}, {}])],
+        TypeError,
+        "degree 1 has generator ('f', [0]), not hashable",
+    ),
     # a zero is refused, never dropped, and so is a nonzero column that is
     # not a mapping
     (
@@ -619,13 +627,13 @@ def test_reduced_oracle_beyond_dense_reach(monkeypatch):
 def test_integral_homology_raises_the_error_of_a_negative_rank(monkeypatch):
     # a split that counts each unit twice takes a free rank below zero, and
     # integral_homology and the oracle reading it raise that ValueError
-    original = homology.split_units
+    original = homology._checked_splits
 
-    def twice(columns):
-        units, rest = original(columns)
-        return 2 * units, rest
+    def twice(slices):
+        for p, cells, columns, units, rest in original(slices):
+            yield p, cells, columns, 2 * units, rest
 
-    monkeypatch.setattr(homology, "split_units", twice)
+    monkeypatch.setattr(homology, "_checked_splits", twice)
     message = "^free rank must be nonnegative$"
     with pytest.raises(ValueError, match=message):
         integral_homology(cell_slices(cells_by_rank(Family.COMPLEX, 2, 4)))
@@ -912,6 +920,29 @@ def filtered_complexes(draw):
             steps[p, j] = t, r
             cells.append(((p, j), (t, r), faces))
     return filtration
+
+
+@settings(max_examples=300)
+@given(filtered_complexes())
+def test_the_walk_splits_each_slice_as_split_units_does(filtration):
+    # the draws share rows after their unimodular operations, and some share
+    # column objects; the check's walk must give each slice split_units'
+    # count and the very same residual columns, in order
+    stream, _ = _filtered_stream(filtration)
+    for _, _, columns, units, rest in homology._checked_splits(stream):
+        expected_units, expected_rest = homology.split_units(columns or ())
+        assert units == expected_units
+        assert list(map(id, rest)) == list(map(id, expected_rest))
+
+
+def test_a_shared_row_goes_to_the_general_split():
+    # both columns hold a 1, in the row they share, so neither is an
+    # isolated unit: H_0 = Z^2 / <(1, 0), (1, 2)> = Z_2, which counting a
+    # column with a +-1 as a unit would read as 0
+    stream = [(0, ["u", "v"], None), (1, ["a", "b"], [{0: 1}, {0: 1, 1: 2}])]
+    z_2 = FGAbelianGroup(0, ((2, 1),))
+    assert integral_homology(stream) == {0: z_2}
+    assert filtered_homology(stream, lambda g: (0, 0))[0, 0][0] == {0: z_2}
 
 
 @settings(max_examples=300)

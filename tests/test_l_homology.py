@@ -83,17 +83,23 @@ def test_torsion_input_is_contract_violation():
 @pytest.mark.parametrize("family", [C, H], ids=str)
 def test_oracles_eliminate_over_z_alone(monkeypatch, family):
     # torsion-free integral homology fixes the mod 2 ranks, so an oracle
-    # eliminates each nonzero boundary of its complex once, over Z, and
-    # runs no other elimination
+    # eliminates each nonzero boundary of its complex once, over Z, in the
+    # check's walk, and runs no other elimination: no split_units call
     eliminated = []
-    original = homology.split_units
+    walk, split = homology._checked_splits, homology.split_units
 
-    def counting(columns):
-        if any(columns):
-            eliminated.append(tuple(columns))
-        return original(columns)
+    def walking(slices):
+        for p, cells, columns, *rest in walk(slices):
+            if columns:
+                eliminated.append(columns)
+            yield p, cells, columns, *rest
 
-    monkeypatch.setattr(homology, "split_units", counting)
+    def splitting(columns):
+        eliminated.append(tuple(columns))
+        return split(columns)
+
+    monkeypatch.setattr(homology, "_checked_splits", walking)
+    monkeypatch.setattr(homology, "split_units", splitting)
     n, k = 2, 5
     boundaries = [
         tuple(columns)

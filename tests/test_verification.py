@@ -65,13 +65,17 @@ def counted(monkeypatch):
     )
 
     def splitting(original):
-        def wrapper(columns):
-            split.update(_content(filter(None, columns)))
-            return original(columns)
+        def wrapper(slices):
+            for p, cells, columns, units, rest in original(slices):
+                nonzero = list(filter(None, columns or ()))
+                # the walk splits every nonzero column of its slice
+                assert units + len(rest) == len(nonzero)
+                split.update(_content(nonzero))
+                yield p, cells, columns, units, rest
 
         return wrapper
 
-    _everywhere(monkeypatch, homology, "split_units", splitting)
+    _everywhere(monkeypatch, homology, "_checked_splits", splitting)
     _counting(
         monkeypatch, reports, structure_set, "compute_structure_set",
         lambda spec: spec,
@@ -110,8 +114,8 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
     top = min(MAX_N, MAX_K)
     assert enumerations == Counter((family, top, MAX_K, None) for family in FAMILIES)
     assert len(streams) == len(FAMILIES)
-    # every nonzero boundary column of each stream goes through the unit
-    # split once, over Z, and nothing else does
+    # every nonzero boundary column of each stream goes through the check's
+    # unit split once, over Z, and nothing else does
     assert split == Counter(
         column
         for stream in streams
@@ -142,23 +146,27 @@ def test_each_complex_and_report_is_computed_once(counted, monkeypatch):
 def test_the_family_pass_splits_each_slice_once_over_its_whole_boundary(
     monkeypatch,
 ):
-    # the unit split counts a slice's rows once, however many steps its
-    # columns have, and sees every column of the slice's boundary
+    # the check's walk splits each slice once, counting its rows once
+    # however many steps its columns have, and sees every column of the
+    # slice's boundary: its split is split_units' of the whole boundary
     streams, splits = [], []
     _recording(monkeypatch, streams)
-    original = homology.split_units
+    original = homology._checked_splits
 
-    def recorded(*args):
-        splits.append(tuple(map(_content, args)))
-        return original(*args)
+    def recorded(slices):
+        for p, cells, columns, units, rest in original(slices):
+            if _nonzero(columns):
+                splits.append((_content(columns), units, _content(rest)))
+            yield p, cells, columns, units, rest
 
-    monkeypatch.setattr(homology, "split_units", recorded)
+    monkeypatch.setattr(homology, "_checked_splits", recorded)
     verification.run_verification(MAX_N, MAX_K, 0, FAMILIES)
     boundaries = [
-        (_content(columns),)
+        (_content(columns), units, _content(rest))
         for stream in streams
         for _, _, columns in stream
         if _nonzero(columns)
+        for units, rest in [homology.split_units(columns)]
     ]
     assert boundaries and splits == boundaries
 
