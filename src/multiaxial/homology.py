@@ -6,9 +6,11 @@ the producer's nonzero columns, read and never changed; a zero is refused.
 Its walk splits off each column with a +-1 alone in its row, as the Schur
 complement of that pivot changes no other column; in an orbit-space complex
 every nonzero column has one, a free face with one coface (coreduction, Mrozek
-and Batko, DCG 41, 2009).  split_units, the general split, takes a slice with
-a shared row and serves sparse_invariant_factors; the rest goes as one block
-to smith_normal_form, also the reference in tier-1.  Two drivers read the
+and Batko, DCG 41, 2009).  It checks a slice's entries first, then builds one
+set of the rows they hit, which serves both the d^2 guard and the test for a
+shared row.  split_units, the general split, takes a slice with a shared row
+and serves sparse_invariant_factors; the rest goes as one block to
+smith_normal_form, also the reference in tier-1.  Two drivers read the
 walk: integral_homology as a slice arrives, and filtered_homology, each
 generator at a step, for the homology of every F_(k,n) and of F_(k,n) over
 F_(k,<n) (Zomorodian and Carlsson, DCG 33, 2005; with two parameters, Carlsson
@@ -182,9 +184,12 @@ def checked_slices(slices: Iterable[Slice]) -> Iterator[Slice]:
     -> nonzero coefficient column per generator, or None), its rows indexing
     the slice before if that is one degree lower.  Degrees must be ints >= 0
     and ascend; column counts, rows, nonzero int coefficients and d^2 = 0
-    are checked holding only the slice before.  A slice comes out with a
-    tuple of its generators and one of the producer's own columns, or None;
-    no column is changed, and a producer must not change one once yielded.
+    are checked holding only the slice before, every entry of a slice before
+    its d^2, so a slice with both faults raises the entry's, and d^2 is
+    composed only if a row the slice hits has a boundary below.  A slice
+    comes out with a tuple of its generators and one of the producer's own
+    columns, or None; no column is changed, and a producer must not change
+    one once yielded.
     """
     return ((p, cells, columns) for p, cells, columns, _, _ in _checked_splits(slices))
 
@@ -219,10 +224,10 @@ def _checked_splits(slices: Iterable[Slice]) -> Iterator[tuple]:
                     f"boundary in degree {p} has {len(columns)} columns, "
                     f"expected {len(cells)}"
                 )
-            # one pass over each nonzero column: row type and range, coefficient
-            # type and sign, a +-1 (a unit if no row of the slice is used twice),
-            # then d^2 if it reads a bounded row below (in an orbit complex none does)
-            bounded = set(compress(range(rows), lower or ()))
+            # one pass over each nonzero column checks its entries: row type and
+            # range, coefficient type, zero, and a +-1 (a unit if no row of the
+            # slice is used twice); then one set of the rows they hit serves
+            # both the d^2 guard and the shared-row test
             nonzero, rest = tuple(filter(None, columns)), []
             for column in nonzero:
                 try:
@@ -245,14 +250,18 @@ def _checked_splits(slices: Iterable[Slice]) -> Iterator[tuple]:
                         unit = True
                 if not unit:
                     rest.append(column)
-                if bounded and not bounded.isdisjoint(column):
+            hit = set(chain.from_iterable(nonzero))
+            # d^2 only if a hit row has a boundary below: in an orbit complex
+            # none does, as every face is an even cell
+            if lower and any(map(lower.__getitem__, hit)):
+                for column in nonzero:
                     composite: dict[int, int] = {}
-                    for r, v in entries:
+                    for r, v in column.items():
                         for s, w in (lower[r] or {}).items():
                             composite[s] = composite.get(s, 0) + v * w
                     if any(composite.values()):
                         raise ValueError(f"boundary composite in degree {p} is nonzero")
-            if len(set(chain.from_iterable(nonzero))) != sum(map(len, nonzero)):
+            if len(hit) != sum(map(len, nonzero)):
                 rest = split_units(nonzero)[1]
             units = len(nonzero) - len(rest)
             columns = tuple(columns) if nonzero else None

@@ -35,6 +35,7 @@ cell calls it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .family import Family, require_valid
@@ -79,17 +80,17 @@ def cells_by_rank(
     # Rank r stops growing once the k - m pivots to come cannot lift it to low.
     grown: list[dict[int, list[int]]] = [{-1: [0]}] + [{} for _ in range(top)]
     for m in range(1, k + 1):
-        bit, weight = 1 << (m - 1), a * m - b
+        put, weight = (1 << (m - 1)).__or__, a * m - b
         for r in range(min(m, top), max(1, low - k + m) - 1, -1):
             into = grown[r]
             for p, masks in grown[r - 1].items():
-                into.setdefault(p + weight, []).extend(map(bit.__or__, masks))
+                into.setdefault(p + weight, []).extend(map(put, masks))
     return {r: grown[r] for r in wanted}
 
 
 def cell_slices(by_rank: dict[int, dict[int, list[int]]]) -> Iterator[Slice]:
     """Cellular chain complex on exactly the given cells, rank -> degree ->
-    ascending masks, as ascending slices; a degree's ranks merge into a new
+    ascending masks, as ascending slices; a degree's ranks merge into one sorted
     list when the stream reaches it, so two merged degrees at most are held.
     A face is found by one forward walk over the slice one degree below and
     dropped if absent, which makes a rank band compute relative homology.
@@ -105,10 +106,8 @@ def cell_slices(by_rank: dict[int, dict[int, list[int]]]) -> Iterator[Slice]:
     prior = None, None  # the slice before: its degree and cells
     for p in sorted(runs):
         lists = runs.pop(p)
-        cells = lists[0]
-        if len(lists) > 1:  # a higher rank's masks are mostly lower, so the
-            cells = sum(lists[1:], cells)  # lists come nearly in order
-            cells.sort()
+        # a higher rank's masks are mostly lower, so the lists come nearly in order
+        cells = sorted(chain.from_iterable(lists)) if len(lists) > 1 else lists[0]
         below = prior[1] if prior[0] == p - 1 else None
         prior = p, cells
         if not below:

@@ -120,6 +120,38 @@ def test_acceptance_passes_in_optimized_mode():
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
+def test_importing_the_package_loads_only_its_eight_library_modules():
+    # the benchmark's setup_s times start-up and this import alone, so a new
+    # module, or an import of cli or verification, shows here first
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys, multiaxial\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('multiaxial')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = run.stdout.split()
+    assert "multiaxial.cli" not in loaded and "multiaxial.verification" not in loaded
+    assert loaded == [
+        "multiaxial",
+        "multiaxial.abelian",
+        "multiaxial.family",
+        "multiaxial.grassmannian",
+        "multiaxial.homology",
+        "multiaxial.l_homology",
+        "multiaxial.orbit_cells",
+        "multiaxial.structure_set",
+    ]
+
+
 def _top_level_names(source: str) -> set[str]:
     """Names taken from the package itself: ``from multiaxial import x`` and
     ``multiaxial.x``."""

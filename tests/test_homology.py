@@ -317,6 +317,24 @@ BAD_STREAMS = [
         ValueError,
         "boundary composite in degree 2 is nonzero",
     ),
+    # the guard reads every hit row, here reaching the composite only
+    # through the largest, beside a None, a {} and a [] below
+    (
+        [
+            (0, ["v"], None),
+            (1, ["a", "b", "c", "d"], [None, {}, [], {0: 1}]),
+            (2, ["f"], [{0: 1, 1: 1, 2: 1, 3: 1}]),
+        ],
+        ValueError,
+        "boundary composite in degree 2 is nonzero",
+    ),
+    # a slice's entries are all checked before its d^2: column 0's nonzero
+    # composite is not reached, as column 1 has a row out of range
+    (
+        [(0, ["v"], None), (1, ["e"], [{0: 1}]), (2, ["f", "g"], [{0: 1}, {5: 1}])],
+        ValueError,
+        "boundary in degree 2 has row 5, expected 0 <= row < 1",
+    ),
     (
         [(0, ["v"], None), (1, ["e"], [{1: 1}])],
         ValueError,
