@@ -1,6 +1,3 @@
-import hashlib
-import io
-import itertools
 import json
 import os
 import subprocess
@@ -486,8 +483,8 @@ def test_patched_commands_take_effect_on_a_reused_parser(capsys, monkeypatch):
     assert code == 4 and "fake-check" in out
 
 
-# the whole verify report over grids of 728 and 1,596 checks; a change
-# to any check's name, order or count shows here
+# the whole verify report over the default grid's 728 checks; a change to
+# any check's name, order or count shows here
 VERIFY_4_8_2 = """\
 verification grid: n<=4 k<=8 j<=2 families=U,Sp
   cell-census: 52 passed, 0 failed  [ok]
@@ -501,24 +498,11 @@ verification grid: n<=4 k<=8 j<=2 families=U,Sp
 total: 728 passed, 0 failed
 """
 
-VERIFY_6_12_2 = """\
-verification grid: n<=6 k<=12 j<=2 families=U,Sp
-  cell-census: 114 passed, 0 failed  [ok]
-  full-rank-dimension-parity: 114 passed, 0 failed  [ok]
-  relative-closed-vs-oracle: 114 passed, 0 failed  [ok]
-  reduced-closed-vs-oracle: 114 passed, 0 failed  [ok]
-  collapse-certificate: 114 passed, 0 failed  [ok]
-  summand-closed-vs-oracle: 342 passed, 0 failed  [ok]
-  branch-dispatch: 342 passed, 0 failed  [ok]
-  suspension-monotone: 342 passed, 0 failed  [ok]
-total: 1596 passed, 0 failed
-"""
-
 
 @pytest.mark.parametrize(
     "max_n, max_k, expected",
-    [("4", "8", VERIFY_4_8_2), ("6", "12", VERIFY_6_12_2)],
-    ids=["4-8-2", "6-12-2"],
+    [("4", "8", VERIFY_4_8_2)],
+    ids=["4-8-2"],
 )
 def test_verify_stdout_is_pinned(capsys, max_n, max_k, expected):
     code, out = run_cli(
@@ -691,95 +675,3 @@ def test_export_complex_header_names_the_selected_band(
     # the JSON input echoes the flags as given
     code, doc = run_json(capsys, *argv)
     assert (doc["input"]["min_rank"], doc["input"]["max_rank"]) == input_band
-
-
-def sweep_digest(argvs) -> str:
-    """SHA-256 over the stdout and exit code of each in-process invocation."""
-    digest = hashlib.sha256()
-    for argv in argvs:
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = cli.main(argv)
-        digest.update(out.getvalue().encode("utf-8"))
-        digest.update(f"exit {code}\n".encode())
-    return digest.hexdigest()
-
-
-# SHA-256 of the structure-set sweep below; after a deliberate change to
-# that command's output, recompute it with
-#   PYTHONPATH=src python -c "import tests.test_cli as t; print(t.structure_set_sweep_digest())"
-# and say in the change why the bytes moved
-STRUCTURE_SET_SWEEP_SHA256 = (
-    "f5cfd899f39f31a58bdb7e148b9143af3aa9e6cdee669b8ef74c676b3dd5ff58"
-)
-
-
-def structure_set_sweep_digest() -> str:
-    """SHA-256 over the stdout and exit code of 1,728 in-process
-    structure-set invocations: U and Sp, n 0..8, k 0..15, j 0..2, as a
-    table and as JSON."""
-    return sweep_digest(
-        [
-            "structure-set", "--family", family, "--n", str(n), "--k", str(k),
-            "--j", str(j), "--format", fmt,
-        ]
-        for family, n, k, j, fmt in itertools.product(
-            ("U", "Sp"), range(9), range(16), range(3), ("table", "json")
-        )
-    )
-
-
-def test_structure_set_sweep_bytes_are_pinned():
-    assert structure_set_sweep_digest() == STRUCTURE_SET_SWEEP_SHA256
-
-
-# SHA-256 of the homology and export-complex sweeps below, recomputed the
-# same way with
-#   PYTHONPATH=src python -c "import tests.test_cli as t; print(t.homology_sweep_digest(), t.export_complex_sweep_digest())"
-HOMOLOGY_SWEEP_SHA256 = (
-    "6a3bc22c69d66d36b99293b7e5ff8eab87d17e07f8834597574feb1449e8bf28"
-)
-EXPORT_COMPLEX_SWEEP_SHA256 = (
-    "19e4b509f4855111776ea8ca6304d81345e6a1b65d2bb5d085a54abda1f90591"
-)
-
-
-def homology_sweep_digest() -> str:
-    """SHA-256 over 756 in-process homology invocations: every variant, as
-    a table and as JSON, at U n 1..6, k n..14 and Sp n 1..6, k n..12."""
-    points = [("U", n, k) for n in range(1, 7) for k in range(n, 15)]
-    points += [("Sp", n, k) for n in range(1, 7) for k in range(n, 13)]
-    return sweep_digest(
-        [
-            "homology", "--family", family, "--n", str(n), "--k", str(k),
-            "--variant", variant, "--format", fmt,
-        ]
-        for family, n, k in points
-        for variant in ("relative", "reduced", "integral-all")
-        for fmt in ("table", "json")
-    )
-
-
-def export_complex_sweep_digest() -> str:
-    """SHA-256 over 560 in-process export-complex invocations: U and Sp,
-    n 1..5, k n..9, four rank bands, as a table and as JSON."""
-    bands = ([], ["--max-rank", "1"], ["--min-rank", "2"], ["--min-rank", "3"])
-    return sweep_digest(
-        [
-            "export-complex", "--family", family, "--n", str(n), "--k", str(k),
-            *band, "--format", fmt,
-        ]
-        for family in ("U", "Sp")
-        for n in range(1, 6)
-        for k in range(n, 10)
-        for band in bands
-        for fmt in ("table", "json")
-    )
-
-
-def test_homology_sweep_bytes_are_pinned():
-    assert homology_sweep_digest() == HOMOLOGY_SWEEP_SHA256
-
-
-def test_export_complex_sweep_bytes_are_pinned():
-    assert export_complex_sweep_digest() == EXPORT_COMPLEX_SWEEP_SHA256
